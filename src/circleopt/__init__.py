@@ -21,7 +21,6 @@ from .torus import (
     lipschitz_estimate,
     one_sided_derivative_report,
     refine_linear,
-    restrict,
     sample,
     spec_from_dict,
     spec_from_json,

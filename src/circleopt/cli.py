@@ -89,15 +89,25 @@ def _common_config(args, subcommand: str) -> dict:
     return cfg
 
 
+def _default_period_cap(d: int) -> int:
+    """Largest P >= 1 with d^P <= 2^16 (16 for d = 2, 10 for d = 3)."""
+    cap = 1
+    while d ** (cap + 1) <= 2**16:
+        cap += 1
+    return cap
+
+
 def cmd_solve(args) -> int:
     f = _load_spec(args.spec)
-    if args.n % args.d != 0:
-        print(f"error: d={args.d} must divide N={args.n}", file=sys.stderr)
-        return EXIT_ERROR
+    if args.d < 2 or args.n % args.d != 0:
+        raise ValueError(f"d={args.d} must be >= 2 and divide N={args.n}")
+    if args.orbit_period_cap is None:
+        args.orbit_period_cap = _default_period_cap(args.d)
+    # built first so that a cap over the enumeration budget fails before the solve
+    table = beta_lower_bound(f, d=args.d, max_period=args.orbit_period_cap)
     cfg = _common_config(args, "solve")
     rundir = _run_dir(args.out, cfg)
     sol = solve_calibrated(f, d=args.d, grid_n=args.n, tol=args.tol, max_iter=args.max_iter)
-    table = beta_lower_bound(f, d=args.d, max_period=args.orbit_period_cap)
     gap = sol.beta - table.best.average
     cross_tol = max(10.0 * sol.tol, 1e-9)
     beta_ok = gap >= -cross_tol
@@ -123,11 +133,7 @@ def cmd_eta(args) -> int:
     cfg = _common_config(args, "eta")
     cfg["mode"] = args.mode
     rundir = _run_dir(args.out, cfg)
-    try:
-        rep = convexity_defect(f, args.mode, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    rep = convexity_defect(f, args.mode, args.n)
     (rundir / "convexity.json").write_text(_json_text(rep.to_dict()))
     print(f"eta = {rep.eta!r}  ({rep.method}, {rep.bound_direction})")
     print(f"artifacts in {rundir}")
@@ -135,11 +141,7 @@ def cmd_eta(args) -> int:
 
 
 def cmd_sturmian(args) -> int:
-    try:
-        mu = sturmian_measure(args.p, args.q)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    mu = sturmian_measure(args.p, args.q)
     cfg = _common_config(args, "sturmian")
     cfg.update({"p": args.p, "q": args.q})
     rundir = _run_dir(args.out, cfg)
@@ -163,26 +165,20 @@ def cmd_check(args) -> int:
     cfg = _common_config(args, "check")
     cfg.update({"criterion": args.criterion, "a": args.a, "b": args.b, "v": args.v})
     rundir = _run_dir(args.out, cfg)
-    try:
-        if args.criterion == "sturm":
-            if args.a is None or args.b is None:
-                print("error: --criterion sturm needs --a and --b", file=sys.stderr)
-                return EXIT_ERROR
-            rep = check_theorem_sturm(f, args.a, args.b, args.n)
-        elif args.criterion == "classA":
-            if args.a is None or args.b is None:
-                print("error: --criterion classA needs --a and --b (and optionally --v)", file=sys.stderr)
-                return EXIT_ERROR
-            rep = check_class_a(f, ClassAParams(args.a, args.b, args.v or 0.0), args.n)
-        elif args.criterion == "classB":
-            rep = check_class_b(f, args.n)
-        elif args.criterion == "kappa":
-            rep = check_kappa(f, args.n)
-        else:  # search-c
-            _, rep = search_c(f, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    if args.criterion == "sturm":
+        if args.a is None or args.b is None:
+            raise ValueError("--criterion sturm needs --a and --b")
+        rep = check_theorem_sturm(f, args.a, args.b, args.n)
+    elif args.criterion == "classA":
+        if args.a is None or args.b is None:
+            raise ValueError("--criterion classA needs --a and --b (and optionally --v)")
+        rep = check_class_a(f, ClassAParams(args.a, args.b, args.v or 0.0), args.n)
+    elif args.criterion == "classB":
+        rep = check_class_b(f, args.n)
+    elif args.criterion == "kappa":
+        rep = check_kappa(f, args.n)
+    else:  # search-c
+        _, rep = search_c(f, args.n)
     (rundir / "criterion.json").write_text(_json_text(rep.to_dict()))
     worst = min(rep.margins.values()) if rep.margins else float("nan")
     print(f"{rep.criterion}: {rep.status} (worst net margin {worst!r})")
@@ -193,8 +189,7 @@ def cmd_check(args) -> int:
 def cmd_scan(args) -> int:
     f = _load_spec(args.spec)
     if args.n % 2 != 0:
-        print("error: scan needs an even N", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("scan needs an even N")
     cfg = _common_config(args, "scan")
     rundir = _run_dir(args.out, cfg)
     res = scan_translates(
@@ -248,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=2, help="expansion factor (default 2)")
     p.add_argument("--tol", type=float, default=None, help="step tolerance (default 1e-9 * range)")
     p.add_argument("--max-iter", dest="max_iter", type=int, default=100_000)
-    p.add_argument("--orbit-period-cap", dest="orbit_period_cap", type=int, default=16,
-                   help="period cap for the periodic-orbit cross-check")
+    p.add_argument("--orbit-period-cap", dest="orbit_period_cap", type=int, default=None,
+                   help="period cap for the periodic-orbit cross-check "
+                        "(default: largest P with d^P <= 2^16)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("eta", help="convexity defect of an observable")
@@ -294,6 +290,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

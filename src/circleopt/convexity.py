@@ -24,6 +24,32 @@ import numpy as np
 
 from .torus import FunctionSpec, GridFunction, lipschitz_estimate, sample
 
+# Size of the (shifts x nodes) block the second-difference kernel works on;
+# a fixed byte count keeps its working memory flat in N.
+_BLOCK_BYTES = 128 * 1024
+
+
+def _second_difference_max(v: np.ndarray, ks) -> tuple[np.ndarray, np.ndarray]:
+    """Max and first argmax over nodes x of 2 v[x] - v[x+k] - v[x-k], per k.
+
+    Indices are periodic and k is reduced mod N, so every integer k gives
+    what ``2.0 * v - np.roll(v, -k) - np.roll(v, k)`` gives, bit for bit.
+    """
+    n = v.size
+    ks = np.asarray(ks, dtype=np.int64) % n
+    # row r of win is v shifted left by r (r = 0..N), so v[x+k] is win[k, x]
+    # and v[x-k] is win[N-k, x]
+    win = np.lib.stride_tricks.sliding_window_view(np.concatenate([v, v]), n)
+    maxima = np.empty(ks.size)
+    argmax = np.empty(ks.size, dtype=np.int64)
+    rows = max(1, _BLOCK_BYTES // v.nbytes)
+    for lo in range(0, ks.size, rows):
+        kb = ks[lo:lo + rows]
+        vals = 2.0 * v - win[kb] - win[n - kb]
+        maxima[lo:lo + rows] = vals.max(axis=1)
+        argmax[lo:lo + rows] = vals.argmax(axis=1)
+    return maxima, argmax
+
 
 class DefectBound(NamedTuple):
     """A grid supremum together with its discretization-error bound."""
@@ -57,10 +83,8 @@ def uniform_defect(f, delta: float, search_n: int = 4096) -> DefectBound:
         n = f.n
         k = delta * n
         if abs(k - round(k)) < 1e-9:
-            k = int(round(k))
-            v = f.values
-            vals = 2.0 * v - np.roll(v, -k) - np.roll(v, k)
-            value = float(max(np.max(vals), 0.0))
+            maxima, _ = _second_difference_max(f.values, [int(round(k))])
+            value = float(max(maxima[0], 0.0))
             return DefectBound(value, 2.0 * f.lipschitz_estimate() / n)
         search_n = n
     xs = np.arange(search_n) / search_n
@@ -110,47 +134,45 @@ class ConvexityReport:
         }
 
 
-def _delta_table(g: GridFunction, max_entries: int = 32) -> tuple[tuple[float, float, float], ...]:
-    """Tabulate the uniform defect over node-aligned deltas k/N."""
+def _delta_table(
+    g: GridFunction, maxima: np.ndarray | None = None, max_entries: int = 32
+) -> tuple[tuple[float, float, float], ...]:
+    """Tabulate the uniform defect over node-aligned deltas k/N.
+
+    ``maxima[k - 1]``, when given, is the second-difference max at shift k
+    for k = 1..N/2; otherwise the tabulated shifts are computed here.
+    """
     n = g.n
     stride = max(1, (n // 2) // max_entries)
-    rows = []
+    ks = np.arange(stride, n // 2 + 1, stride)
+    m = _second_difference_max(g.values, ks)[0] if maxima is None else maxima[ks - 1]
     err = 2.0 * g.lipschitz_estimate() / n
-    for k in range(stride, n // 2 + 1, stride):
-        v = g.values
-        vals = 2.0 * v - np.roll(v, -k) - np.roll(v, k)
-        rows.append((k / n, float(max(np.max(vals), 0.0)), err))
-    return tuple(rows)
-
-
-def _second_derivative_spec(f: FunctionSpec) -> FunctionSpec:
-    return f.derivative().derivative()
+    return tuple((int(k) / n, float(max(mk, 0.0)), err) for k, mk in zip(ks, m))
 
 
 def _finite_difference_eta(g: GridFunction, min_delta_nodes: int = 1):
     """max over delta = k/N (k >= min_delta_nodes) and grid x of
-    delta^-2 * defect, with witnesses."""
+    delta^-2 * defect, with witnesses and the per-k maxima."""
     n = g.n
-    v = g.values
+    ks = np.arange(1, n // 2 + 1)
+    maxima, argmax = _second_difference_max(g.values, ks)
+    # delta^-2 by Python's float pow: numpy's square rounds differently in
+    # the last bit for some k, which would move eta and its witness
+    inv_delta_sq = np.array([(n / k) ** 2 for k in range(1, n // 2 + 1)])
+    score = np.where(maxima > 0.0, maxima * inv_delta_sq, 0.0)
     best = 0.0
     best_x = 0.0
     best_delta = max(1, min_delta_nodes) / n
-    score_by_k = np.zeros(n // 2 + 1)
-    for k in range(1, n // 2 + 1):
-        vals = 2.0 * v - np.roll(v, -k) - np.roll(v, k)
-        m = float(np.max(vals))
-        if m <= 0.0:
-            continue
-        score = m * (n / k) ** 2
-        score_by_k[k] = score
-        if k >= min_delta_nodes and score > best:
-            best = score
-            best_x = float(np.argmax(vals)) / n
-            best_delta = k / n
+    eligible = np.where(ks >= min_delta_nodes, score, 0.0)
+    i = int(np.argmax(eligible))  # first maximum: the smallest such delta
+    if eligible[i] > 0.0:
+        best = float(eligible[i])
+        best_x = float(argmax[i]) / n
+        best_delta = int(ks[i]) / n
     # A kink makes delta^-2 * defect blow up like 1/delta as delta -> 0:
     # flag +inf when halving delta from 2/N to 1/N grows the score by ~2x.
-    infinite = bool(n >= 8 and score_by_k[2] > 0.0 and score_by_k[1] > 1.6 * score_by_k[2])
-    return best, best_x, best_delta, infinite
+    infinite = bool(n >= 8 and score[1] > 0.0 and score[0] > 1.6 * score[1])
+    return best, best_x, best_delta, infinite, maxima
 
 
 def convexity_defect(
@@ -176,7 +198,7 @@ def convexity_defect(
     second = None
     if isinstance(f, FunctionSpec) and mode in ("auto", "second_derivative"):
         try:
-            second = _second_derivative_spec(f)
+            second = f.derivative().derivative()
         except ValueError:
             if mode == "second_derivative":
                 raise
@@ -218,12 +240,12 @@ def convexity_defect(
         )
 
     g = f if isinstance(f, GridFunction) else sample(f, grid_n)
-    eta, wx, wd, infinite = _finite_difference_eta(g, min_delta_nodes)
+    eta, wx, wd, infinite, maxima = _finite_difference_eta(g, min_delta_nodes)
     return ConvexityReport(
         eta=math.inf if infinite else eta,
         method="finite_difference",
         bound_direction="lower_bound",
-        delta_table=_delta_table(g),
+        delta_table=_delta_table(g, maxima),
         witness_x=wx,
         witness_delta=wd,
         error_bound=2.0 * g.lipschitz_estimate() / g.n,

@@ -80,6 +80,25 @@ class CriterionReport:
     tolerances: dict = field(default_factory=dict)
     notes: tuple = ()
 
+    @classmethod
+    def from_margins(
+        cls, criterion: str, raw: dict, bounds: dict | None = None, **rest
+    ) -> "CriterionReport":
+        """Net each raw margin of its error bound (0 when absent) and derive
+        the status: fail if any raw margin is <= 0 (witnessed violation at a
+        node); pass if every net margin is positive; inconclusive otherwise."""
+        bounds = {} if bounds is None else bounds
+        margins = {k: raw[k] - bounds.get(k, 0.0) for k in raw}
+        if any(v <= 0.0 for v in raw.values()):
+            status = "fail"
+        elif all(m > 0.0 for m in margins.values()):
+            status = "pass"
+        else:
+            status = "inconclusive"
+        return cls(
+            criterion, status, margins=margins, raw_margins=raw, error_bounds=bounds, **rest
+        )
+
     @property
     def passed(self) -> bool:
         return self.status == "pass"
@@ -96,16 +115,6 @@ class CriterionReport:
             "tolerances": dict(self.tolerances),
             "notes": list(self.notes),
         }
-
-
-def _status_from(raw: dict, bounds: dict) -> str:
-    """fail if any raw margin is <= 0 (witnessed violation at a node);
-    pass if every margin clears its error bound; inconclusive otherwise."""
-    if any(v <= 0.0 for v in raw.values()):
-        return "fail"
-    if all(raw[k] - bounds.get(k, 0.0) > 0.0 for k in raw):
-        return "pass"
-    return "inconclusive"
 
 
 def _window_grid(lo: float, hi: float, grid_n: int) -> np.ndarray:
@@ -183,14 +192,10 @@ def check_theorem_sturm(f, a: float, b: float, grid_n: int = 4096) -> CriterionR
         + eta_rep.error_bound / 6.0
     )
 
-    raw = {"R_positive": raw1, "R_prime_negative": raw2}
-    bounds = {"R_positive": bound1, "R_prime_negative": bound2}
-    return CriterionReport(
-        criterion="theorem-sturm",
-        status=_status_from(raw, bounds),
-        margins={k: raw[k] - bounds[k] for k in raw},
-        raw_margins=raw,
-        error_bounds=bounds,
+    return CriterionReport.from_margins(
+        "theorem-sturm",
+        {"R_positive": raw1, "R_prime_negative": raw2},
+        {"R_positive": bound1, "R_prime_negative": bound2},
         witnesses={"R_positive": float(xs1[i1]), "R_prime_negative": float(xs2[i2])},
         tolerances={"eta": eta, "eta_error": eta_rep.error_bound, "grid_n": grid_n},
         notes=(f"derivative route: {route}",),
@@ -236,14 +241,10 @@ def check_class_a(f, params: ClassAParams, grid_n: int = 4096) -> CriterionRepor
     raw2 = float(vals2[i2])
     bound2 = lip_fp * ((a + 0.5 - b) / grid_n) / 2.0 + extra + eta_rep.error_bound / 12.0
 
-    raw = {"A0_identity": raw0, "A1_window_gap": raw1, "A2_slope": raw2}
-    bounds = {"A0_identity": 0.0, "A1_window_gap": bound1, "A2_slope": bound2}
-    return CriterionReport(
-        criterion="class-A",
-        status=_status_from(raw, bounds),
-        margins={k: raw[k] - bounds[k] for k in raw},
-        raw_margins=raw,
-        error_bounds=bounds,
+    return CriterionReport.from_margins(
+        "class-A",
+        {"A0_identity": raw0, "A1_window_gap": raw1, "A2_slope": raw2},
+        {"A0_identity": 0.0, "A1_window_gap": bound1, "A2_slope": bound2},
         witnesses={"A1_window_gap": float(xs1[i1]), "A2_slope": float(xs2[i2])},
         tolerances={
             "eta": eta,
@@ -278,11 +279,9 @@ def check_class_b(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
         second = f.derivative().derivative()
         fp = f.derivative()
     except ValueError as exc:
-        return CriterionReport(
-            criterion="class-B",
-            status="fail",
-            raw_margins={"antisymmetry": raw_anti, "evenness": raw_even, "smoothness": -1.0},
-            margins={"antisymmetry": raw_anti, "evenness": raw_even, "smoothness": -1.0},
+        return CriterionReport.from_margins(
+            "class-B",
+            {"antisymmetry": raw_anti, "evenness": raw_even, "smoothness": -1.0},
             notes=(f"no second symbolic derivative: {exc}",),
             tolerances={"identity_tolerance": tol_id, "grid_n": grid_n},
         )
@@ -322,11 +321,9 @@ def check_class_b(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
         "eta_identity": raw_eta,
         "derivative_at_zero": raw_d0,
     }
-    return CriterionReport(
-        criterion="class-B",
-        status=_status_from(raw, {}),
-        margins=dict(raw),
-        raw_margins=raw,
+    return CriterionReport.from_margins(
+        "class-B",
+        raw,
         witnesses={"concavity": float(xs_in[i_cc])},
         tolerances={
             "eta": eta,
@@ -347,27 +344,21 @@ def check_kappa(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
     """
     b_rep = check_class_b(f, grid_n)
     if not b_rep.passed:
-        return CriterionReport(
-            criterion="kappa",
-            status="fail",
-            raw_margins={"class_B": -1.0},
-            margins={"class_B": -1.0},
+        return CriterionReport.from_margins(
+            "kappa",
+            {"class_B": -1.0},
             notes=("class-B membership failed; ratio not certified",) + b_rep.notes,
             tolerances={"kappa": KAPPA, "grid_n": grid_n},
         )
     eta = b_rep.tolerances["eta"]
     drop = f(0.0) - f(0.25)
     ratio = drop / eta
-    raw = {"ratio_above_kappa": ratio - KAPPA}
-    # eta from the second-derivative route is exact at grid scale for this
-    # family; propagate its 1% validation tolerance through the quotient
-    bound = {"ratio_above_kappa": abs(ratio) * 1e-6}
-    return CriterionReport(
-        criterion="kappa",
-        status=_status_from(raw, bound),
-        margins={k: raw[k] - bound[k] for k in raw},
-        raw_margins=raw,
-        error_bounds=bound,
+    # a fixed relative bound of 1e-6 on the ratio; neither eta's own
+    # error_bound nor the 1% eta validation tolerance of class-B enters it
+    return CriterionReport.from_margins(
+        "kappa",
+        {"ratio_above_kappa": ratio - KAPPA},
+        {"ratio_above_kappa": abs(ratio) * 1e-6},
         witnesses={"drop": drop},
         tolerances={"kappa": KAPPA, "eta": eta, "ratio": ratio, "grid_n": grid_n},
     )
@@ -414,17 +405,14 @@ def search_c(h: FunctionSpec, grid_n: int = 10_000) -> tuple[float | None, Crite
 
     raw = {"H1_window_gap": float(m1[i]), "H2_slope": float(m2[i])}
     raw.update(prec)
-    status = _status_from(raw, {})
-    report = CriterionReport(
-        criterion="lemma-sturm-search",
-        status=status,
-        margins=dict(raw),
-        raw_margins=raw,
+    report = CriterionReport.from_margins(
+        "lemma-sturm-search",
+        raw,
         witnesses={"c": float(cs[i])},
         tolerances={"eta": eta, "kappa": KAPPA, "h_quarter": h4, "grid_n": grid_n},
         notes=() if found else ("no c with positive margins; hypothesis violated or grid too coarse",),
     )
-    return (float(cs[i]) if status == "pass" else None), report
+    return (float(cs[i]) if report.passed else None), report
 
 
 @dataclass(frozen=True)

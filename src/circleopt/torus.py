@@ -53,10 +53,6 @@ class FunctionSpec:
         """Locations in [0,1) where the spec may be non-smooth."""
         return ()
 
-    def lipschitz_bound(self) -> float:
-        """A (possibly coarse) upper bound for the Lipschitz constant."""
-        raise NotImplementedError
-
     def to_dict(self) -> dict:
         raise NotImplementedError
 
@@ -81,9 +77,6 @@ class Cosine(FunctionSpec):
     def derivative(self):
         # d/dx cos(2 pi k x + p) = 2 pi k cos(2 pi k x + p + pi/2)
         return Scale(TWO_PI * self.freq, Cosine(self.freq, self.phase + math.pi / 2.0))
-
-    def lipschitz_bound(self):
-        return TWO_PI * self.freq
 
     def to_dict(self):
         return {"kind": "cos", "freq": self.freq, "phase": self.phase}
@@ -157,10 +150,6 @@ class PiecewisePoly(FunctionSpec):
     def nonsmooth_points(self):
         return self.breakpoints
 
-    def lipschitz_bound(self):
-        # max |p'| over [0,1] bounded by the coefficient sum; coarse but safe
-        return max(sum(j * abs(c) for j, c in enumerate(piece)) for piece in self.coefficients)
-
     def to_dict(self):
         d = {
             "kind": "piecewise_poly",
@@ -196,9 +185,6 @@ class Sum(FunctionSpec):
             pts.update(t.nonsmooth_points())
         return tuple(sorted(pts))
 
-    def lipschitz_bound(self):
-        return sum(t.lipschitz_bound() for t in self.terms)
-
     def to_dict(self):
         return {"kind": "sum", "terms": [t.to_dict() for t in self.terms]}
 
@@ -217,9 +203,6 @@ class Scale(FunctionSpec):
     def nonsmooth_points(self):
         return self.inner.nonsmooth_points()
 
-    def lipschitz_bound(self):
-        return abs(self.factor) * self.inner.lipschitz_bound()
-
     def to_dict(self):
         return {"kind": "scale", "factor": self.factor, "inner": self.inner.to_dict()}
 
@@ -232,7 +215,9 @@ class Translate(FunctionSpec):
     inner: FunctionSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", float(self.omega) % 1.0)
+        omega = float(self.omega) % 1.0
+        # a tiny negative omega rounds up to 1.0, which is 0 on the circle
+        object.__setattr__(self, "omega", 0.0 if omega == 1.0 else omega)
 
     def _eval(self, r):
         return self.inner._eval((r - self.omega) % 1.0)
@@ -242,9 +227,6 @@ class Translate(FunctionSpec):
 
     def nonsmooth_points(self):
         return tuple(sorted((b + self.omega) % 1.0 for b in self.inner.nonsmooth_points()))
-
-    def lipschitz_bound(self):
-        return self.inner.lipschitz_bound()
 
     def to_dict(self):
         return {"kind": "translate", "omega": self.omega, "inner": self.inner.to_dict()}
@@ -262,9 +244,6 @@ class Negate(FunctionSpec):
 
     def nonsmooth_points(self):
         return self.inner.nonsmooth_points()
-
-    def lipschitz_bound(self):
-        return self.inner.lipschitz_bound()
 
     def to_dict(self):
         return {"kind": "negate", "inner": self.inner.to_dict()}
@@ -312,9 +291,6 @@ class AntisymmetricExtension(FunctionSpec):
                 pts.add(b)
                 pts.add(b + 0.5)
         return tuple(sorted(pts))
-
-    def lipschitz_bound(self):
-        return self.half.lipschitz_bound()
 
     def to_dict(self):
         return {"kind": "antisym_ext", "v": self.v, "half": self.half.to_dict()}
@@ -370,16 +346,15 @@ class GridFunction:
         v = np.asarray(self.values, dtype=float).copy()
         if v.ndim != 1 or v.size < 2:
             raise ValueError("GridFunction needs a 1-d array of at least 2 values")
+        if not np.all(np.isfinite(v)):
+            bad = int(np.argmin(np.isfinite(v)))
+            raise ValueError(f"GridFunction values must be finite: node {bad} is {v[bad]}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
     def n(self) -> int:
         return int(self.values.size)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.arange(self.n) / self.n
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
@@ -418,22 +393,18 @@ def sample(f: FunctionSpec, n: int) -> GridFunction:
     return GridFunction(f(np.arange(n) / n))
 
 
+def _refine_values(v: np.ndarray, factor: int) -> np.ndarray:
+    """Periodic linear interpolation of node values onto the grid that is
+    ``factor`` times finer; old nodes land on every factor-th entry exactly."""
+    w = np.arange(factor) / factor
+    return (v[:, None] * (1.0 - w) + np.roll(v, -1)[:, None] * w).ravel()
+
+
 def refine_linear(g: GridFunction, factor: int) -> GridFunction:
     """Upsample by an integer factor; old nodes are copied exactly."""
     if factor < 1:
         raise ValueError("refinement factor must be >= 1")
-    v = g.values
-    nxt = np.roll(v, -1)
-    w = np.arange(factor) / factor
-    out = v[:, None] * (1.0 - w) + nxt[:, None] * w
-    return GridFunction(out.ravel())
-
-
-def restrict(g: GridFunction, factor: int) -> GridFunction:
-    """Keep every factor-th node (exact subsampling)."""
-    if g.n % factor != 0:
-        raise ValueError(f"{factor} does not divide grid size {g.n}")
-    return GridFunction(g.values[::factor])
+    return GridFunction(_refine_values(g.values, factor))
 
 
 def grid_derivative(g: GridFunction, side: str = "central") -> GridFunction:

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .torus import FunctionSpec, GridFunction, refine_linear, sample
+from .torus import FunctionSpec, GridFunction, _refine_values, refine_linear, sample
 
 
 def max_transfer(f: GridFunction, d: int) -> GridFunction:
@@ -44,11 +44,7 @@ def calibration_residual(f: GridFunction, g: GridFunction, beta: float, d: int) 
     """sup over coarse nodes of |M_d(f+g) - g - beta|, all exact lookups."""
     if f.n != g.n:
         raise ValueError(f"grid sizes disagree: {f.n} vs {g.n}")
-    if f.n % d != 0:
-        raise ValueError(f"d={d} does not divide the grid size {f.n}")
-    m = f.n // d
-    v = f.values + g.values
-    lhs = v.reshape(d, m).max(axis=0)
+    lhs = max_transfer(GridFunction(f.values + g.values), d).values
     return float(np.max(np.abs(lhs - g.values[::d] - beta)))
 
 
@@ -127,15 +123,13 @@ def solve_calibrated(
     else:
         g = np.zeros(n)
 
-    w = np.arange(d) / d  # interpolation weights onto the preimage grid
     beta = 0.0
     step = np.inf
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
         # g on the d*n grid: exact copies at multiples of d, linear between
-        g_fine = (g[:, None] * (1.0 - w) + np.roll(g, -1)[:, None] * w).ravel()
-        image = (ff + g_fine).reshape(d, n).max(axis=0)
+        image = (ff + _refine_values(g, d)).reshape(d, n).max(axis=0)
         beta = float(np.max(image))
         raw = image - beta
         step = float(np.max(np.abs(raw - g)))

@@ -47,6 +47,32 @@ class TestSolve:
         assert code == 3
         assert "mystery" in capsys.readouterr().err
 
+    def test_d3_default_orbit_cap(self, cos_spec, tmp_path):
+        out = tmp_path / "out"
+        code = main(["solve", "--spec", cos_spec, "--d", "3", "--n", "729", "--out", str(out)])
+        assert code == 0
+        rd = _only_run_dir(out)
+        assert json.loads((rd / "config.json").read_text())["orbit_period_cap"] == 10
+        assert json.loads((rd / "solution.json").read_text())["orbit_check"]["ok"] is True
+
+    def test_orbit_cap_over_budget_fails_before_solve(self, cos_spec, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["solve", "--spec", cos_spec, "--d", "3", "--n", "729",
+                     "--orbit-period-cap", "16", "--out", str(out)])
+        assert code == 3
+        assert "budget" in capsys.readouterr().err
+        assert not list(out.glob("run-*/solution.json"))
+
+    def test_non_finite_spec_fails_before_solve(self, tmp_path, capsys):
+        spec = tmp_path / "nan.json"
+        spec.write_text('{"kind": "cos", "freq": 1, "phase": NaN}')
+        out = tmp_path / "out"
+        code = main(["solve", "--spec", str(spec), "--n", "512", "--orbit-period-cap", "4",
+                     "--out", str(out)])
+        assert code == 3
+        assert "must be finite" in capsys.readouterr().err
+        assert not list(out.glob("run-*/solution.json"))
+
     def test_byte_identical_reruns(self, cos_spec, tmp_path):
         out = tmp_path / "out"
         main(["solve", "--spec", cos_spec, "--n", "512", "--out", str(out)])
@@ -139,6 +165,15 @@ class TestScan:
         assert csv[1].startswith("0,1,0,1,true")
         doc = json.loads((rd / "scan.json").read_text())
         assert doc["all_pass"] is True
+
+
+class TestErrors:
+    def test_library_value_error_exits_3(self, cos_spec, tmp_path, capsys):
+        # grid size 2 passes the CLI's own checks and is rejected by sample()
+        code = main(["scan", "--spec", cos_spec, "--omega-count", "1", "--n", "2",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: grid size must be at least 4")
 
 
 class TestValidate:

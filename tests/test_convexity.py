@@ -12,6 +12,7 @@ from circleopt import (
     uniform_defect,
 )
 from circleopt.catalog import constant, cosine, quadratic_extremal, tent
+from circleopt.convexity import _delta_table, _finite_difference_eta, _second_difference_max
 
 FOUR_PI_SQ = 4.0 * math.pi**2
 
@@ -116,3 +117,62 @@ class TestConvexityDefect:
     def test_report_serializes(self):
         doc = convexity_defect(cosine(), "auto").to_dict()
         assert set(doc) >= {"eta", "delta_table", "witnesses", "error_bound", "method"}
+
+
+def _roll_second_difference(v, k):
+    return 2.0 * v - np.roll(v, -k) - np.roll(v, k)
+
+
+def _loop_finite_difference_eta(g, min_delta_nodes):
+    """Per-k reference for the finite-difference route."""
+    n = g.n
+    best, best_x, best_delta = 0.0, 0.0, max(1, min_delta_nodes) / n
+    score_by_k = np.zeros(n // 2 + 1)
+    for k in range(1, n // 2 + 1):
+        vals = _roll_second_difference(g.values, k)
+        m = float(np.max(vals))
+        if m <= 0.0:
+            continue
+        score = m * (n / k) ** 2
+        score_by_k[k] = score
+        if k >= min_delta_nodes and score > best:
+            best, best_x, best_delta = score, float(np.argmax(vals)) / n, k / n
+    infinite = bool(n >= 8 and score_by_k[2] > 0.0 and score_by_k[1] > 1.6 * score_by_k[2])
+    return best, best_x, best_delta, infinite
+
+
+class TestSecondDifferenceKernel:
+    @pytest.mark.parametrize("n", [7, 101, 4096])
+    @pytest.mark.parametrize("kind", ["random", "cosine"])
+    def test_matches_roll_bitwise(self, n, kind):
+        # cosine samples have exact ties, which exercise the first-argmax rule
+        if kind == "random":
+            v = np.random.default_rng(n).standard_normal(n)
+        else:
+            v = sample(cosine(), n).values
+        # every shift 0..N+2 (so k >= N/2 and k >= N), multiples of N, and
+        # an unordered tail with repeats
+        ks = np.concatenate([np.arange(n + 3), [2 * n, 3 * n, 5 * n + 1, 3, 3 * n - 1, 1]])
+        maxima, argmax = _second_difference_max(v, ks)
+        for k, m, i in zip(ks, maxima, argmax):
+            ref = _roll_second_difference(v, int(k))
+            assert (m, i) == (ref.max(), ref.argmax()), k
+
+    @pytest.mark.parametrize("min_delta_nodes", [1, 4])
+    @pytest.mark.parametrize(
+        "g",
+        [
+            sample(cosine(), 512),
+            GridFunction(sample(cosine(), 512).values + 1e-6 * (-1.0) ** np.arange(512)),
+            sample(quadratic_extremal(), 1000),
+            sample(tent(), 1024),
+            sample(constant(1.0), 64),
+            # integer second differences 2k^2: the score ties exactly across many k
+            GridFunction(-((np.arange(512) - 256.0) ** 2)),
+        ],
+        ids=["cosine", "noisy-cosine", "extremal", "tent", "constant", "parabola"],
+    )
+    def test_finite_difference_matches_loop(self, g, min_delta_nodes):
+        *got, maxima = _finite_difference_eta(g, min_delta_nodes)
+        assert tuple(got) == _loop_finite_difference_eta(g, min_delta_nodes)
+        assert _delta_table(g, maxima) == _delta_table(g)

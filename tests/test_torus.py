@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circleopt import (
@@ -62,6 +62,11 @@ class TestSample:
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
             sample(cosine(), 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite: node 2"):
+            GridFunction(np.array([0.0, 1.0, bad, 2.0]))
 
     def test_node_eval_reproduces_samples_exactly(self):
         f = Sum((cosine(), Scale(0.5, Cosine(2, 0.7))))
@@ -218,6 +223,12 @@ class TestProperties:
         g = sample(f, 64)
         xs = np.linspace(0, 1, 13)
         np.testing.assert_allclose(g(xs), g(xs + 1.0), atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-1e-20)
+    def test_translate_omega_in_unit_interval(self, omega):
+        assert 0.0 <= Translate(omega, cosine()).omega < 1.0
 
     @settings(max_examples=30, deadline=None)
     @given(small_specs())
