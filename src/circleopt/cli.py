@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: solve, eta, sturmian, check, scan, validate.  Every run
-writes its artifacts into <out>/run-<confighash>/ with the configuration
-echoed to config.json, so identical configurations produce byte-identical
-outputs.  Exit codes: 0 pass/success, 1 criterion fail, 2 inconclusive,
-3 usage or convergence error.
+that completes its computation writes its artifacts into
+<out>/run-<confighash>/ with the configuration echoed to config.json, so
+identical configurations produce byte-identical outputs; a run that stops
+with an error creates no run directory.  Exit codes: 0 pass/success,
+1 criterion fail, 2 inconclusive, 3 usage or convergence error.
 """
 
 from __future__ import annotations
@@ -105,8 +106,6 @@ def cmd_solve(args) -> int:
         args.orbit_period_cap = _default_period_cap(args.d)
     # built first so that a cap over the enumeration budget fails before the solve
     table = beta_lower_bound(f, d=args.d, max_period=args.orbit_period_cap)
-    cfg = _common_config(args, "solve")
-    rundir = _run_dir(args.out, cfg)
     sol = solve_calibrated(f, d=args.d, grid_n=args.n, tol=args.tol, max_iter=args.max_iter)
     gap = sol.beta - table.best.average
     cross_tol = max(10.0 * sol.tol, 1e-9)
@@ -119,6 +118,7 @@ def cmd_solve(args) -> int:
         "tolerance": cross_tol,
         "ok": beta_ok,
     }
+    rundir = _run_dir(args.out, _common_config(args, "solve"))
     (rundir / "solution.json").write_text(_json_text(doc))
     (rundir / "g.csv").write_text(sol.g.to_csv())
     print(f"beta = {sol.beta!r}  residual = {sol.residual:.3e}  iterations = {sol.iterations}")
@@ -130,10 +130,10 @@ def cmd_solve(args) -> int:
 
 def cmd_eta(args) -> int:
     f = _load_spec(args.spec)
+    rep = convexity_defect(f, args.mode, args.n)
     cfg = _common_config(args, "eta")
     cfg["mode"] = args.mode
     rundir = _run_dir(args.out, cfg)
-    rep = convexity_defect(f, args.mode, args.n)
     (rundir / "convexity.json").write_text(_json_text(rep.to_dict()))
     print(f"eta = {rep.eta!r}  ({rep.method}, {rep.bound_direction})")
     print(f"artifacts in {rundir}")
@@ -142,15 +142,15 @@ def cmd_eta(args) -> int:
 
 def cmd_sturmian(args) -> int:
     mu = sturmian_measure(args.p, args.q)
-    cfg = _common_config(args, "sturmian")
-    cfg.update({"p": args.p, "q": args.q})
-    rundir = _run_dir(args.out, cfg)
     doc = mu.to_dict()
     if args.spec:
         f = _load_spec(args.spec)
         doc["integral"] = mu.integrate(f)
         best_mu, best_val = best_sturmian(f, args.max_q)
         doc["best"] = {"p": best_mu.p, "q": best_mu.q, "value": best_val}
+    cfg = _common_config(args, "sturmian")
+    cfg.update({"p": args.p, "q": args.q})
+    rundir = _run_dir(args.out, cfg)
     (rundir / "sturmian.json").write_text(_json_text(doc))
     print(f"orbit of {args.p}/{args.q}: {[str(x) for x in mu.orbit]}")
     if "integral" in doc:
@@ -162,9 +162,6 @@ def cmd_sturmian(args) -> int:
 
 def cmd_check(args) -> int:
     f = _load_spec(args.spec)
-    cfg = _common_config(args, "check")
-    cfg.update({"criterion": args.criterion, "a": args.a, "b": args.b, "v": args.v})
-    rundir = _run_dir(args.out, cfg)
     if args.criterion == "sturm":
         if args.a is None or args.b is None:
             raise ValueError("--criterion sturm needs --a and --b")
@@ -179,6 +176,9 @@ def cmd_check(args) -> int:
         rep = check_kappa(f, args.n)
     else:  # search-c
         _, rep = search_c(f, args.n)
+    cfg = _common_config(args, "check")
+    cfg.update({"criterion": args.criterion, "a": args.a, "b": args.b, "v": args.v})
+    rundir = _run_dir(args.out, cfg)
     (rundir / "criterion.json").write_text(_json_text(rep.to_dict()))
     worst = min(rep.margins.values()) if rep.margins else float("nan")
     print(f"{rep.criterion}: {rep.status} (worst net margin {worst!r})")
@@ -190,8 +190,6 @@ def cmd_scan(args) -> int:
     f = _load_spec(args.spec)
     if args.n % 2 != 0:
         raise ValueError("scan needs an even N")
-    cfg = _common_config(args, "scan")
-    rundir = _run_dir(args.out, cfg)
     res = scan_translates(
         f,
         args.omega_count,
@@ -200,6 +198,7 @@ def cmd_scan(args) -> int:
         tol=args.tol,
         max_iter=args.max_iter,
     )
+    rundir = _run_dir(args.out, _common_config(args, "scan"))
     (rundir / "scan.csv").write_text(res.to_csv())
     (rundir / "scan.json").write_text(_json_text(res.to_dict()))
     n_pass = sum(1 for r in res.rows if r.certificate.passed)
@@ -212,9 +211,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _common_config(args, "validate")
-    rundir = _run_dir(args.out, cfg)
     results = run_all(seed=args.seed, cases=args.cases)
+    rundir = _run_dir(args.out, _common_config(args, "validate"))
     (rundir / "validate.json").write_text(_json_text([r.to_dict() for r in results]))
     ok = True
     for r in results:

@@ -494,8 +494,13 @@ def scan_translates(
     difference of (f, g), run the certificate (band width defaults
     epsilon_r = 5 (Lip f + Lip g)/N, w_max = 16/N), and record the best
     Sturmian rotation number and integral.  Non-convergence is recorded
-    per row; the scan continues.
+    per row; the scan continues.  An empty scan (omega_count < 1) or
+    Sturmian family (max_q < 1) is a ValueError, not a vacuous pass.
     """
+    if omega_count < 1:
+        raise ValueError(f"omega_count must be >= 1, got {omega_count}")
+    if max_q < 1:
+        raise ValueError(f"max_q must be >= 1, got {max_q}")
     rows = []
     for j in range(omega_count):
         omega = j / omega_count

@@ -156,12 +156,31 @@ def solve_calibrated(
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    """A periodic orbit of x -> d*x with its Birkhoff average."""
+    """A periodic orbit of x -> d*x with its Birkhoff average.
 
+    Held as integers: the orbit is numerator * d^j mod modulus, over
+    modulus = d^period - 1, starting from its minimal point; the exact
+    ``Fraction`` points are built on access.
+    """
+
+    d: int
     period: int
-    representative: Fraction
-    points: tuple[Fraction, ...]
+    numerator: int
+    modulus: int
     average: float
+
+    @property
+    def representative(self) -> Fraction:
+        return Fraction(self.numerator, self.modulus)
+
+    @property
+    def points(self) -> tuple[Fraction, ...]:
+        out = []
+        n = self.numerator
+        for _ in range(self.period):
+            out.append(Fraction(n, self.modulus))
+            n = n * self.d % self.modulus
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -237,15 +256,9 @@ def beta_lower_bound(
                 continue
             vals = np.asarray(f(rows[:, reps] / m), dtype=float)
             means = vals.mean(axis=0)
-            for idx, i in enumerate(reps):
-                pts = tuple(Fraction(int(rows[j, i]), m) for j in range(p))
-                orbits.append(
-                    PeriodicOrbit(
-                        period=p,
-                        representative=Fraction(int(ks[i]), m),
-                        points=pts,
-                        average=float(means[idx]),
-                    )
-                )
+            orbits.extend(
+                PeriodicOrbit(d=d, period=p, numerator=k, modulus=m, average=avg)
+                for k, avg in zip(ks[reps].tolist(), means.tolist())
+            )
     best = max(range(len(orbits)), key=lambda i: (orbits[i].average, -orbits[i].period))
     return PeriodicOrbitTable(d=d, max_period=max_period, orbits=tuple(orbits), best_index=best)

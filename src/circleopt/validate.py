@@ -207,7 +207,9 @@ def suite_branch_bound(seed: int, cases: int, grid_n: int = 4096) -> SuiteResult
 
 
 def run_all(seed: int = 0, cases: int = 200) -> list[SuiteResult]:
-    """Run every suite with deterministic sub-seeds."""
+    """Run every suite with deterministic sub-seeds; cases < 1 is a ValueError."""
+    if cases < 1:
+        raise ValueError(f"cases must be >= 1, got {cases}")
     return [
         suite_cone_laws(seed + 1, cases),
         suite_transfer_laws(seed + 2, cases),

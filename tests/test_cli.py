@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from circleopt.catalog import cosine
+from circleopt.catalog import cosine, tent
 from circleopt.cli import main
+from circleopt.sturmian import _orbit_table
 
 
 @pytest.fixture()
@@ -73,12 +74,24 @@ class TestSolve:
         assert "must be finite" in capsys.readouterr().err
         assert not list(out.glob("run-*/solution.json"))
 
-    def test_byte_identical_reruns(self, cos_spec, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--n", "512"],
+            ["scan", "--omega-count", "4", "--n", "1024"],
+            ["sturmian", "--p", "1", "--q", "3"],
+        ],
+        ids=["solve", "scan", "sturmian"],
+    )
+    def test_byte_identical_reruns(self, argv, cos_spec, tmp_path):
+        # the second run finds the Sturmian orbit table already cached
+        _orbit_table.cache_clear()
         out = tmp_path / "out"
-        main(["solve", "--spec", cos_spec, "--n", "512", "--out", str(out)])
+        argv = argv + ["--spec", cos_spec, "--out", str(out)]
+        assert main(argv) == 0
         rd = _only_run_dir(out)
         first = {p.name: p.read_bytes() for p in rd.iterdir()}
-        main(["solve", "--spec", cos_spec, "--n", "512", "--out", str(out)])
+        assert main(argv) == 0
         second = {p.name: p.read_bytes() for p in rd.iterdir()}
         assert first == second
 
@@ -174,6 +187,32 @@ class TestErrors:
                      "--out", str(tmp_path)])
         assert code == 3
         assert capsys.readouterr().err.startswith("error: grid size must be at least 4")
+
+
+class TestFailedRunsLeaveNoRunDirectory:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eta", "--mode", "second_derivative"],
+            ["check", "--criterion", "sturm", "--b", "0.1"],
+            ["scan", "--omega-count", "0"],
+            ["scan", "--omega-count", "2", "--max-q", "0"],
+        ],
+        ids=["eta-kinked-second-derivative", "check-sturm-without-a", "scan-no-translates",
+             "scan-no-rotations"],
+    )
+    def test_exit_3_without_run_dir(self, argv, tmp_path, capsys):
+        spec = tmp_path / "tent.json"
+        spec.write_text(json.dumps(tent().to_dict()))
+        out = tmp_path / "out"
+        assert main(argv + ["--spec", str(spec), "--n", "256", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(out.glob("run-*"))
+
+    def test_validate_without_cases(self, tmp_path, capsys):
+        assert main(["validate", "--cases", "0", "--out", str(tmp_path)]) == 3
+        assert "cases must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("run-*"))
 
 
 class TestValidate:

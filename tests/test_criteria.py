@@ -224,3 +224,8 @@ class TestScanTranslates:
         res = scan_translates(cosine(), 4, grid_n=1024, max_iter=2)
         assert not res.all_pass
         assert all(not r.converged for r in res.rows)
+
+    @pytest.mark.parametrize("omega_count, max_q", [(0, 32), (-1, 32), (4, 0)])
+    def test_empty_scan_rejected(self, omega_count, max_q):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            scan_translates(cosine(), omega_count, grid_n=256, max_q=max_q)

@@ -109,6 +109,45 @@ class TestBestSturmian:
             assert neg_best == pytest.approx(shifted_best - 2 * v, abs=1e-12)
 
 
+def _per_orbit_best(measures, f):
+    """best_sturmian as one integrate() per exact orbit, same tie-break."""
+    best, best_val = None, 0.0
+    for mu in measures:
+        val = mu.integrate(f)
+        if best is None or val > best_val + 1e-12 * (1.0 + abs(best_val)):
+            best, best_val = (mu.p, mu.q), val
+    return best, best_val
+
+
+class TestOrbitTable:
+    @pytest.mark.parametrize("max_q", [1, 2, 8, 32, 60])
+    def test_matches_per_orbit_loop(self, max_q):
+        from circleopt.catalog import quadratic_extremal, random_trig
+        from circleopt.sturmian import _orbit_table, rotation_numbers
+
+        measures = [sturmian_measure(p, q) for p, q in rotation_numbers(max_q)]
+        observables = [
+            cosine(),
+            Translate(0.3, cosine()),
+            quadratic_extremal(),
+            random_trig(np.random.default_rng(7)),
+            constant(0.4),
+        ]
+        _orbit_table.cache_clear()
+        for f in observables:
+            mu, val = best_sturmian(f, max_q)
+            assert ((mu.p, mu.q), val) == _per_orbit_best(measures, f)
+            assert best_sturmian(f, max_q) == (mu, val)  # warm cache, same answer
+
+    def test_points_are_correctly_rounded_beyond_double_precision(self):
+        # q = 60 > 53: n / m must round once, like float(Fraction(n, m))
+        from circleopt.sturmian import _orbit_table, rotation_numbers
+
+        _, points, _ = _orbit_table(60)
+        exact = [float(x) for p, q in rotation_numbers(60) for x in sturmian_measure(p, q).orbit]
+        assert points.tolist() == exact
+
+
 class TestAntipodalDifference:
     def test_constants_vanish(self):
         f = sample(constant(2.0), 64)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,6 +90,41 @@ class TestBetaLowerBound:
         assert len(reps) == len(set(reps))
         for o in tab.orbits:
             assert len(set(o.points)) == o.period
+
+
+def _eager_orbits(d, max_period):
+    """(period, representative, points) of every exact-period orbit of x -> d*x."""
+    out = []
+    for p in range(1, max_period + 1):
+        m = d**p - 1
+        for k in range(max(m, 1)):
+            pts = [Fraction(k, m)]
+            for _ in range(p - 1):
+                pts.append(pts[-1] * d % 1)
+            if len(set(pts)) == p and min(pts) == pts[0]:
+                out.append((p, pts[0], tuple(pts)))
+    return out
+
+
+class TestLazyOrbits:
+    @pytest.mark.parametrize("d, max_period", [(2, 10), (3, 6)])
+    def test_points_and_to_dict_match_eager_fractions(self, d, max_period):
+        tab = beta_lower_bound(Translate(0.3, cosine()), d, max_period)
+        eager = _eager_orbits(d, max_period)
+        assert [(o.period, o.representative, o.points) for o in tab.orbits] == eager
+        averages = [o.average for o in tab.orbits]
+        ranked = sorted(zip(eager, averages), key=lambda e: -e[1])[:10]
+
+        def row(orbit, average):
+            return {"period": orbit[0], "representative": str(orbit[1]), "average": average}
+
+        assert tab.to_dict() == {
+            "d": d,
+            "max_period": max_period,
+            "orbit_count": len(eager),
+            "best": row(eager[tab.best_index], averages[tab.best_index]),
+            "top": [row(*e) for e in ranked],
+        }
 
 
 class TestSolveCalibrated:

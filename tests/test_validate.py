@@ -1,3 +1,5 @@
+import pytest
+
 from circleopt.validate import (
     run_all,
     suite_branch_bound,
@@ -59,3 +61,7 @@ class TestRunAll:
             "orbit-closure",
             "branch-bound",
         }
+
+    def test_no_cases_rejected(self):
+        with pytest.raises(ValueError, match="cases must be >= 1"):
+            run_all(seed=0, cases=0)
