@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Subcommands: solve, eta, sturmian, check, scan, validate.  Every run
-that completes its computation writes its artifacts into
-<out>/run-<confighash>/ with the configuration echoed to config.json, so
-identical configurations produce byte-identical outputs; a run that stops
-with an error creates no run directory.  Exit codes: 0 pass/success,
-1 criterion fail, 2 inconclusive, 3 usage or convergence error.
+Subcommands: solve, eta, sturmian, check, scan, validate.  Each cmd_*
+computes, prints its summary and returns (exit code, config entries beyond
+_common_config, {file name: text}); main alone writes those files and the
+configuration, echoed to config.json, into <out>/run-<confighash>/, so
+identical configurations produce byte-identical outputs.  A command that
+raises creates no run directory; one that returns gets one, whatever its
+exit code.  Exit codes: 0 pass/success, 1 criterion fail,
+2 inconclusive, 3 usage or convergence error.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .criteria import (
     search_c,
 )
 from .sturmian import best_sturmian, sturmian_measure
-from .torus import spec_from_dict
+from .torus import lipschitz_estimate, spec_from_dict
 from .transfer import beta_lower_bound, solve_calibrated
 from .validate import run_all
 
@@ -65,7 +67,6 @@ def _run_dir(out: str, config: dict) -> Path:
     digest = hashlib.sha256(text.encode()).hexdigest()[:12]
     path = Path(out) / f"run-{digest}"
     path.mkdir(parents=True, exist_ok=True)
-    (path / "config.json").write_text(_json_text(config))
     return path
 
 
@@ -73,13 +74,13 @@ def _load_spec(path: str):
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
-        raise SystemExit(f"cannot read spec file {path}: {exc}")
+        raise ValueError(f"cannot read spec file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise SystemExit(f"spec file {path} is not valid JSON: {exc}")
+        raise ValueError(f"spec file {path} is not valid JSON: {exc}") from exc
     try:
         return spec_from_dict(data)
     except ValueError as exc:
-        raise SystemExit(f"malformed function spec in {path}: {exc}")
+        raise ValueError(f"malformed function spec in {path}: {exc}") from exc
 
 
 def _common_config(args, subcommand: str) -> dict:
@@ -98,17 +99,22 @@ def _default_period_cap(d: int) -> int:
     return cap
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[int, dict, dict]:
     f = _load_spec(args.spec)
     if args.d < 2 or args.n % args.d != 0:
         raise ValueError(f"d={args.d} must be >= 2 and divide N={args.n}")
-    if args.orbit_period_cap is None:
-        args.orbit_period_cap = _default_period_cap(args.d)
+    cap = _default_period_cap(args.d) if args.orbit_period_cap is None else args.orbit_period_cap
     # built first so that a cap over the enumeration budget fails before the solve
-    table = beta_lower_bound(f, d=args.d, max_period=args.orbit_period_cap)
+    table = beta_lower_bound(f, d=args.d, max_period=cap)
     sol = solve_calibrated(f, d=args.d, grid_n=args.n, tol=args.tol, max_iter=args.max_iter)
     gap = sol.beta - table.best.average
-    cross_tol = max(10.0 * sol.tol, 1e-9)
+    # beta(f) <= sup_x f(x) + h(x) - h(dx) for any continuous h; take h = the
+    # interpolant of g.  At the d*N fine nodes that sup is the solver's
+    # image - g <= beta + 2*step, which 10*tol covers; a point between fine
+    # nodes lies within 1/(2dN) of one, so the sup exceeds the node max by at
+    # most (Lip f + (d+1) Lip g) / (2dN), Lip g being the interpolant's slope.
+    lip_f, lip_g = lipschitz_estimate(f, args.d * args.n), sol.g.lipschitz_estimate()
+    cross_tol = max(10.0 * sol.tol, 1e-9) + (lip_f + (args.d + 1) * lip_g) / (2 * args.d * args.n)
     beta_ok = gap >= -cross_tol
     doc = sol.to_dict()
     doc["orbit_check"] = {
@@ -118,29 +124,18 @@ def cmd_solve(args) -> int:
         "tolerance": cross_tol,
         "ok": beta_ok,
     }
-    rundir = _run_dir(args.out, _common_config(args, "solve"))
-    (rundir / "solution.json").write_text(_json_text(doc))
-    (rundir / "g.csv").write_text(sol.g.to_csv())
     print(f"beta = {sol.beta!r}  residual = {sol.residual:.3e}  iterations = {sol.iterations}")
-    print(f"artifacts in {rundir}")
-    if not sol.converged or not beta_ok:
-        return EXIT_ERROR
-    return EXIT_PASS
+    code = EXIT_PASS if sol.converged and beta_ok else EXIT_ERROR
+    return code, {"orbit_period_cap": cap}, {"solution.json": _json_text(doc), "g.csv": sol.g.to_csv()}
 
 
-def cmd_eta(args) -> int:
-    f = _load_spec(args.spec)
-    rep = convexity_defect(f, args.mode, args.n)
-    cfg = _common_config(args, "eta")
-    cfg["mode"] = args.mode
-    rundir = _run_dir(args.out, cfg)
-    (rundir / "convexity.json").write_text(_json_text(rep.to_dict()))
+def cmd_eta(args) -> tuple[int, dict, dict]:
+    rep = convexity_defect(_load_spec(args.spec), args.mode, args.n)
     print(f"eta = {rep.eta!r}  ({rep.method}, {rep.bound_direction})")
-    print(f"artifacts in {rundir}")
-    return EXIT_PASS
+    return EXIT_PASS, {"mode": args.mode}, {"convexity.json": _json_text(rep.to_dict())}
 
 
-def cmd_sturmian(args) -> int:
+def cmd_sturmian(args) -> tuple[int, dict, dict]:
     mu = sturmian_measure(args.p, args.q)
     doc = mu.to_dict()
     if args.spec:
@@ -148,27 +143,20 @@ def cmd_sturmian(args) -> int:
         doc["integral"] = mu.integrate(f)
         best_mu, best_val = best_sturmian(f, args.max_q)
         doc["best"] = {"p": best_mu.p, "q": best_mu.q, "value": best_val}
-    cfg = _common_config(args, "sturmian")
-    cfg.update({"p": args.p, "q": args.q})
-    rundir = _run_dir(args.out, cfg)
-    (rundir / "sturmian.json").write_text(_json_text(doc))
     print(f"orbit of {args.p}/{args.q}: {[str(x) for x in mu.orbit]}")
     if "integral" in doc:
         print(f"integral = {doc['integral']!r}; best over q <= {args.max_q}: "
               f"{doc['best']['p']}/{doc['best']['q']} -> {doc['best']['value']!r}")
-    print(f"artifacts in {rundir}")
-    return EXIT_PASS
+    return EXIT_PASS, {"p": args.p, "q": args.q}, {"sturmian.json": _json_text(doc)}
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[int, dict, dict]:
     f = _load_spec(args.spec)
+    if args.criterion in ("sturm", "classA") and (args.a is None or args.b is None):
+        raise ValueError(f"--criterion {args.criterion} needs --a and --b")
     if args.criterion == "sturm":
-        if args.a is None or args.b is None:
-            raise ValueError("--criterion sturm needs --a and --b")
         rep = check_theorem_sturm(f, args.a, args.b, args.n)
     elif args.criterion == "classA":
-        if args.a is None or args.b is None:
-            raise ValueError("--criterion classA needs --a and --b (and optionally --v)")
         rep = check_class_a(f, ClassAParams(args.a, args.b, args.v or 0.0), args.n)
     elif args.criterion == "classB":
         rep = check_class_b(f, args.n)
@@ -176,50 +164,31 @@ def cmd_check(args) -> int:
         rep = check_kappa(f, args.n)
     else:  # search-c
         _, rep = search_c(f, args.n)
-    cfg = _common_config(args, "check")
-    cfg.update({"criterion": args.criterion, "a": args.a, "b": args.b, "v": args.v})
-    rundir = _run_dir(args.out, cfg)
-    (rundir / "criterion.json").write_text(_json_text(rep.to_dict()))
     worst = min(rep.margins.values()) if rep.margins else float("nan")
     print(f"{rep.criterion}: {rep.status} (worst net margin {worst!r})")
-    print(f"artifacts in {rundir}")
-    return _STATUS_EXIT[rep.status]
+    extras = {"criterion": args.criterion, "a": args.a, "b": args.b, "v": args.v}
+    return _STATUS_EXIT[rep.status], extras, {"criterion.json": _json_text(rep.to_dict())}
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> tuple[int, dict, dict]:
     f = _load_spec(args.spec)
     if args.n % 2 != 0:
         raise ValueError("scan needs an even N")
-    res = scan_translates(
-        f,
-        args.omega_count,
-        grid_n=args.n,
-        max_q=args.max_q,
-        tol=args.tol,
-        max_iter=args.max_iter,
-    )
-    rundir = _run_dir(args.out, _common_config(args, "scan"))
-    (rundir / "scan.csv").write_text(res.to_csv())
-    (rundir / "scan.json").write_text(_json_text(res.to_dict()))
+    res = scan_translates(f, args.omega_count, grid_n=args.n, max_q=args.max_q,
+                          tol=args.tol, max_iter=args.max_iter)
     n_pass = sum(1 for r in res.rows if r.certificate.passed)
-    print(f"{n_pass}/{len(res.rows)} certificates pass; artifacts in {rundir}")
-    if res.all_pass:
-        return EXIT_PASS
-    if any(r.certificate.status == "fail" or not r.converged for r in res.rows):
-        return EXIT_FAIL
-    return EXIT_INCONCLUSIVE
+    print(f"{n_pass}/{len(res.rows)} certificates pass")
+    failed = any(r.certificate.status == "fail" or not r.converged for r in res.rows)
+    code = EXIT_PASS if res.all_pass else EXIT_FAIL if failed else EXIT_INCONCLUSIVE
+    return code, {}, {"scan.csv": res.to_csv(), "scan.json": _json_text(res.to_dict())}
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[int, dict, dict]:
     results = run_all(seed=args.seed, cases=args.cases)
-    rundir = _run_dir(args.out, _common_config(args, "validate"))
-    (rundir / "validate.json").write_text(_json_text([r.to_dict() for r in results]))
-    ok = True
     for r in results:
         print(f"{r.name:22s} cases={r.cases:5d} violations={r.violations} worst_slack={r.worst_slack!r}")
-        ok = ok and r.passed
-    print(f"artifacts in {rundir}")
-    return EXIT_PASS if ok else EXIT_FAIL
+    code = EXIT_PASS if all(r.passed for r in results) else EXIT_FAIL
+    return code, {}, {"validate.json": _json_text([r.to_dict() for r in results])}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,9 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"circleopt {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, spec_required=True):
-        if spec_required:
-            p.add_argument("--spec", required=True, help="path to a function-spec JSON file")
+    def add_common(p):
+        p.add_argument("--spec", required=True, help="path to a function-spec JSON file")
         p.add_argument("--out", default="runs", help="output directory (default: runs)")
         p.add_argument("--n", "--N", dest="n", type=int, default=4096, help="grid size (default 4096)")
 
@@ -287,15 +255,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, extras, files = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return EXIT_ERROR
-        raise
+    config = {**_common_config(args, args.command), **extras}
+    rundir = _run_dir(args.out, config)
+    for name, text in {"config.json": _json_text(config), **files}.items():
+        (rundir / name).write_text(text)
+    print(f"artifacts in {rundir}")
+    return code
 
 
 if __name__ == "__main__":

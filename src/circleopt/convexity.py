@@ -135,15 +135,15 @@ class ConvexityReport:
 
 
 def _delta_table(
-    g: GridFunction, maxima: np.ndarray | None = None, max_entries: int = 32
+    g: GridFunction, maxima: np.ndarray | None = None
 ) -> tuple[tuple[float, float, float], ...]:
-    """Tabulate the uniform defect over node-aligned deltas k/N.
+    """Tabulate the uniform defect over at most 32 node-aligned deltas k/N.
 
     ``maxima[k - 1]``, when given, is the second-difference max at shift k
     for k = 1..N/2; otherwise the tabulated shifts are computed here.
     """
     n = g.n
-    stride = max(1, (n // 2) // max_entries)
+    stride = max(1, (n // 2) // 32)
     ks = np.arange(stride, n // 2 + 1, stride)
     m = _second_difference_max(g.values, ks)[0] if maxima is None else maxima[ks - 1]
     err = 2.0 * g.lipschitz_estimate() / n

@@ -485,13 +485,11 @@ def scan_translates(
     max_q: int = 32,
     tol: float | None = None,
     max_iter: int = 100_000,
-    epsilon_r: float | None = None,
-    w_max: float | None = None,
 ) -> ScanResult:
     """Solve + certify every translate f(x - j/omega_count).
 
     For each translate: solve the calibrated equation, form the antipodal
-    difference of (f, g), run the certificate (band width defaults
+    difference of (f, g), run the certificate (band width
     epsilon_r = 5 (Lip f + Lip g)/N, w_max = 16/N), and record the best
     Sturmian rotation number and integral.  Non-convergence is recorded
     per row; the scan continues.  An empty scan (omega_count < 1) or
@@ -508,10 +506,8 @@ def scan_translates(
         sol = solve_calibrated(f_om, d=2, grid_n=grid_n, tol=tol, max_iter=max_iter)
         f_grid = sample(f_om, grid_n)
         r = antipodal_difference(f_grid, sol.g)
-        eps = epsilon_r
-        if eps is None:
-            eps = 5.0 * (f_grid.lipschitz_estimate() + sol.g.lipschitz_estimate()) / grid_n
-        cert = sturmian_certificate(r, eps, w_max if w_max is not None else 16.0 / grid_n)
+        eps = 5.0 * (f_grid.lipschitz_estimate() + sol.g.lipschitz_estimate()) / grid_n
+        cert = sturmian_certificate(r, eps)
         mu, val = best_sturmian(f_om, max_q)
         rows.append(
             TranslateRow(

@@ -210,7 +210,6 @@ class SturmianCertificate:
     """
 
     status: str
-    passed: bool
     zero_arcs: tuple[tuple[float, float, int], ...]  # (start_x, width, node_count)
     antipodal_pair: tuple[float, float] | None
     positivity_arc: tuple[float, float] | None  # (start_x, width) of maximal R > eps arc
@@ -218,6 +217,10 @@ class SturmianCertificate:
     epsilon_r: float
     w_max: float
     grid_n: int
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
 
     def to_dict(self):
         return {
@@ -268,38 +271,19 @@ def sturmian_certificate(
         s, ln = max(pos_runs, key=lambda r_: r_[1])
         positivity = (s / n, (ln - 1) / n)
 
-    if len(runs) != 2:
-        return SturmianCertificate(
-            status="fail",
-            passed=False,
-            zero_arcs=arcs,
-            antipodal_pair=None,
-            positivity_arc=positivity,
-            worst_margin=(w_max - max((w for _, w, _ in arcs), default=1.0)),
-            epsilon_r=float(epsilon_r),
-            w_max=float(w_max),
-            grid_n=n,
-        )
-
-    (s1, l1), (s2, l2) = runs
-    antipodal = (
-        abs((s2 - s1) % n - n // 2) <= 1 and abs(l1 - l2) <= 1
-    )  # guaranteed by exact antisymmetry; kept as a sanity gate
-    widths = [(l1 - 1) / n, (l2 - 1) / n]
-    worst = w_max - max(widths)
-    if not antipodal:
-        status = "fail"
-    elif worst >= 0.0:
-        status = "pass"
-    else:
-        status = "inconclusive"
-    center1 = (s1 + (l1 - 1) / 2.0) / n % 1.0
-    pair = (center1, (center1 + 0.5) % 1.0)
+    worst = w_max - max((w for _, w, _ in arcs), default=1.0)
+    status, pair = "fail", None
+    if len(runs) == 2:
+        (s1, l1), (s2, l2) = runs
+        # guaranteed by exact antisymmetry; kept as a sanity gate
+        if abs((s2 - s1) % n - n // 2) <= 1 and abs(l1 - l2) <= 1:
+            status = "pass" if worst >= 0.0 else "inconclusive"
+            center1 = (s1 + (l1 - 1) / 2.0) / n % 1.0
+            pair = (center1, (center1 + 0.5) % 1.0)
     return SturmianCertificate(
         status=status,
-        passed=status == "pass",
         zero_arcs=arcs,
-        antipodal_pair=pair if status != "fail" else None,
+        antipodal_pair=pair,
         positivity_arc=positivity,
         worst_margin=float(worst),
         epsilon_r=float(epsilon_r),
@@ -308,18 +292,16 @@ def sturmian_certificate(
     )
 
 
-def preimage_branch_bound(f, g, x: float, n: int, d: int = 2) -> float:
+def preimage_branch_bound(f, g, x: float, n: int) -> float:
     """Upper bound for -2*(g(x) - g(x+1/2)) from defects along preimage branches.
 
     Enumerates all 2^(n-1) branches y with T^(n-1) y = x + 1/2 and returns
 
         max_y sum_{k=2..n} defect(f; T^(n-k) y, 2^-k)  +  sup-defect(g; 2^-n).
 
-    Only d = 2 is supported: the construction is specific to the doubling
-    map and its antipodal structure.
+    The construction is specific to the doubling map and its antipodal
+    structure.
     """
-    if d != 2:
-        raise ValueError("preimage branch bound is specific to d = 2")
     if n < 2:
         raise ValueError("need n >= 2")
     if n > 20:

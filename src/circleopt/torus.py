@@ -450,18 +450,17 @@ class OneSidedDerivativeReport:
         }
 
 
-def one_sided_derivative_report(g: GridFunction, jump_threshold: float | None = None) -> OneSidedDerivativeReport:
+def one_sided_derivative_report(g: GridFunction) -> OneSidedDerivativeReport:
     """Locate grid points where the one-sided difference quotients jump.
 
-    The default threshold 10 * Lip(g) / N separates genuine kinks from
+    The threshold 10 * Lip(g) / N separates genuine kinks from
     discretization noise.
     """
     n = g.n
     right = (np.roll(g.values, -1) - g.values) * n
     left = (g.values - np.roll(g.values, 1)) * n
     jumps = right - left
-    if jump_threshold is None:
-        jump_threshold = 10.0 * g.lipschitz_estimate() / n
+    jump_threshold = 10.0 * g.lipschitz_estimate() / n
     idx = np.nonzero(np.abs(jumps) > jump_threshold)[0]
     central = (right + left) / 2.0
     tv = float(np.sum(np.abs(np.diff(np.concatenate([central, central[:1]])))))

@@ -196,8 +196,8 @@ class PeriodicOrbitTable:
     def best(self) -> PeriodicOrbit:
         return self.orbits[self.best_index]
 
-    def to_dict(self, top: int = 10):
-        ranked = sorted(self.orbits, key=lambda o: -o.average)[:top]
+    def to_dict(self):
+        ranked = sorted(self.orbits, key=lambda o: -o.average)[:10]
         return {
             "d": self.d,
             "max_period": self.max_period,
@@ -218,28 +218,29 @@ class PeriodicOrbitTable:
         }
 
 
-def beta_lower_bound(
-    f, d: int = 2, max_period: int = 16, budget: int = 2**24, chunk: int = 2**20
-) -> PeriodicOrbitTable:
+_ORBIT_BUDGET = 2**24  # largest d^P enumerated: P <= 24 for d = 2
+_ORBIT_CHUNK = 2**20  # orbit starts enumerated per block
+
+
+def beta_lower_bound(f, d: int = 2, max_period: int = 16) -> PeriodicOrbitTable:
     """Enumerate periodic orbits x = k/(d^p - 1), p <= max_period.
 
     The best Birkhoff average over the table is a lower bound for the
     maximal ergodic average beta(f).  Orbits are deduplicated by their
     minimal representative; only exact periods are listed.  Enumeration is
-    chunked so memory stays bounded up to the budget (default 2^24 points,
-    i.e. P <= 24 for d = 2).
+    chunked so memory stays bounded up to the budget of 2^24 points.
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
-    if d ** max_period > budget:
+    if d ** max_period > _ORBIT_BUDGET:
         raise ValueError(
-            f"d^P = {d}^{max_period} exceeds the enumeration budget {budget}"
+            f"d^P = {d}^{max_period} exceeds the enumeration budget {_ORBIT_BUDGET}"
         )
     orbits: list[PeriodicOrbit] = []
     for p in range(1, max_period + 1):
         m = d**p - 1
-        for lo in range(0, max(m, 1), chunk):
-            ks = np.arange(lo, min(lo + chunk, m), dtype=np.int64)
+        for lo in range(0, max(m, 1), _ORBIT_CHUNK):
+            ks = np.arange(lo, min(lo + _ORBIT_CHUNK, m), dtype=np.int64)
             if ks.size == 0:
                 continue
             rows = np.empty((p, ks.size), dtype=np.int64)

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import circleopt
 from circleopt.catalog import cosine, tent
 from circleopt.cli import main
 from circleopt.sturmian import _orbit_table
@@ -14,6 +18,29 @@ def cos_spec(tmp_path):
     path = tmp_path / "cos.json"
     path.write_text(json.dumps({"kind": "cos", "freq": 1, "phase": 0.0}))
     return str(path)
+
+
+FLAT27 = {
+    "kind": "sum",
+    "terms": [
+        {"kind": "cos", "freq": 1, "phase": 0.0},
+        {"kind": "scale", "factor": 1 / 27, "inner": {"kind": "cos", "freq": 3, "phase": 0.0}},
+    ],
+}
+
+# a seeded random trig polynomial whose d=3 solve sits 7.5e-7 below its
+# best periodic orbit at N=2187
+TRIG0 = {
+    "kind": "sum",
+    "terms": [
+        {"kind": "scale", "factor": 0.794427601939151,
+         "inner": {"kind": "cos", "freq": 4, "phase": 4.873776931938056}},
+        {"kind": "scale", "factor": -0.5495856200188163,
+         "inner": {"kind": "cos", "freq": 3, "phase": 1.8860003910648933}},
+        {"kind": "scale", "factor": -0.9894693908688506,
+         "inner": {"kind": "cos", "freq": 2, "phase": 5.159930332220927}},
+    ],
+}
 
 
 def _only_run_dir(out: Path) -> Path:
@@ -74,24 +101,53 @@ class TestSolve:
         assert "must be finite" in capsys.readouterr().err
         assert not list(out.glob("run-*/solution.json"))
 
+    def test_non_converged_solve_keeps_artifacts(self, cos_spec, tmp_path):
+        out = tmp_path / "out"
+        code = main(["solve", "--spec", cos_spec, "--n", "512", "--max-iter", "3", "--out", str(out)])
+        assert code == 3
+        assert json.loads((_only_run_dir(out) / "solution.json").read_text())["converged"] is False
+
+    @pytest.mark.parametrize(
+        "spec, d, n, cap",
+        [(TRIG0, 3, 2187, 8), ({"kind": "cos", "freq": 1, "phase": 0.0}, 2, 512, 16)],
+        ids=["trig0-d3", "cos"],
+    )
+    def test_orbit_check_allows_grid_error(self, spec, d, n, cap, tmp_path):
+        # trig0 converges with beta - best = -7.5e-7 at N=2187, a first-order
+        # grid error that a tolerance of 10*tol alone rejected
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        code = main(["solve", "--spec", str(path), "--d", str(d), "--n", str(n),
+                     "--orbit-period-cap", str(cap), "--out", str(out)])
+        assert code == 0
+        check = json.loads((_only_run_dir(out) / "solution.json").read_text())["orbit_check"]
+        assert check["ok"] is True
+        assert check["tolerance"] < 1e-2
+
     @pytest.mark.parametrize(
         "argv",
         [
-            ["solve", "--n", "512"],
-            ["scan", "--omega-count", "4", "--n", "1024"],
-            ["sturmian", "--p", "1", "--q", "3"],
+            ["solve", "--n", "512", "--spec"],
+            ["scan", "--omega-count", "4", "--n", "1024", "--spec"],
+            ["sturmian", "--p", "1", "--q", "3", "--spec"],
+            ["eta", "--n", "512", "--spec"],
+            ["check", "--criterion", "kappa", "--n", "1024", "--spec"],
+            ["validate", "--cases", "2"],
         ],
-        ids=["solve", "scan", "sturmian"],
+        ids=["solve", "scan", "sturmian", "eta", "check-kappa", "validate"],
     )
-    def test_byte_identical_reruns(self, argv, cos_spec, tmp_path):
+    def test_byte_identical_reruns(self, argv, cos_spec, tmp_path, capsys):
         # the second run finds the Sturmian orbit table already cached
         _orbit_table.cache_clear()
         out = tmp_path / "out"
-        argv = argv + ["--spec", cos_spec, "--out", str(out)]
+        argv = argv + ([cos_spec] if argv[-1] == "--spec" else []) + ["--out", str(out)]
         assert main(argv) == 0
         rd = _only_run_dir(out)
+        assert capsys.readouterr().out.splitlines()[-1] == f"artifacts in {rd}"
         first = {p.name: p.read_bytes() for p in rd.iterdir()}
         assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"artifacts in {rd}"
         second = {p.name: p.read_bytes() for p in rd.iterdir()}
         assert first == second
 
@@ -130,17 +186,7 @@ class TestCheck:
 
     def test_kappa_fail_exit_one(self, tmp_path):
         spec = tmp_path / "flat.json"
-        spec.write_text(
-            json.dumps(
-                {
-                    "kind": "sum",
-                    "terms": [
-                        {"kind": "cos", "freq": 1, "phase": 0.0},
-                        {"kind": "scale", "factor": 1 / 27, "inner": {"kind": "cos", "freq": 3, "phase": 0.0}},
-                    ],
-                }
-            )
-        )
+        spec.write_text(json.dumps(FLAT27))
         assert main(["check", "--criterion", "kappa", "--spec", str(spec), "--out", str(tmp_path)]) == 1
 
     def test_class_a_needs_window(self, cos_spec, tmp_path):
@@ -209,6 +255,16 @@ class TestFailedRunsLeaveNoRunDirectory:
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(out.glob("run-*"))
 
+    @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing-spec", "non-json-spec"])
+    def test_unreadable_spec(self, text, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        if text is not None:
+            spec.write_text(text)
+        out = tmp_path / "out"
+        assert main(["eta", "--spec", str(spec), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(out.glob("run-*"))
+
     def test_validate_without_cases(self, tmp_path, capsys):
         assert main(["validate", "--cases", "0", "--out", str(tmp_path)]) == 3
         assert "cases must be >= 1" in capsys.readouterr().err
@@ -222,3 +278,20 @@ class TestValidate:
         rd = _only_run_dir(tmp_path)
         doc = json.loads((rd / "validate.json").read_text())
         assert all(suite["pass"] for suite in doc)
+
+
+class TestConsoleScript:
+    """``python -m circleopt.cli``, the entry the ``circleopt`` script runs."""
+
+    @pytest.mark.parametrize("spec, code", [(FLAT27, 1), (None, 3)], ids=["kappa-fail", "unreadable-spec"])
+    def test_exit_code_reaches_the_shell(self, spec, code, tmp_path):
+        path = tmp_path / "spec.json"
+        if spec is not None:
+            path.write_text(json.dumps(spec))
+        env = dict(os.environ, PYTHONPATH=str(Path(circleopt.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "circleopt.cli", "check", "--criterion", "kappa",
+             "--spec", str(path), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr

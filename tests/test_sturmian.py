@@ -262,7 +262,3 @@ class TestPreimageBranchBound:
     def test_branch_cap(self):
         with pytest.raises(ValueError):
             preimage_branch_bound(cosine(), GridFunction(np.zeros(64)), 0.1, 21)
-
-    def test_doubling_only(self):
-        with pytest.raises(ValueError):
-            preimage_branch_bound(cosine(), GridFunction(np.zeros(64)), 0.1, 2, d=3)
