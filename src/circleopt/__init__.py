@@ -12,14 +12,12 @@ from .torus import (
     FunctionSpec,
     GridFunction,
     Negate,
-    OneSidedDerivativeReport,
     PiecewisePoly,
     Scale,
     Sum,
     Translate,
     grid_derivative,
     lipschitz_estimate,
-    one_sided_derivative_report,
     refine_linear,
     sample,
     spec_from_dict,

@@ -67,25 +67,27 @@ def flattened_cosine(s: float) -> Sum:
     return Sum((Cosine(1, 0.0), Scale(float(s), Cosine(3, 0.0))))
 
 
-def random_trig(rng: np.random.Generator, n_terms: int = 3, max_freq: int = 4, amp: float = 1.0) -> Sum:
-    """Random trigonometric polynomial (C-infinity, Lipschitz)."""
+def random_trig(rng: np.random.Generator) -> Sum:
+    """Random trigonometric polynomial: three terms a cos(2 pi k x + phase)
+    with k in 1..4 and a uniform in [-1, 1] (C-infinity, Lipschitz)."""
     terms = []
-    for _ in range(n_terms):
-        k = int(rng.integers(1, max_freq + 1))
-        a = float(rng.uniform(-amp, amp))
+    for _ in range(3):
+        k = int(rng.integers(1, 5))
+        a = float(rng.uniform(-1.0, 1.0))
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
         terms.append(Scale(a, Cosine(k, phase)))
     return Sum(tuple(terms))
 
 
-def random_antisym_even(rng: np.random.Generator, max_tries: int = 100) -> FunctionSpec:
+def random_antisym_even(rng: np.random.Generator) -> FunctionSpec:
     """Random even, antisymmetric observable, concave on [-1/4, 1/4].
 
     Draws cos(2 pi x) + s3 cos(6 pi x) + s5 cos(10 pi x) with small odd
-    harmonics and rejects draws that lose concavity on [-1/4, 1/4].
+    harmonics and rejects draws that lose concavity on [-1/4, 1/4], giving
+    up after 100 tries.
     """
     xs = np.linspace(-0.25, 0.25, 2001)
-    for _ in range(max_tries):
+    for _ in range(100):
         s3 = float(rng.uniform(0.0, 1.0 / 30.0))
         s5 = float(rng.uniform(-1.0 / 120.0, 1.0 / 120.0))
         f = Sum((Cosine(1, 0.0), Scale(s3, Cosine(3, 0.0)), Scale(s5, Cosine(5, 0.0))))

@@ -176,7 +176,7 @@ def cmd_scan(args) -> tuple[int, dict, dict]:
         raise ValueError("scan needs an even N")
     res = scan_translates(f, args.omega_count, grid_n=args.n, max_q=args.max_q,
                           tol=args.tol, max_iter=args.max_iter)
-    n_pass = sum(1 for r in res.rows if r.certificate.passed)
+    n_pass = sum(1 for r in res.rows if r.converged and r.certificate.passed)
     print(f"{n_pass}/{len(res.rows)} certificates pass")
     failed = any(r.certificate.status == "fail" or not r.converged for r in res.rows)
     code = EXIT_PASS if res.all_pass else EXIT_FAIL if failed else EXIT_INCONCLUSIVE

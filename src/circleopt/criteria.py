@@ -144,7 +144,7 @@ def _derivative_values(f, xs, grid_n: int):
         except ValueError:
             f = sample(f, grid_n)
     g = f if isinstance(f, GridFunction) else sample(f, grid_n)
-    d = grid_derivative(g, "central")
+    d = grid_derivative(g)
     lipp = d.lipschitz_estimate()
     # central differences of a function with Lipschitz derivative are off
     # by at most Lip(f') / (2N); doubled for interpolation between nodes

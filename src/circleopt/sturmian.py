@@ -238,16 +238,12 @@ class SturmianCertificate:
         }
 
 
-def sturmian_certificate(
-    r: GridFunction,
-    epsilon_r: float | None = None,
-    w_max: float | None = None,
-) -> SturmianCertificate:
+def sturmian_certificate(r: GridFunction, epsilon_r: float | None = None) -> SturmianCertificate:
     """Cluster the band |R| <= epsilon_r into cyclic arcs and judge it.
 
-    Defaults: epsilon_r = 2.5 * Lip(R) / N (callers that know f and g pass
-    5 * (Lip f + Lip g) / N explicitly; Lip R <= 2 (Lip f + Lip g)),
-    w_max = 16 / N.
+    epsilon_r defaults to 2.5 * Lip(R) / N (callers that know f and g pass
+    5 * (Lip f + Lip g) / N explicitly; Lip R <= 2 (Lip f + Lip g)).  Each
+    arc may be at most w_max = 16 / N wide.
     """
     n = r.n
     if n % 2 != 0:
@@ -258,8 +254,7 @@ def sturmian_certificate(
         raise ValueError(f"input is not antisymmetric: max |R(x)+R(x+1/2)| = {anti}")
     if epsilon_r is None:
         epsilon_r = 2.5 * r.lipschitz_estimate() / n
-    if w_max is None:
-        w_max = 16.0 / n
+    w_max = 16.0 / n
 
     mask = np.abs(r.values) <= epsilon_r
     runs = _circular_runs(mask)
@@ -287,7 +282,7 @@ def sturmian_certificate(
         positivity_arc=positivity,
         worst_margin=float(worst),
         epsilon_r=float(epsilon_r),
-        w_max=float(w_max),
+        w_max=w_max,
         grid_n=n,
     )
 

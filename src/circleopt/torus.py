@@ -68,7 +68,7 @@ class Cosine(FunctionSpec):
     phase: float = 0.0
 
     def __post_init__(self):
-        if not (isinstance(self.freq, int) and self.freq >= 1):
+        if isinstance(self.freq, bool) or not (isinstance(self.freq, int) and self.freq >= 1):
             raise ValueError(f"Cosine frequency must be a positive integer, got {self.freq!r}")
 
     def _eval(self, r):
@@ -102,6 +102,8 @@ class PiecewisePoly(FunctionSpec):
         coefs = tuple(tuple(float(c) for c in piece) for piece in self.coefficients)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "coefficients", coefs)
+        if not isinstance(self.wrap, bool):
+            raise ValueError(f"PiecewisePoly wrap must be a boolean, got {self.wrap!r}")
         if len(bps) == 0 or bps[0] != 0.0:
             raise ValueError("PiecewisePoly breakpoints must start at 0.0")
         if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])) or bps[-1] >= 1.0:
@@ -308,12 +310,15 @@ def spec_from_dict(d: dict) -> FunctionSpec:
         raise ValueError(f"unknown function spec node kind {kind!r}")
     try:
         if kind == "cos":
-            return Cosine(int(d["freq"]), float(d.get("phase", 0.0)))
+            freq = d["freq"]
+            if isinstance(freq, float) and freq.is_integer():
+                freq = int(freq)  # JSON has one number type: 2.0 is 2
+            return Cosine(freq, float(d.get("phase", 0.0)))
         if kind == "piecewise_poly":
             return PiecewisePoly(
                 tuple(d["breakpoints"]),
                 tuple(tuple(p) for p in d["coefficients"]),
-                wrap=bool(d.get("wrap", True)),
+                wrap=d.get("wrap", True),
             )
         if kind == "sum":
             return Sum(tuple(spec_from_dict(t) for t in d["terms"]))
@@ -326,6 +331,8 @@ def spec_from_dict(d: dict) -> FunctionSpec:
         return AntisymmetricExtension(spec_from_dict(d["half"]), float(d.get("v", 0.0)))
     except KeyError as exc:
         raise ValueError(f"node kind {kind!r} is missing required field {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise ValueError(f"node kind {kind!r} has a field of the wrong type: {exc}") from exc
 
 
 def spec_from_json(text: str) -> FunctionSpec:
@@ -380,10 +387,10 @@ class GridFunction:
         return float(np.max(self.values) - np.min(self.values))
 
     def to_csv(self) -> str:
-        lines = ["x,value"]
-        for i, v in enumerate(self.values):
-            lines.append(f"{format(i / self.n, '.12g')},{format(v, '.12g')}")
-        return "\n".join(lines) + "\n"
+        n = self.n
+        return "x,value\n" + "".join(
+            "%.12g,%.12g\n" % (i / n, v) for i, v in enumerate(self.values)
+        )
 
 
 def sample(f: FunctionSpec, n: int) -> GridFunction:
@@ -407,72 +414,12 @@ def refine_linear(g: GridFunction, factor: int) -> GridFunction:
     return GridFunction(_refine_values(g.values, factor))
 
 
-def grid_derivative(g: GridFunction, side: str = "central") -> GridFunction:
-    """Difference-quotient derivative at spacing 1/N (left/right/central)."""
+def grid_derivative(g: GridFunction) -> GridFunction:
+    """Central difference-quotient derivative at spacing 1/N."""
     if g.n < 4:
         raise ValueError("grid derivative needs at least 4 nodes")
     v = g.values
-    n = g.n
-    if side == "right":
-        return GridFunction((np.roll(v, -1) - v) * n)
-    if side == "left":
-        return GridFunction((v - np.roll(v, 1)) * n)
-    if side == "central":
-        return GridFunction((np.roll(v, -1) - np.roll(v, 1)) * (n / 2.0))
-    raise ValueError(f"side must be left|right|central, got {side!r}")
-
-
-@dataclass(frozen=True)
-class OneSidedDerivativeReport:
-    """Candidate derivative-jump points of a grid function.
-
-    For convex-plus-quadratic functions all genuine jumps are upward, so
-    ``jump_magnitudes`` should be >= -threshold throughout.
-    """
-
-    locations: tuple[int, ...]
-    xs: tuple[float, ...]
-    right_derivatives: tuple[float, ...]
-    left_derivatives: tuple[float, ...]
-    jump_magnitudes: tuple[float, ...]
-    total_variation: float
-    threshold: float
-
-    def to_dict(self):
-        return {
-            "locations": list(self.locations),
-            "xs": list(self.xs),
-            "right_derivatives": list(self.right_derivatives),
-            "left_derivatives": list(self.left_derivatives),
-            "jump_magnitudes": list(self.jump_magnitudes),
-            "total_variation": self.total_variation,
-            "threshold": self.threshold,
-        }
-
-
-def one_sided_derivative_report(g: GridFunction) -> OneSidedDerivativeReport:
-    """Locate grid points where the one-sided difference quotients jump.
-
-    The threshold 10 * Lip(g) / N separates genuine kinks from
-    discretization noise.
-    """
-    n = g.n
-    right = (np.roll(g.values, -1) - g.values) * n
-    left = (g.values - np.roll(g.values, 1)) * n
-    jumps = right - left
-    jump_threshold = 10.0 * g.lipschitz_estimate() / n
-    idx = np.nonzero(np.abs(jumps) > jump_threshold)[0]
-    central = (right + left) / 2.0
-    tv = float(np.sum(np.abs(np.diff(np.concatenate([central, central[:1]])))))
-    return OneSidedDerivativeReport(
-        locations=tuple(int(i) for i in idx),
-        xs=tuple(float(i) / n for i in idx),
-        right_derivatives=tuple(float(right[i]) for i in idx),
-        left_derivatives=tuple(float(left[i]) for i in idx),
-        jump_magnitudes=tuple(float(jumps[i]) for i in idx),
-        total_variation=tv,
-        threshold=float(jump_threshold),
-    )
+    return GridFunction((np.roll(v, -1) - np.roll(v, 1)) * (g.n / 2.0))
 
 
 def lipschitz_estimate(f, n: int = 4096) -> float:
@@ -486,10 +433,7 @@ def lipschitz_estimate(f, n: int = 4096) -> float:
 
 
 def value_range(f, n: int = 4096) -> float:
+    """max - min of a grid function, or of a spec sampled at n nodes."""
     if isinstance(f, GridFunction):
         return f.value_range()
-    if isinstance(f, FunctionSpec):
-        return sample(f, n).value_range()
-    xs = np.arange(n) / n
-    vals = np.asarray(f(xs), dtype=float)
-    return float(vals.max() - vals.min())
+    return sample(f, n).value_range()

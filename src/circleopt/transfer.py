@@ -13,11 +13,11 @@ the scheme, absent at nodes whose index is divisible by d).  Consequently
 the reported residual -- the exact node-arithmetic defect of the equation
 on the N/d-subgrid -- goes to zero at the fixed point.
 
-Iteration is relaxed by default (average of the current iterate and its
-image).  The plain update can enter a 2-cycle when the optimal orbit has
-period >= 2; relaxation removes that failure mode while keeping the same
-fixed points, and correctness never rests on convergence claims: the
-residual is always measured a posteriori.
+Each sweep averages the current iterate with its image.  The plain update
+can enter a cycle when the optimal orbit has period >= 2; the averaged one
+keeps the same fixed points without that failure mode, and correctness
+never rests on convergence claims: the residual is always measured a
+posteriori.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class SubactionSolution:
     d: int
     tol: float
     final_step: float
-    relaxation: float
 
     def to_dict(self):
         return {
@@ -72,7 +71,6 @@ class SubactionSolution:
             "n": self.g.n,
             "tol": self.tol,
             "final_step": self.final_step,
-            "relaxation": self.relaxation,
         }
 
 
@@ -82,16 +80,16 @@ def solve_calibrated(
     grid_n: int | None = None,
     tol: float | None = None,
     max_iter: int = 100_000,
-    relaxation: float = 0.5,
     g0: GridFunction | None = None,
 ) -> SubactionSolution:
     """Solve g + beta = M_d(f + g) on an N-point grid.
 
     f may be a FunctionSpec (sampled exactly on the d*N preimage grid) or a
     GridFunction (upsampled linearly to the preimage grid).  Starting point
-    is g = 0 unless ``g0`` is given.  Stops when the unrelaxed sup-norm
-    step falls below tol (default 1e-9 * range(f)); non-convergence is
-    reported, never silently accepted.
+    is g = 0 unless ``g0`` is given.  Each sweep moves g halfway to its
+    image; iteration stops when the sup-norm distance between the two falls
+    below tol (default 1e-9 * range(f)); non-convergence is reported, never
+    silently accepted.
     """
     if isinstance(f, FunctionSpec):
         n = grid_n if grid_n is not None else 4096
@@ -109,8 +107,6 @@ def solve_calibrated(
         raise ValueError(f"branch count d must be >= 2, got {d}")
     if n % d != 0:
         raise ValueError(f"d={d} does not divide the grid size {n}")
-    if not 0.0 < relaxation <= 1.0:
-        raise ValueError("relaxation must lie in (0, 1]")
     if tol is None:
         rng = f_coarse.value_range()
         tol = 1e-9 * rng if rng > 0.0 else 1e-12
@@ -133,7 +129,7 @@ def solve_calibrated(
         beta = float(np.max(image))
         raw = image - beta
         step = float(np.max(np.abs(raw - g)))
-        g = g + relaxation * (raw - g)
+        g = g + 0.5 * (raw - g)
         if step < tol:
             converged = True
             break
@@ -150,7 +146,6 @@ def solve_calibrated(
         d=d,
         tol=float(tol),
         final_step=step,
-        relaxation=relaxation,
     )
 
 
@@ -158,12 +153,10 @@ def solve_calibrated(
 class PeriodicOrbit:
     """A periodic orbit of x -> d*x with its Birkhoff average.
 
-    Held as integers: the orbit is numerator * d^j mod modulus, over
-    modulus = d^period - 1, starting from its minimal point; the exact
-    ``Fraction`` points are built on access.
+    Held as integers: the orbit starts at its minimal point
+    numerator / modulus, modulus = d^period - 1.
     """
 
-    d: int
     period: int
     numerator: int
     modulus: int
@@ -172,15 +165,6 @@ class PeriodicOrbit:
     @property
     def representative(self) -> Fraction:
         return Fraction(self.numerator, self.modulus)
-
-    @property
-    def points(self) -> tuple[Fraction, ...]:
-        out = []
-        n = self.numerator
-        for _ in range(self.period):
-            out.append(Fraction(n, self.modulus))
-            n = n * self.d % self.modulus
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -258,7 +242,7 @@ def beta_lower_bound(f, d: int = 2, max_period: int = 16) -> PeriodicOrbitTable:
             vals = np.asarray(f(rows[:, reps] / m), dtype=float)
             means = vals.mean(axis=0)
             orbits.extend(
-                PeriodicOrbit(d=d, period=p, numerator=k, modulus=m, average=avg)
+                PeriodicOrbit(period=p, numerator=k, modulus=m, average=avg)
                 for k, avg in zip(ks[reps].tolist(), means.tolist())
             )
     best = max(range(len(orbits)), key=lambda i: (orbits[i].average, -orbits[i].period))

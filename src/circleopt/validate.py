@@ -65,9 +65,10 @@ class _Tally:
         return SuiteResult(name, self.cases, self.violations, worst, self.first)
 
 
-def suite_cone_laws(seed: int, cases: int, grid_n: int = 512) -> SuiteResult:
+def suite_cone_laws(seed: int, cases: int) -> SuiteResult:
     """Subadditivity, max-law and positive homogeneity of the defect
     functionals (pointwise, uniform, and the defect constant eta)."""
+    grid_n = 512
     rng = np.random.default_rng(seed)
     t = _Tally()
     xs = np.arange(grid_n) / grid_n
@@ -120,9 +121,10 @@ def _affine(f, a: float, b: float):
     return Sum((Scale(a, f), PiecewisePoly((0.0,), ((b,),))))
 
 
-def suite_transfer_laws(seed: int, cases: int, grid_n: int = 1440) -> SuiteResult:
+def suite_transfer_laws(seed: int, cases: int) -> SuiteResult:
     """Monotonicity and constant-shift equivariance of the max-transfer
     operator, checked exactly at nodes."""
+    grid_n = 1440
     rng = np.random.default_rng(seed)
     t = _Tally()
     for _ in range(cases):
@@ -140,9 +142,10 @@ def suite_transfer_laws(seed: int, cases: int, grid_n: int = 1440) -> SuiteResul
     return t.result("transfer-laws")
 
 
-def suite_defect_contraction(seed: int, cases: int, grid_n: int = 1440) -> SuiteResult:
+def suite_defect_contraction(seed: int, cases: int) -> SuiteResult:
     """Uniform-defect contraction under the max-transfer operator:
     defect of M_d f at delta is at most the defect of f at delta/d."""
+    grid_n = 1440
     rng = np.random.default_rng(seed)
     t = _Tally()
     for _ in range(cases):
@@ -157,8 +160,9 @@ def suite_defect_contraction(seed: int, cases: int, grid_n: int = 1440) -> Suite
     return t.result("defect-contraction")
 
 
-def suite_derivative_gap(seed: int, cases: int, grid_n: int = 1024) -> SuiteResult:
+def suite_derivative_gap(seed: int, cases: int) -> SuiteResult:
     """f'(x) - f'(x + delta) <= eta(f) * delta for smooth observables."""
+    grid_n = 1024
     rng = np.random.default_rng(seed)
     t = _Tally()
     xs = np.arange(64) / 64
@@ -173,11 +177,11 @@ def suite_derivative_gap(seed: int, cases: int, grid_n: int = 1024) -> SuiteResu
     return t.result("derivative-gap")
 
 
-def suite_orbit_closure(max_q: int = 50) -> SuiteResult:
-    """Doubling permutes every Sturmian orbit (exact rational arithmetic)
-    and the orbit fits in its stated semicircle."""
+def suite_orbit_closure() -> SuiteResult:
+    """Doubling permutes every Sturmian orbit with q <= 50 (exact rational
+    arithmetic) and the orbit fits in its stated semicircle."""
     t = _Tally()
-    for p, q in rotation_numbers(max_q):
+    for p, q in rotation_numbers(50):
         mu = sturmian_measure(p, q)
         doubled = sorted((x * 2) - int(x * 2) for x in mu.orbit)
         closed = doubled == sorted(mu.orbit)
@@ -187,9 +191,10 @@ def suite_orbit_closure(max_q: int = 50) -> SuiteResult:
     return t.result("orbit-closure")
 
 
-def suite_branch_bound(seed: int, cases: int, grid_n: int = 4096) -> SuiteResult:
+def suite_branch_bound(seed: int, cases: int) -> SuiteResult:
     """-2 (g(x) - g(x+1/2)) is bounded by the preimage-branch defect sum
     for a solved cosine pair, at n = 2 and 3."""
+    grid_n = 4096
     rng = np.random.default_rng(seed)
     f = cosine()
     sol = solve_calibrated(f, d=2, grid_n=grid_n)
@@ -215,6 +220,6 @@ def run_all(seed: int = 0, cases: int = 200) -> list[SuiteResult]:
         suite_transfer_laws(seed + 2, cases),
         suite_defect_contraction(seed + 3, cases),
         suite_derivative_gap(seed + 4, cases),
-        suite_orbit_closure(50),
+        suite_orbit_closure(),
         suite_branch_bound(seed + 5, cases),
     ]

@@ -225,6 +225,15 @@ class TestScan:
         doc = json.loads((rd / "scan.json").read_text())
         assert doc["all_pass"] is True
 
+    def test_summary_counts_converged_rows_only(self, cos_spec, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["scan", "--spec", cos_spec, "--omega-count", "2", "--n", "512",
+                     "--max-iter", "3", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().out.splitlines()[0] == "0/2 certificates pass"
+        rows = json.loads((_only_run_dir(out) / "scan.json").read_text())["rows"]
+        assert [r["converged"] for r in rows] == [False, False]
+
 
 class TestErrors:
     def test_library_value_error_exits_3(self, cos_spec, tmp_path, capsys):
@@ -255,14 +264,32 @@ class TestFailedRunsLeaveNoRunDirectory:
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(out.glob("run-*"))
 
-    @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing-spec", "non-json-spec"])
-    def test_unreadable_spec(self, text, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (None, ""),
+            ("{not json", ""),
+            ('{"kind": "cos", "freq": null}', "Cosine frequency"),
+            ('{"kind": "cos", "freq": 1.5}', "Cosine frequency"),
+            ('{"kind": "cos", "freq": true}', "Cosine frequency"),
+            ('{"kind": "piecewise_poly", "breakpoints": 5, "coefficients": [[1]]}',
+             "node kind 'piecewise_poly'"),
+            ('{"kind": "piecewise_poly", "breakpoints": [0], "coefficients": [[1]], "wrap": "false"}',
+             "PiecewisePoly wrap"),
+            ('{"kind": "scale", "factor": [1], "inner": {"kind": "cos", "freq": 1}}',
+             "node kind 'scale'"),
+        ],
+        ids=["missing-spec", "non-json-spec", "freq-null", "freq-fractional", "freq-bool",
+             "breakpoints-number", "wrap-string", "factor-list"],
+    )
+    def test_unreadable_spec(self, text, named, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         if text is not None:
             spec.write_text(text)
         out = tmp_path / "out"
         assert main(["eta", "--spec", str(spec), "--out", str(out)]) == 3
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
         assert not list(out.glob("run-*"))
 
     def test_validate_without_cases(self, tmp_path, capsys):

@@ -220,7 +220,7 @@ class TestCertificate:
         xs = np.arange(512) / 512
         s = np.cos(2 * np.pi * xs)
         r = GridFunction(s - np.roll(s, -256))
-        cert = sturmian_certificate(r, epsilon_r=0.5, w_max=16 / 512)
+        cert = sturmian_certificate(r, epsilon_r=0.5)
         assert cert.status == "inconclusive"
 
     def test_requires_antisymmetry(self):

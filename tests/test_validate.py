@@ -30,7 +30,7 @@ class TestSuites:
         assert r.violations == 0, r.detail
 
     def test_orbit_closure_exhaustive(self):
-        r = suite_orbit_closure(50)
+        r = suite_orbit_closure()
         assert r.violations == 0
         # all reduced rotation numbers with q <= 50, 0/1 included
         assert r.cases == 1 + sum(
@@ -39,7 +39,7 @@ class TestSuites:
         )
 
     def test_branch_bound_clean(self):
-        r = suite_branch_bound(seed=15, cases=25, grid_n=1024)
+        r = suite_branch_bound(seed=15, cases=25)
         assert r.violations == 0, r.detail
 
 
