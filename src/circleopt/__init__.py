@@ -16,13 +16,11 @@ from .torus import (
     Scale,
     Sum,
     Translate,
-    grid_derivative,
     lipschitz_estimate,
     refine_linear,
     sample,
     spec_from_dict,
     spec_from_json,
-    value_range,
 )
 from .convexity import (
     ConvexityReport,
@@ -52,7 +50,6 @@ from .sturmian import (
 )
 from .criteria import (
     KAPPA,
-    ClassAParams,
     CriterionReport,
     ScanResult,
     TranslateRow,

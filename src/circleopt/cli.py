@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from .convexity import convexity_defect
 from .criteria import (
-    ClassAParams,
     check_class_a,
     check_class_b,
     check_kappa,
@@ -157,7 +156,7 @@ def cmd_check(args) -> tuple[int, dict, dict]:
     if args.criterion == "sturm":
         rep = check_theorem_sturm(f, args.a, args.b, args.n)
     elif args.criterion == "classA":
-        rep = check_class_a(f, ClassAParams(args.a, args.b, args.v or 0.0), args.n)
+        rep = check_class_a(f, args.a, args.b, args.v or 0.0, args.n)
     elif args.criterion == "classB":
         rep = check_class_b(f, args.n)
     elif args.criterion == "kappa":

@@ -73,28 +73,25 @@ def uniform_defect(f, delta: float, search_n: int = 4096) -> DefectBound:
     """Maximum of the pointwise defect over a uniform x-grid.
 
     The result is a lower bound for the true sup over x; the attached
-    error bound Lip(f) * (2 / search_n) covers the gap.  When f is a grid
-    function and delta is a multiple of its spacing the three evaluations
-    are exact node lookups.
+    error bound Lip(f) * (2 / search_n) covers the gap.  A grid function is
+    searched over its own nodes, where the three evaluations are exact node
+    lookups; delta must then be a multiple of its spacing 1/N (ValueError
+    otherwise) and search_n is not used.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     if isinstance(f, GridFunction):
         n = f.n
         k = delta * n
-        if abs(k - round(k)) < 1e-9:
-            maxima, _ = _second_difference_max(f.values, [int(round(k))])
-            value = float(max(maxima[0], 0.0))
-            return DefectBound(value, 2.0 * f.lipschitz_estimate() / n)
-        search_n = n
+        if abs(k - round(k)) >= 1e-9:
+            raise ValueError(f"delta={delta} is not a multiple of the grid spacing 1/{n}")
+        maxima, _ = _second_difference_max(f.values, [int(round(k))])
+        value = float(max(maxima[0], 0.0))
+        return DefectBound(value, 2.0 * f.lipschitz_estimate() / n)
     xs = np.arange(search_n) / search_n
     vals = 2.0 * f(xs) - f(xs + delta) - f(xs - delta)
     value = float(max(np.max(vals), 0.0))
-    lip = lipschitz_estimate(f)
-    err = 2.0 * lip / search_n
-    if isinstance(f, GridFunction):
-        err += 2.0 * lip / f.n  # interpolated evaluations off the node set
-    return DefectBound(value, err)
+    return DefectBound(value, 2.0 * lipschitz_estimate(f) / search_n)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,9 @@ positive raw margin smaller than its error bound is reported as
 condition never claims anything about the observable itself -- the report
 only says the hypothesis was not verified.
 
+The checkers take specs: slope conditions are evaluated on f.derivative(),
+so a spec without one (a piecewise polynomial with a jump) is a ValueError.
+
 Checked conditions, all for the doubling map:
 
 * the two-sided slope/positivity test on a window [a, b] (margin names
@@ -36,31 +39,10 @@ from .sturmian import (
     best_sturmian,
     sturmian_certificate,
 )
-from .torus import (
-    FunctionSpec,
-    GridFunction,
-    Translate,
-    grid_derivative,
-    lipschitz_estimate,
-    sample,
-    value_range,
-)
+from .torus import FunctionSpec, Translate, lipschitz_estimate, sample
 from .transfer import solve_calibrated
 
 KAPPA = 7.0 / 96.0 - math.sqrt(3.0) / 36.0
-
-
-@dataclass(frozen=True)
-class ClassAParams:
-    """Window [a, b] and antisymmetry level v for the class-A test."""
-
-    a: float
-    b: float
-    v: float = 0.0
-
-    def __post_init__(self):
-        if not (self.a < self.b < self.a + 0.5):
-            raise ValueError(f"need a < b < a + 1/2, got a={self.a}, b={self.b}")
 
 
 @dataclass(frozen=True)
@@ -117,6 +99,11 @@ class CriterionReport:
         }
 
 
+def _check_window(a: float, b: float) -> None:
+    if not (a < b < a + 0.5):
+        raise ValueError(f"need a < b < a + 1/2, got a={a}, b={b}")
+
+
 def _window_grid(lo: float, hi: float, grid_n: int) -> np.ndarray:
     """Closed uniform grid on [lo, hi] including both endpoints."""
     return np.linspace(lo, hi, grid_n + 1)
@@ -129,29 +116,7 @@ def _eta_or_raise(f, grid_n: int) -> ConvexityReport:
     return rep
 
 
-def _derivative_values(f, xs, grid_n: int):
-    """Derivative samples for the a.e. slope conditions.
-
-    Symbolic route when available (exact at the sample points); otherwise
-    central grid differences with a widened error estimate.  Returns
-    (values at xs, values at xs + 1/2, extra pointwise error, slope
-    Lipschitz estimate, route tag).
-    """
-    if isinstance(f, FunctionSpec):
-        try:
-            fp = f.derivative()
-            return fp(xs), fp(xs + 0.5), 0.0, lipschitz_estimate(fp, grid_n), "symbolic"
-        except ValueError:
-            f = sample(f, grid_n)
-    g = f if isinstance(f, GridFunction) else sample(f, grid_n)
-    d = grid_derivative(g)
-    lipp = d.lipschitz_estimate()
-    # central differences of a function with Lipschitz derivative are off
-    # by at most Lip(f') / (2N); doubled for interpolation between nodes
-    return d(xs), d(xs + 0.5), lipp / g.n, lipp, "grid"
-
-
-def check_theorem_sturm(f, a: float, b: float, grid_n: int = 4096) -> CriterionReport:
+def check_theorem_sturm(f: FunctionSpec, a: float, b: float, grid_n: int = 4096) -> CriterionReport:
     """Two-window test: positivity margin on [a,b], slope margin on [b, a+1/2].
 
     Inequalities checked (eta = convexity defect of f):
@@ -159,11 +124,11 @@ def check_theorem_sturm(f, a: float, b: float, grid_n: int = 4096) -> CriterionR
                         over the two preimages y of x + 1/2,
       on [b, a+1/2]:    f'(x) - f'(x+1/2) < -eta/6.
 
-    f may be a spec (exact evaluations and derivatives) or a grid function
-    (interpolated evaluations, one-sided-difference slopes, wider bounds).
+    f must be a spec with a symbolic derivative; one without (a jump in a
+    piecewise polynomial) raises the ValueError of ``f.derivative()``.
     """
-    if not (a < b < a + 0.5):
-        raise ValueError(f"need a < b < a + 1/2, got a={a}, b={b}")
+    _check_window(a, b)
+    fp = f.derivative()
     eta_rep = _eta_or_raise(f, grid_n)
     eta = eta_rep.eta
     lip = lipschitz_estimate(f, grid_n)
@@ -182,15 +147,11 @@ def check_theorem_sturm(f, a: float, b: float, grid_n: int = 4096) -> CriterionR
     bound1 = 3.0 * lip * ((b - a) / grid_n) / 2.0 + eta_rep.error_bound / 96.0
 
     xs2 = _window_grid(b, a + 0.5, grid_n)
-    fp_at, fp_shift, extra, lip_fp, route = _derivative_values(f, xs2, grid_n)
-    vals2 = -eta / 6.0 - (fp_at - fp_shift)
+    vals2 = -eta / 6.0 - (fp(xs2) - fp(xs2 + 0.5))
     i2 = int(np.argmin(vals2))
     raw2 = float(vals2[i2])
-    bound2 = (
-        2.0 * lip_fp * ((a + 0.5 - b) / grid_n) / 2.0
-        + 2.0 * extra
-        + eta_rep.error_bound / 6.0
-    )
+    lip_fp = lipschitz_estimate(fp, grid_n)
+    bound2 = 2.0 * lip_fp * ((a + 0.5 - b) / grid_n) / 2.0 + eta_rep.error_bound / 6.0
 
     return CriterionReport.from_margins(
         "theorem-sturm",
@@ -198,22 +159,27 @@ def check_theorem_sturm(f, a: float, b: float, grid_n: int = 4096) -> CriterionR
         {"R_positive": bound1, "R_prime_negative": bound2},
         witnesses={"R_positive": float(xs1[i1]), "R_prime_negative": float(xs2[i2])},
         tolerances={"eta": eta, "eta_error": eta_rep.error_bound, "grid_n": grid_n},
-        notes=(f"derivative route: {route}",),
+        notes=("derivative route: symbolic",),
     )
 
 
-def check_class_a(f, params: ClassAParams, grid_n: int = 4096) -> CriterionReport:
+def check_class_a(
+    f: FunctionSpec, a: float, b: float, v: float = 0.0, grid_n: int = 4096
+) -> CriterionReport:
     """Antisymmetric-family membership: (A0) identity, (A1) window gap, (A2) slope.
 
     (A0)  f(x) + f(x+1/2) = 2v at nodes (tolerance 1e-10 * range),
     (A1)  2 f(x) - v - max f > eta/96 on [a, b],
     (A2)  f'(x) < -eta/12 on [b, a+1/2] (checked at nodes of f').
+
+    f must be a spec with a symbolic derivative, as for check_theorem_sturm.
     """
-    a, b, v = params.a, params.b, params.v
+    _check_window(a, b)
+    fp = f.derivative()
     eta_rep = _eta_or_raise(f, grid_n)
     eta = eta_rep.eta
     lip = lipschitz_estimate(f, grid_n)
-    rng = value_range(f, grid_n)
+    rng = sample(f, grid_n).value_range()
 
     xs = np.arange(grid_n) / grid_n
     tol_a0 = 1e-10 * max(1.0, rng)
@@ -222,11 +188,7 @@ def check_class_a(f, params: ClassAParams, grid_n: int = 4096) -> CriterionRepor
 
     # global max of f: fine grid plus non-smooth candidates; upper estimate
     fine = np.arange(4 * grid_n) / (4 * grid_n)
-    cands = [f(fine)]
-    if isinstance(f, FunctionSpec):
-        for bp in f.nonsmooth_points():
-            cands.append(np.array([f(bp)]))
-    fmax = float(max(np.max(c) for c in cands))
+    fmax = float(max([np.max(f(fine))] + [f(bp) for bp in f.nonsmooth_points()]))
     fmax_err = lip / (4 * grid_n) / 2.0
     xs1 = _window_grid(a, b, grid_n)
     vals1 = 2.0 * f(xs1) - v - (fmax + fmax_err) - eta / 96.0
@@ -235,11 +197,11 @@ def check_class_a(f, params: ClassAParams, grid_n: int = 4096) -> CriterionRepor
     bound1 = 2.0 * lip * ((b - a) / grid_n) / 2.0 + eta_rep.error_bound / 96.0
 
     xs2 = _window_grid(b, a + 0.5, grid_n)
-    fp_at, _, extra, lip_fp, route = _derivative_values(f, xs2, grid_n)
-    vals2 = -eta / 12.0 - fp_at
+    vals2 = -eta / 12.0 - fp(xs2)
     i2 = int(np.argmin(vals2))
     raw2 = float(vals2[i2])
-    bound2 = lip_fp * ((a + 0.5 - b) / grid_n) / 2.0 + extra + eta_rep.error_bound / 12.0
+    lip_fp = lipschitz_estimate(fp, grid_n)
+    bound2 = lip_fp * ((a + 0.5 - b) / grid_n) / 2.0 + eta_rep.error_bound / 12.0
 
     return CriterionReport.from_margins(
         "class-A",
@@ -256,7 +218,7 @@ def check_class_a(f, params: ClassAParams, grid_n: int = 4096) -> CriterionRepor
             "b": b,
             "v": v,
         },
-        notes=(f"derivative route: {route}",),
+        notes=("derivative route: symbolic",),
     )
 
 
@@ -267,7 +229,7 @@ def check_class_b(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
     convexity defect, concavity on [-1/4, 1/4]; and validates the identity
     eta = max f'' = -min f'' together with f'(0) = 0.
     """
-    rng = value_range(f, grid_n)
+    rng = sample(f, grid_n).value_range()
     tol_id = 1e-10 * max(1.0, rng)
 
     xs = np.arange(grid_n) / grid_n

@@ -238,12 +238,12 @@ class SturmianCertificate:
         }
 
 
-def sturmian_certificate(r: GridFunction, epsilon_r: float | None = None) -> SturmianCertificate:
+def sturmian_certificate(r: GridFunction, epsilon_r: float) -> SturmianCertificate:
     """Cluster the band |R| <= epsilon_r into cyclic arcs and judge it.
 
-    epsilon_r defaults to 2.5 * Lip(R) / N (callers that know f and g pass
-    5 * (Lip f + Lip g) / N explicitly; Lip R <= 2 (Lip f + Lip g)).  Each
-    arc may be at most w_max = 16 / N wide.
+    For R the antipodal difference of (f, g) the scan passes the band
+    epsilon_r = 5 (Lip f + Lip g) / N.  Each arc may be at most
+    w_max = 16 / N wide.
     """
     n = r.n
     if n % 2 != 0:
@@ -252,8 +252,6 @@ def sturmian_certificate(r: GridFunction, epsilon_r: float | None = None) -> Stu
     scale = max(1.0, float(np.max(np.abs(r.values))))
     if anti > 1e-12 * scale:
         raise ValueError(f"input is not antisymmetric: max |R(x)+R(x+1/2)| = {anti}")
-    if epsilon_r is None:
-        epsilon_r = 2.5 * r.lipschitz_estimate() / n
     w_max = 16.0 / n
 
     mask = np.abs(r.values) <= epsilon_r

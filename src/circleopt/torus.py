@@ -393,8 +393,8 @@ class GridFunction:
         )
 
 
-def sample(f: FunctionSpec, n: int) -> GridFunction:
-    """Sample a spec at n uniform nodes; exact at every node."""
+def sample(f, n: int) -> GridFunction:
+    """Sample a spec (or any vectorized callable) at n uniform nodes; exact at every node."""
     if n < 4:
         raise ValueError(f"grid size must be at least 4, got {n}")
     return GridFunction(f(np.arange(n) / n))
@@ -414,26 +414,6 @@ def refine_linear(g: GridFunction, factor: int) -> GridFunction:
     return GridFunction(_refine_values(g.values, factor))
 
 
-def grid_derivative(g: GridFunction) -> GridFunction:
-    """Central difference-quotient derivative at spacing 1/N."""
-    if g.n < 4:
-        raise ValueError("grid derivative needs at least 4 nodes")
-    v = g.values
-    return GridFunction((np.roll(v, -1) - np.roll(v, 1)) * (g.n / 2.0))
-
-
 def lipschitz_estimate(f, n: int = 4096) -> float:
-    """Empirical Lipschitz estimate for a spec, grid function or callable."""
-    if isinstance(f, GridFunction):
-        return f.lipschitz_estimate()
-    if isinstance(f, FunctionSpec):
-        return sample(f, n).lipschitz_estimate()
-    xs = np.arange(n) / n
-    return GridFunction(np.asarray(f(xs), dtype=float)).lipschitz_estimate()
-
-
-def value_range(f, n: int = 4096) -> float:
-    """max - min of a grid function, or of a spec sampled at n nodes."""
-    if isinstance(f, GridFunction):
-        return f.value_range()
-    return sample(f, n).value_range()
+    """Empirical Lipschitz estimate of a spec or callable sampled at n nodes."""
+    return sample(f, n).lipschitz_estimate()

@@ -22,6 +22,7 @@ posteriori.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,8 +90,13 @@ def solve_calibrated(
     is g = 0 unless ``g0`` is given.  Each sweep moves g halfway to its
     image; iteration stops when the sup-norm distance between the two falls
     below tol (default 1e-9 * range(f)); non-convergence is reported, never
-    silently accepted.
+    silently accepted.  A given tol must be finite and positive and
+    max_iter at least 1 (ValueError otherwise, before any sweep).
     """
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if isinstance(f, FunctionSpec):
         n = grid_n if grid_n is not None else 4096
         f_coarse = sample(f, n)

@@ -9,6 +9,7 @@ import pytest
 
 import circleopt
 from circleopt.catalog import cosine, tent
+from circleopt.torus import PiecewisePoly, Sum
 from circleopt.cli import main
 from circleopt.sturmian import _orbit_table
 
@@ -133,9 +134,13 @@ class TestSolve:
             ["sturmian", "--p", "1", "--q", "3", "--spec"],
             ["eta", "--n", "512", "--spec"],
             ["check", "--criterion", "kappa", "--n", "1024", "--spec"],
+            ["check", "--criterion", "sturm", "--a", "-0.1", "--b", "0.1", "--n", "1024", "--spec"],
+            ["check", "--criterion", "classA", "--a", "-0.125", "--b", "0.125", "--v", "0.0",
+             "--spec"],
             ["validate", "--cases", "2"],
         ],
-        ids=["solve", "scan", "sturmian", "eta", "check-kappa", "validate"],
+        ids=["solve", "scan", "sturmian", "eta", "check-kappa", "check-sturm", "check-classA",
+             "validate"],
     )
     def test_byte_identical_reruns(self, argv, cos_spec, tmp_path, capsys):
         # the second run finds the Sturmian orbit table already cached
@@ -290,6 +295,39 @@ class TestFailedRunsLeaveNoRunDirectory:
         assert main(["eta", "--spec", str(spec), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+        assert not list(out.glob("run-*"))
+
+    @pytest.mark.parametrize(
+        "window",
+        [["sturm", "--a", "-0.1", "--b", "0.1"], ["classA", "--a", "-0.125", "--b", "0.125"]],
+        ids=["sturm", "classA"],
+    )
+    def test_jump_spec_has_no_slope(self, window, tmp_path, capsys):
+        # cos 2 pi x plus a 1e-6 step at x = 1/2: no symbolic derivative, and
+        # no grid-difference estimate of one either
+        spec = tmp_path / "jump.json"
+        spec.write_text(Sum((cosine(), PiecewisePoly((0.0, 0.5), ((0.0,), (1e-6,))))).to_json())
+        out = tmp_path / "out"
+        argv = ["check", "--criterion", *window, "--spec", str(spec), "--n", "512", "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: derivative of discontinuous piecewise polynomial (jump at x=0.5)")
+        assert not list(out.glob("run-*"))
+
+    @pytest.mark.parametrize("command", ["solve", "scan"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--tol", "nan", "tol must be finite and > 0, got nan"),
+         ("--tol", "0", "tol must be finite and > 0, got 0.0"),
+         ("--tol", "-1", "tol must be finite and > 0, got -1.0"),
+         ("--max-iter", "0", "max_iter must be >= 1, got 0")],
+        ids=["tol-nan", "tol-zero", "tol-negative", "max-iter-zero"],
+    )
+    def test_bad_solver_limits(self, command, flag, value, message, cos_spec, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [command, "--spec", cos_spec, "--n", "256", flag, value, "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(out.glob("run-*"))
 
     def test_validate_without_cases(self, tmp_path, capsys):

@@ -53,6 +53,11 @@ class TestUniformDefect:
         v = uniform_defect(g, 0.25)
         assert v.value == pytest.approx(2.0, abs=1e-12)
 
+    def test_grid_off_lattice_delta_rejected(self):
+        # 0.1 is not a multiple of 1/64: no silent interpolated search
+        with pytest.raises(ValueError, match="not a multiple of the grid spacing 1/64"):
+            uniform_defect(sample(cosine(), 64), 0.1)
+
 
 class TestConvexityDefect:
     def test_cosine_second_derivative_exact(self):

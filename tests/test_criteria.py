@@ -5,7 +5,6 @@ import pytest
 
 from circleopt import (
     KAPPA,
-    ClassAParams,
     Cosine,
     Negate,
     Scale,
@@ -54,44 +53,42 @@ class TestTheoremSturm:
         with pytest.raises(ValueError, match="infinite"):
             check_theorem_sturm(tent(), -0.1, 0.1)
 
-    def test_grid_input_uses_difference_route(self):
-        from circleopt import sample
-
-        rep = check_theorem_sturm(sample(cosine(), 4096), -0.1, 0.1)
-        assert rep.passed
-        assert any("grid" in n for n in rep.notes)
+    def test_rejects_jump_without_grid_fallback(self):
+        # a 1e-6 step at x = 1/2: the slope condition has no symbolic
+        # derivative to stand on, so the checker refuses rather than estimate
+        f = Sum((cosine(), PiecewisePoly((0.0, 0.5), ((0.0,), (1e-6,)))))
+        with pytest.raises(ValueError, match="discontinuous"):
+            check_theorem_sturm(f, -0.1, 0.1, 512)
 
 
 class TestClassA:
     def test_cosine_eighth_window(self):
-        rep = check_class_a(cosine(), ClassAParams(-0.125, 0.125, 0.0))
+        rep = check_class_a(cosine(), -0.125, 0.125, 0.0)
         assert rep.passed
 
     def test_wrong_level_fails_identity(self):
-        rep = check_class_a(cosine(), ClassAParams(-0.125, 0.125, 1.0))
+        rep = check_class_a(cosine(), -0.125, 0.125, 1.0)
         assert rep.status == "fail"
         assert rep.raw_margins["A0_identity"] < 0
 
     def test_double_frequency_fails_identity(self):
-        rep = check_class_a(Cosine(2, 0.0), ClassAParams(-0.125, 0.125, 0.0))
+        rep = check_class_a(Cosine(2, 0.0), -0.125, 0.125, 0.0)
         assert rep.status == "fail"
         assert rep.raw_margins["A0_identity"] < 0
 
     def test_window_validation(self):
-        with pytest.raises(ValueError):
-            ClassAParams(0.0, 0.6)
+        with pytest.raises(ValueError, match="a < b < a"):
+            check_class_a(cosine(), 0.0, 0.6)
 
-    def test_grid_input_accepted(self):
-        from circleopt import sample
-
-        rep = check_class_a(sample(cosine(), 4096), ClassAParams(-0.125, 0.125, 0.0))
-        assert rep.passed
-        assert any("grid" in n for n in rep.notes)
+    def test_rejects_jump_without_grid_fallback(self):
+        f = Sum((cosine(), PiecewisePoly((0.0, 0.5), ((0.0,), (1e-6,)))))
+        with pytest.raises(ValueError, match="discontinuous"):
+            check_class_a(f, -0.125, 0.125, 0.0, 512)
 
     def test_implies_theorem_window(self):
         # the class-A hypotheses reduce to the two-window test with the
         # same (a, b); check the implication on the standard example
-        a_rep = check_class_a(cosine(), ClassAParams(-0.125, 0.125, 0.0))
+        a_rep = check_class_a(cosine(), -0.125, 0.125, 0.0)
         t_rep = check_theorem_sturm(cosine(), -0.125, 0.125)
         assert a_rep.passed and t_rep.passed
 
@@ -198,7 +195,7 @@ class TestSearchC:
             h = Sum((constant(f(0.0)), Negate(f)))
             c, rep = search_c(h, 10_000)
             assert rep.passed
-            a_rep = check_class_a(f, ClassAParams(-c, c, f(0.25)))
+            a_rep = check_class_a(f, -c, c, f(0.25))
             assert a_rep.passed
             t_rep = check_theorem_sturm(f, -c, c)
             assert t_rep.passed

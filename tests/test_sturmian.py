@@ -174,20 +174,21 @@ class TestAntipodalDifference:
             antipodal_difference(f, f)
 
 
-class TestCertificate:
-    def _from_values(self, values):
-        return GridFunction(np.asarray(values))
+def _scan_band(s):
+    """The scan's band 5 (Lip f + Lip g) / N for R = antipodal_difference(f, 0), f = s."""
+    return 5.0 * GridFunction(s).lipschitz_estimate() / s.size
 
+
+class TestCertificate:
     def test_pure_cosine_passes(self):
-        xs = np.arange(512) / 512
-        r = GridFunction(2 * np.cos(2 * np.pi * xs) - 2 * np.cos(2 * np.pi * (xs + 0.5)))
-        cert = sturmian_certificate(GridFunction(r.values / 2))
+        s = np.cos(2 * np.pi * np.arange(512) / 512)
+        cert = sturmian_certificate(GridFunction(s - np.roll(s, -256)), _scan_band(s))
         assert cert.passed
         a, b = cert.antipodal_pair
         assert min(abs(a - 0.25), abs(a - 0.75)) < 1e-2
 
     def test_zero_function_fails(self):
-        cert = sturmian_certificate(GridFunction(np.zeros(64)))
+        cert = sturmian_certificate(GridFunction(np.zeros(64)), _scan_band(np.zeros(64)))
         assert cert.status == "fail"
         assert not cert.passed
 
@@ -196,7 +197,7 @@ class TestCertificate:
         xs = np.arange(512) / 512
         s = np.cos(6 * np.pi * xs)
         r = GridFunction(s - np.roll(s, -256))
-        cert = sturmian_certificate(r)
+        cert = sturmian_certificate(r, _scan_band(s))
         assert cert.status == "fail"
         assert len(cert.zero_arcs) == 6
 
@@ -205,14 +206,14 @@ class TestCertificate:
         # difference; the precondition catches it
         s = np.sin(4 * np.pi * np.arange(512) / 512)
         with pytest.raises(ValueError, match="antisymmetric"):
-            sturmian_certificate(GridFunction(s))
+            sturmian_certificate(GridFunction(s), _scan_band(s))
 
     def test_wraparound_arc_counted_once(self):
         # zeros at 0 and 1/2: the band straddles the x=0 seam
         xs = np.arange(512) / 512
         s = -np.sin(2 * np.pi * xs)
         r = GridFunction(s - np.roll(s, -256))
-        cert = sturmian_certificate(r)
+        cert = sturmian_certificate(r, _scan_band(s))
         assert cert.passed
         assert len(cert.zero_arcs) == 2
 
@@ -225,12 +226,13 @@ class TestCertificate:
 
     def test_requires_antisymmetry(self):
         with pytest.raises(ValueError, match="antisymmetric"):
-            sturmian_certificate(GridFunction(np.cos(2 * np.pi * np.arange(64) / 64) + 1.0))
+            s = np.cos(2 * np.pi * np.arange(64) / 64) + 1.0
+            sturmian_certificate(GridFunction(s), _scan_band(s))
 
     def test_tolerances_embedded(self):
         xs = np.arange(256) / 256
         s = np.cos(2 * np.pi * xs)
-        cert = sturmian_certificate(GridFunction(s - np.roll(s, -128)))
+        cert = sturmian_certificate(GridFunction(s - np.roll(s, -128)), _scan_band(s))
         doc = cert.to_dict()
         assert doc["epsilon_r"] > 0
         assert doc["w_max"] == pytest.approx(16 / 256)

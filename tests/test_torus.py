@@ -14,7 +14,6 @@ from circleopt import (
     Scale,
     Sum,
     Translate,
-    grid_derivative,
     refine_linear,
     sample,
     spec_from_dict,
@@ -106,21 +105,6 @@ class TestDerivative:
         d = tent().derivative()
         assert d(0.25) == -1.0
         assert d(0.75) == 1.0
-
-    def test_grid_derivative_matches_symbolic(self):
-        g = sample(cosine(), 4096)
-        d = grid_derivative(g)
-        assert d(0.25) == pytest.approx(-TWO_PI, abs=1e-2)
-
-    def test_central_grid_derivative_second_order(self):
-        sym = cosine().derivative()
-        errs = []
-        for n in (256, 512):
-            d = grid_derivative(sample(cosine(), n))
-            xs = np.arange(n) / n
-            errs.append(np.max(np.abs(d.values - sym(xs))))
-        # central differences converge at second order
-        assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
 
     def test_extremal_is_c1(self):
         d = quadratic_extremal().derivative()

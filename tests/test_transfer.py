@@ -192,6 +192,15 @@ class TestSolveCalibrated:
         sol = solve_calibrated(Translate(1 / 3, cosine()), d=2, grid_n=512)
         assert sol.converged
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            solve_calibrated(cosine(), d=2, grid_n=256, tol=tol)
+
+    def test_rejects_no_sweeps(self):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            solve_calibrated(cosine(), d=2, grid_n=256, max_iter=0)
+
     def test_grid_input_accepted(self):
         sol = solve_calibrated(sample(cosine(), 1024), d=2)
         assert sol.converged
