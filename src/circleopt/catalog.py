@@ -13,11 +13,9 @@ from .torus import (
     AntisymmetricExtension,
     Cosine,
     FunctionSpec,
-    Negate,
     PiecewisePoly,
     Scale,
     Sum,
-    Translate,
 )
 
 

@@ -4,7 +4,8 @@ For f on the circle and delta > 0 the pointwise second-difference defect is
 
     defect(f; x, delta) = max(2 f(x) - f(x + delta) - f(x - delta), 0),
 
-its sup over x is the uniform defect, and the convexity defect of f is
+its sup over x is the uniform defect (taken over the nodes of a grid
+function, at node-aligned delta), and the convexity defect of f is
 
     eta(f) = sup_{delta > 0} delta^-2 * (uniform defect at delta),
 
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .torus import FunctionSpec, GridFunction, lipschitz_estimate, sample
+from .torus import FunctionSpec, GridFunction, sample
 
 # Size of the (shifts x nodes) block the second-difference kernel works on;
 # a fixed byte count keeps its working memory flat in N.
@@ -69,29 +70,24 @@ def pointwise_defect(f, x, delta: float):
     return np.maximum(val, 0.0) if np.ndim(x) else float(max(val, 0.0))
 
 
-def uniform_defect(f, delta: float, search_n: int = 4096) -> DefectBound:
-    """Maximum of the pointwise defect over a uniform x-grid.
+def uniform_defect(f: GridFunction, delta: float) -> DefectBound:
+    """Maximum of the pointwise defect over the nodes of a grid function.
 
-    The result is a lower bound for the true sup over x; the attached
-    error bound Lip(f) * (2 / search_n) covers the gap.  A grid function is
-    searched over its own nodes, where the three evaluations are exact node
-    lookups; delta must then be a multiple of its spacing 1/N (ValueError
-    otherwise) and search_n is not used.
+    The three evaluations are exact node lookups, so delta must be a
+    multiple of the spacing 1/N (ValueError otherwise).  The result is a
+    lower bound for the sup over x; the attached error bound
+    Lip(f) * (2 / N) covers the gap.  A spec is passed as ``sample(f, N)``.
     """
+    if not isinstance(f, GridFunction):
+        raise TypeError(f"need a GridFunction, got {type(f).__name__}")
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if isinstance(f, GridFunction):
-        n = f.n
-        k = delta * n
-        if abs(k - round(k)) >= 1e-9:
-            raise ValueError(f"delta={delta} is not a multiple of the grid spacing 1/{n}")
-        maxima, _ = _second_difference_max(f.values, [int(round(k))])
-        value = float(max(maxima[0], 0.0))
-        return DefectBound(value, 2.0 * f.lipschitz_estimate() / n)
-    xs = np.arange(search_n) / search_n
-    vals = 2.0 * f(xs) - f(xs + delta) - f(xs - delta)
-    value = float(max(np.max(vals), 0.0))
-    return DefectBound(value, 2.0 * lipschitz_estimate(f) / search_n)
+    n = f.n
+    k = delta * n
+    if abs(k - round(k)) >= 1e-9:
+        raise ValueError(f"delta={delta} is not a multiple of the grid spacing 1/{n}")
+    maxima, _ = _second_difference_max(f.values, [int(round(k))])
+    return DefectBound(float(max(maxima[0], 0.0)), 2.0 * f.lipschitz_estimate() / n)
 
 
 @dataclass(frozen=True)

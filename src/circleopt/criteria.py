@@ -178,12 +178,13 @@ def check_class_a(
     fp = f.derivative()
     eta_rep = _eta_or_raise(f, grid_n)
     eta = eta_rep.eta
-    lip = lipschitz_estimate(f, grid_n)
-    rng = sample(f, grid_n).value_range()
+    fg = sample(f, grid_n)
+    lip = fg.lipschitz_estimate()
+    rng = fg.value_range()
 
     xs = np.arange(grid_n) / grid_n
     tol_a0 = 1e-10 * max(1.0, rng)
-    dev = float(np.max(np.abs(f(xs) + f(xs + 0.5) - 2.0 * v)))
+    dev = float(np.max(np.abs(fg.values + f(xs + 0.5) - 2.0 * v)))
     raw0 = tol_a0 - dev
 
     # global max of f: fine grid plus non-smooth candidates; upper estimate
@@ -229,13 +230,13 @@ def check_class_b(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
     convexity defect, concavity on [-1/4, 1/4]; and validates the identity
     eta = max f'' = -min f'' together with f'(0) = 0.
     """
-    rng = sample(f, grid_n).value_range()
-    tol_id = 1e-10 * max(1.0, rng)
+    fg = sample(f, grid_n)
+    tol_id = 1e-10 * max(1.0, fg.value_range())
 
     xs = np.arange(grid_n) / grid_n
-    s = f(xs) + f(xs + 0.5)
+    s = fg.values + f(xs + 0.5)
     raw_anti = tol_id - float(np.max(s) - np.min(s))
-    raw_even = tol_id - float(np.max(np.abs(f(-xs) - f(xs))))
+    raw_even = tol_id - float(np.max(np.abs(f(-xs) - fg.values)))
 
     try:
         second = f.derivative().derivative()
@@ -272,7 +273,7 @@ def check_class_b(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
     raw_sym = tol_eta - abs(smax + smin)
     raw_eta = tol_eta - abs(eta - smax)
 
-    raw_d0 = 1e-8 * max(1.0, lipschitz_estimate(f, grid_n)) - abs(fp(0.0))
+    raw_d0 = 1e-8 * max(1.0, fg.lipschitz_estimate()) - abs(fp(0.0))
 
     raw = {
         "antisymmetry": raw_anti,
@@ -302,7 +303,8 @@ def check_kappa(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
     """Ratio gate (f(0) - f(1/4)) / eta(f) > kappa = 7/96 - sqrt(3)/36.
 
     Requires class-B membership; a class-B failure propagates (the checker
-    then certifies nothing about the ratio).
+    then certifies nothing about the ratio).  A class-B f with eta = 0 is
+    constant and its ratio undefined: ValueError.
     """
     b_rep = check_class_b(f, grid_n)
     if not b_rep.passed:
@@ -313,6 +315,8 @@ def check_kappa(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
             tolerances={"kappa": KAPPA, "grid_n": grid_n},
         )
     eta = b_rep.tolerances["eta"]
+    if eta == 0.0:
+        raise ValueError("convexity defect is zero (f is constant); kappa ratio undefined")
     drop = f(0.0) - f(0.25)
     ratio = drop / eta
     # a fixed relative bound of 1e-6 on the ratio; neither eta's own

@@ -3,10 +3,11 @@
 For each closed semicircle S of T there is a unique invariant probability
 measure of x -> 2x supported on S; it is carried by the periodic orbit of
 the Sturmian word of its rotation number p/q (for rational rotation
-numbers, the only ones needed here).  Orbit points are exact rationals
-with denominator 2^q - 1, so orbit-closure checks are exact.  The search
-for the best Sturmian measure integrates a cached table of the same points
-as correctly rounded floats, one evaluation of f for all orbits.
+numbers, the only ones needed here).  Orbit points are held as integer
+numerators over 2^q - 1, so orbit-closure checks are exact integer
+arithmetic; ``Fraction``s are built only on access.  The search for the
+best Sturmian measure integrates a cached table of the same points as
+correctly rounded floats, one evaluation of f for all orbits.
 
 The certificate machinery works with R(x) = (f+g)(x) - (f+g)(x + 1/2) for
 a calibrated sub-action g: when the zero set of R is a single pair of
@@ -44,20 +45,31 @@ def _validate_rotation(p: int, q: int):
 
 @dataclass(frozen=True)
 class SturmianMeasure:
-    """Uniform measure on the period-q Sturmian orbit of rotation number p/q."""
+    """Uniform measure on the period-q Sturmian orbit of rotation number p/q:
+    points numerators[k] / modulus in doubling order, modulus = 2^q - 1, in
+    the closed semicircle that starts at start / modulus."""
 
     p: int
     q: int
-    orbit: tuple[Fraction, ...]
-    semicircle: tuple[Fraction, Fraction]
+    numerators: tuple[int, ...]
+    start: int
 
     @property
-    def rotation(self) -> Fraction:
-        return Fraction(self.p, self.q)
+    def modulus(self) -> int:
+        return 2**self.q - 1
+
+    @property
+    def orbit(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.modulus) for n in self.numerators)
+
+    @property
+    def semicircle(self) -> tuple[Fraction, Fraction]:
+        lo = Fraction(self.start, self.modulus)
+        return lo, lo + Fraction(1, 2)
 
     def integrate(self, f) -> float:
         """(1/q) * sum of f over the orbit."""
-        pts = np.array([float(x) for x in self.orbit])
+        pts = np.array([n / self.modulus for n in self.numerators])
         return float(np.mean(f(pts)))
 
     def to_dict(self):
@@ -65,7 +77,7 @@ class SturmianMeasure:
             "p": self.p,
             "q": self.q,
             "orbit": [str(x) for x in self.orbit],
-            "semicircle": [str(self.semicircle[0]), str(self.semicircle[1])],
+            "semicircle": [str(x) for x in self.semicircle],
         }
 
 
@@ -89,21 +101,16 @@ def sturmian_measure(p: int, q: int) -> SturmianMeasure:
     """Construct the Sturmian measure with rotation number p/q (reduced)."""
     _validate_rotation(p, q)
     m = 2**q - 1
-    orbit = [Fraction(n, m) for n in _orbit_numerators(p, q)]
-    pts = sorted(orbit)
-    # minimal enclosing arc: complement of the largest cyclic gap
-    if len(pts) == 1:
-        start = pts[0]
-        width = Fraction(0)
-    else:
-        gaps = [pts[i + 1] - pts[i] for i in range(len(pts) - 1)]
-        gaps.append(1 + pts[0] - pts[-1])
-        gi = max(range(len(gaps)), key=lambda i: gaps[i])
-        start = pts[(gi + 1) % len(pts)]
-        width = 1 - gaps[gi]
-    if width > Fraction(1, 2):
-        raise AssertionError(f"orbit of {p}/{q} does not fit a semicircle (width {width})")
-    return SturmianMeasure(p=p, q=q, orbit=tuple(orbit), semicircle=(start, start + Fraction(1, 2)))
+    nums = _orbit_numerators(p, q)
+    pts = sorted(nums)
+    # minimal enclosing arc: complement of the largest cyclic gap (the
+    # wrap-around gap m + pts[0] - pts[-1] is the whole circle for q = 1)
+    gaps = [b - a for a, b in zip(pts, pts[1:])] + [m + pts[0] - pts[-1]]
+    gi = max(range(len(gaps)), key=lambda i: gaps[i])
+    width = m - gaps[gi]
+    if 2 * width > m:
+        raise AssertionError(f"orbit of {p}/{q} does not fit a semicircle (width {width}/{m})")
+    return SturmianMeasure(p=p, q=q, numerators=tuple(nums), start=pts[(gi + 1) % len(pts)])
 
 
 def rotation_numbers(max_q: int):

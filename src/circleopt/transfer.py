@@ -7,8 +7,8 @@ so no interpolation enters the max.
 
 The calibrated equation g + beta = M_d(f + g) is solved by normalized
 fixed-point iteration on an N-point grid.  Each sweep needs f + g at the
-d*N preimage nodes of the N-grid: f is sampled there exactly when given
-symbolically, while g is linearly interpolated (the one approximation in
+d*N preimage nodes of the N-grid: f, a spec, is sampled there exactly,
+while g is linearly interpolated (the one approximation in
 the scheme, absent at nodes whose index is divisible by d).  Consequently
 the reported residual -- the exact node-arithmetic defect of the equation
 on the N/d-subgrid -- goes to zero at the fixed point.
@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .torus import FunctionSpec, GridFunction, _refine_values, refine_linear, sample
+from .torus import FunctionSpec, GridFunction, _refine_values, sample
 
 
 def max_transfer(f: GridFunction, d: int) -> GridFunction:
@@ -76,43 +76,36 @@ class SubactionSolution:
 
 
 def solve_calibrated(
-    f,
+    f: FunctionSpec,
     d: int = 2,
-    grid_n: int | None = None,
+    grid_n: int = 4096,
     tol: float | None = None,
     max_iter: int = 100_000,
     g0: GridFunction | None = None,
 ) -> SubactionSolution:
     """Solve g + beta = M_d(f + g) on an N-point grid.
 
-    f may be a FunctionSpec (sampled exactly on the d*N preimage grid) or a
-    GridFunction (upsampled linearly to the preimage grid).  Starting point
-    is g = 0 unless ``g0`` is given.  Each sweep moves g halfway to its
-    image; iteration stops when the sup-norm distance between the two falls
-    below tol (default 1e-9 * range(f)); non-convergence is reported, never
-    silently accepted.  A given tol must be finite and positive and
-    max_iter at least 1 (ValueError otherwise, before any sweep).
+    f is a FunctionSpec (TypeError otherwise), sampled exactly on the
+    N-grid and on the d*N preimage grid.  Starting point is g = 0 unless
+    ``g0`` is given.  Each sweep moves g halfway to its image; iteration
+    stops when the sup-norm distance between the two falls below tol
+    (default 1e-9 * range(f)); non-convergence is reported, never silently
+    accepted.  A given tol must be finite and positive and max_iter at
+    least 1 (ValueError otherwise, before any sweep).
     """
+    if not isinstance(f, FunctionSpec):
+        raise TypeError(f"need a FunctionSpec, got {type(f).__name__}")
     if tol is not None and not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if isinstance(f, FunctionSpec):
-        n = grid_n if grid_n is not None else 4096
-        f_coarse = sample(f, n)
-        f_fine = sample(f, d * n)
-    elif isinstance(f, GridFunction):
-        f_coarse = f
-        n = f.n
-        if grid_n is not None and grid_n != n:
-            raise ValueError("grid_n disagrees with the grid of f")
-        f_fine = refine_linear(f, d)
-    else:
-        raise TypeError(f"need a FunctionSpec or GridFunction, got {type(f).__name__}")
     if d < 2:
         raise ValueError(f"branch count d must be >= 2, got {d}")
+    n = grid_n
     if n % d != 0:
         raise ValueError(f"d={d} does not divide the grid size {n}")
+    f_coarse = sample(f, n)
+    f_fine = sample(f, d * n)
     if tol is None:
         rng = f_coarse.value_range()
         tol = 1e-9 * rng if rng > 0.0 else 1e-12

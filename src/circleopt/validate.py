@@ -18,7 +18,7 @@ import numpy as np
 from .catalog import cosine, random_trig
 from .convexity import convexity_defect, pointwise_defect, uniform_defect
 from .sturmian import preimage_branch_bound, rotation_numbers, sturmian_measure
-from .torus import GridFunction, PiecewisePoly, Scale, Sum, sample
+from .torus import GridFunction, PiecewisePoly, Scale, Sum, lipschitz_estimate, sample
 from .transfer import max_transfer, solve_calibrated
 
 
@@ -94,19 +94,22 @@ def suite_cone_laws(seed: int, cases: int) -> SuiteResult:
         t.check(max(pf, pg) - p_max + tol_pt, "pointwise max law")
         t.check(tol_pt - abs(p_hom - a * pf), "pointwise homogeneity")
 
-        uf = float(uniform_defect(f, delta, grid_n))
-        ug = float(uniform_defect(g, delta, grid_n))
-        u_sum = float(uniform_defect(lambda y: f(y) + g(y), delta, grid_n))
-        u_max = float(uniform_defect(lambda y: np.maximum(f(y), g(y)), delta, grid_n))
-        u_hom = float(uniform_defect(lambda y: a * f(y) + b, delta, grid_n))
+        # every delta is a multiple of 1/grid_n: node lookups in the samples
+        sum_grid = GridFunction(fv + gv)
+        max_grid = GridFunction(np.maximum(fv, gv))
+        uf = float(uniform_defect(GridFunction(fv), delta))
+        ug = float(uniform_defect(GridFunction(gv), delta))
+        u_sum = float(uniform_defect(sum_grid, delta))
+        u_max = float(uniform_defect(max_grid, delta))
+        u_hom = float(uniform_defect(GridFunction(a * fv + b), delta))
         t.check(uf + ug - u_sum + tol_pt, "uniform subadditivity")
         t.check(max(uf, ug) - u_max + tol_pt, "uniform max law")
         t.check(tol_pt * max(1.0, a) - abs(u_hom - a * uf), "uniform homogeneity")
 
         rf = convexity_defect(f, "second_derivative", grid_n)
         rg = convexity_defect(g, "second_derivative", grid_n)
-        r_sum = convexity_defect(GridFunction(fv + gv), "finite_difference")
-        r_max = convexity_defect(GridFunction(np.maximum(fv, gv)), "finite_difference")
+        r_sum = convexity_defect(sum_grid, "finite_difference")
+        r_max = convexity_defect(max_grid, "finite_difference")
         tol_eta = rf.error_bound + rg.error_bound + 1e-9
         if math.isfinite(r_sum.eta):
             t.check(rf.eta + rg.eta - r_sum.eta + tol_eta, "eta subadditivity")
@@ -178,15 +181,14 @@ def suite_derivative_gap(seed: int, cases: int) -> SuiteResult:
 
 
 def suite_orbit_closure() -> SuiteResult:
-    """Doubling permutes every Sturmian orbit with q <= 50 (exact rational
-    arithmetic) and the orbit fits in its stated semicircle."""
+    """Doubling permutes every Sturmian orbit with q <= 50 and the orbit fits
+    in its stated semicircle (exact: integer numerators over 2^q - 1)."""
     t = _Tally()
     for p, q in rotation_numbers(50):
         mu = sturmian_measure(p, q)
-        doubled = sorted((x * 2) - int(x * 2) for x in mu.orbit)
-        closed = doubled == sorted(mu.orbit)
-        lo, hi = mu.semicircle
-        inside = all(lo <= x <= hi or lo <= x + 1 <= hi for x in mu.orbit)
+        m, nums = mu.modulus, mu.numerators
+        closed = sorted(2 * n % m for n in nums) == sorted(nums)
+        inside = all(2 * ((n - mu.start) % m) <= m for n in nums)
         t.check(1.0 if (closed and inside) else -1.0, f"orbit {p}/{q}")
     return t.result("orbit-closure")
 
@@ -199,8 +201,7 @@ def suite_branch_bound(seed: int, cases: int) -> SuiteResult:
     f = cosine()
     sol = solve_calibrated(f, d=2, grid_n=grid_n)
     g = sol.g
-    fg = sample(f, grid_n)
-    tol = 10.0 * (fg.lipschitz_estimate() + g.lipschitz_estimate()) / grid_n
+    tol = 10.0 * (lipschitz_estimate(f, grid_n) + g.lipschitz_estimate()) / grid_n
     t = _Tally()
     for _ in range(cases):
         x = float(rng.uniform(0, 1))

@@ -314,6 +314,20 @@ class TestFailedRunsLeaveNoRunDirectory:
             "error: derivative of discontinuous piecewise polynomial (jump at x=0.5)")
         assert not list(out.glob("run-*"))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [{"kind": "piecewise_poly", "breakpoints": [0.0], "coefficients": [[0.5]]},
+         {"kind": "scale", "factor": 0.0, "inner": {"kind": "cos", "freq": 1, "phase": 0.0}}],
+        ids=["constant", "zero-scaled-cosine"],
+    )
+    def test_kappa_of_constant(self, spec, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert main(["check", "--criterion", "kappa", "--spec", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: convexity defect is zero")
+        assert not list(out.glob("run-*"))
+
     @pytest.mark.parametrize("command", ["solve", "scan"])
     @pytest.mark.parametrize(
         "flag, value, message",

@@ -11,7 +11,7 @@ from circleopt import (
     sample,
     uniform_defect,
 )
-from circleopt.catalog import constant, cosine, quadratic_extremal, tent
+from circleopt.catalog import constant, cosine, quadratic_extremal, random_trig, tent
 from circleopt.convexity import _delta_table, _finite_difference_eta, _second_difference_max
 
 FOUR_PI_SQ = 4.0 * math.pi**2
@@ -36,22 +36,48 @@ class TestPointwiseDefect:
 class TestUniformDefect:
     def test_cosine_quarter(self):
         # analytic: sup_x 2 cos(2 pi x)(1 - cos(pi/2)) = 2, attained at x=0
-        assert float(uniform_defect(cosine(), 0.25)) == pytest.approx(2.0, abs=1e-12)
+        assert float(uniform_defect(sample(cosine(), 4096), 0.25)) == pytest.approx(2.0, abs=1e-12)
 
     def test_cosine_half(self):
-        assert float(uniform_defect(cosine(), 0.5)) == pytest.approx(4.0, abs=1e-12)
+        assert float(uniform_defect(sample(cosine(), 4096), 0.5)) == pytest.approx(4.0, abs=1e-12)
 
     def test_constant(self):
-        assert float(uniform_defect(constant(1.5), 0.1)) == 0.0
+        assert float(uniform_defect(sample(constant(1.5), 4096), 0.125)) == 0.0
 
     def test_error_bound_reported(self):
-        v = uniform_defect(cosine(), 0.25, search_n=1024)
+        v = uniform_defect(sample(cosine(), 1024), 0.25)
         assert v.error_bound == pytest.approx(2 * sample(cosine(), 4096).lipschitz_estimate() / 1024, rel=0.01)
 
     def test_grid_node_aligned_exact(self):
         g = sample(cosine(), 64)
         v = uniform_defect(g, 0.25)
         assert v.value == pytest.approx(2.0, abs=1e-12)
+
+    def test_spec_input_rejected(self):
+        with pytest.raises(TypeError, match="need a GridFunction, got Cosine"):
+            uniform_defect(cosine(), 0.25)
+
+    def test_equals_sampled_formula_on_cone_law_inputs(self):
+        # the formula 2 f(xs) - f(xs + delta) - f(xs - delta) evaluated on
+        # the specs themselves, as the validation suite once did
+        n = 512
+        xs = np.arange(n) / n
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            f, g = random_trig(rng), random_trig(rng)
+            a, b = float(rng.uniform(0, 3)), float(rng.uniform(-2, 2))
+            fv, gv = f(xs), g(xs)
+            pairs = [
+                (f, fv),
+                (g, gv),
+                (lambda y: f(y) + g(y), fv + gv),
+                (lambda y: np.maximum(f(y), g(y)), np.maximum(fv, gv)),
+                (lambda y: a * f(y) + b, a * fv + b),
+            ]
+            for fn, values in pairs:
+                for delta in (1 / 16, 1 / 8, 1 / 4):
+                    ref = float(max(np.max(2.0 * fn(xs) - fn(xs + delta) - fn(xs - delta)), 0.0))
+                    assert uniform_defect(GridFunction(values), delta).value == ref
 
     def test_grid_off_lattice_delta_rejected(self):
         # 0.1 is not a multiple of 1/64: no silent interpolated search

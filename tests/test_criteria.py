@@ -152,6 +152,15 @@ class TestKappa:
         assert check_kappa(flattened_cosine(min(s_star + 1e-3, 1 / 27))).status == "fail"
         assert check_kappa(flattened_cosine(s_star - 1e-3)).passed
 
+    @pytest.mark.parametrize(
+        "f", [constant(0.5), Scale(0.0, cosine())], ids=["constant", "zero-scaled-cosine"]
+    )
+    def test_zero_defect_is_undefined(self, f):
+        # class B passes with eta = 0 only for a constant; drop / eta is 0 / 0
+        assert check_class_b(f).passed
+        with pytest.raises(ValueError, match="convexity defect is zero"):
+            check_kappa(f)
+
     def test_class_b_failure_propagates(self):
         rep = check_kappa(Translate(1 / 3, cosine()))
         assert rep.status == "fail"

@@ -18,6 +18,7 @@ from circleopt import (
     uniform_defect,
 )
 from circleopt.catalog import constant, cosine
+from circleopt.sturmian import rotation_numbers
 
 
 class TestSturmianMeasure:
@@ -61,6 +62,50 @@ class TestSturmianMeasure:
                     lo, hi = mu.semicircle
                     assert hi - lo == Fraction(1, 2)
                     assert all(lo <= x <= hi or lo <= x + 1 <= hi for x in mu.orbit)
+
+
+def _fraction_measure(p, q):
+    """The exact-Fraction construction the integer measure replaced."""
+    m = 2**q - 1
+    num = 0
+    for s in sturmian_word(p, q):
+        num = (num << 1) | s
+    orbit = [Fraction(num, m)]
+    for _ in range(q - 1):
+        x = orbit[-1] * 2
+        orbit.append(x - int(x))
+    pts = sorted(orbit)
+    if len(pts) == 1:
+        start = pts[0]
+    else:
+        gaps = [pts[i + 1] - pts[i] for i in range(len(pts) - 1)]
+        gaps.append(1 + pts[0] - pts[-1])
+        gi = max(range(len(gaps)), key=lambda i: gaps[i])
+        start = pts[(gi + 1) % len(pts)]
+    return tuple(orbit), (start, start + Fraction(1, 2))
+
+
+class TestIntegerRepresentation:
+    def test_equals_fraction_construction(self):
+        f = cosine()
+        pairs = rotation_numbers(50) + [(p, 61) for p in range(1, 61)]
+        for p, q in pairs:
+            mu = sturmian_measure(p, q)
+            orbit, semicircle = _fraction_measure(p, q)
+            assert mu.orbit == orbit
+            assert mu.semicircle == semicircle
+            assert mu.to_dict() == {
+                "p": p, "q": q, "orbit": [str(x) for x in orbit],
+                "semicircle": [str(x) for x in semicircle],
+            }
+            assert mu.integrate(f) == float(np.mean(f(np.array([float(x) for x in orbit]))))
+        assert len(pairs) == 834
+
+    def test_stores_integers_only(self):
+        mu = sturmian_measure(2, 5)
+        assert mu.modulus == 31
+        assert all(type(n) is int for n in mu.numerators + (mu.start,))
+        assert [n * 2 % 31 for n in mu.numerators[:-1]] == list(mu.numerators[1:])
 
 
 class TestIntegrate:

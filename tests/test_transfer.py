@@ -167,7 +167,7 @@ class TestSolveCalibrated:
 
     def test_calibration_residual_detects_perturbation(self):
         f = sample(cosine(), 8)
-        sol = solve_calibrated(f, d=2)
+        sol = solve_calibrated(cosine(), d=2, grid_n=8)
         base = calibration_residual(f, sol.g, sol.beta, 2)
         eps = 1e-3
         bumped = sol.g.values.copy()
@@ -201,10 +201,9 @@ class TestSolveCalibrated:
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
             solve_calibrated(cosine(), d=2, grid_n=256, max_iter=0)
 
-    def test_grid_input_accepted(self):
-        sol = solve_calibrated(sample(cosine(), 1024), d=2)
-        assert sol.converged
-        assert abs(sol.beta - 1.0) < 1e-5
+    def test_grid_input_rejected(self):
+        with pytest.raises(TypeError, match="need a FunctionSpec, got GridFunction"):
+            solve_calibrated(sample(cosine(), 1024), d=2)
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
