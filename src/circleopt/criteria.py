@@ -35,6 +35,7 @@ import numpy as np
 from .convexity import ConvexityReport, convexity_defect, pointwise_defect
 from .sturmian import (
     SturmianCertificate,
+    _check_table_budget,
     antipodal_difference,
     best_sturmian,
     sturmian_certificate,
@@ -459,12 +460,14 @@ def scan_translates(
     epsilon_r = 5 (Lip f + Lip g)/N, w_max = 16/N), and record the best
     Sturmian rotation number and integral.  Non-convergence is recorded
     per row; the scan continues.  An empty scan (omega_count < 1) or
-    Sturmian family (max_q < 1) is a ValueError, not a vacuous pass.
+    Sturmian family (max_q < 1) is a ValueError, not a vacuous pass, and so
+    is a max_q over the orbit-table budget, before the first solve.
     """
     if omega_count < 1:
         raise ValueError(f"omega_count must be >= 1, got {omega_count}")
     if max_q < 1:
         raise ValueError(f"max_q must be >= 1, got {max_q}")
+    _check_table_budget(max_q)
     rows = []
     for j in range(omega_count):
         omega = j / omega_count

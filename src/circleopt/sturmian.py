@@ -123,6 +123,26 @@ def rotation_numbers(max_q: int):
     return out
 
 
+_TABLE_BUDGET = 2**22  # orbit points in one table: max_q <= 274
+
+
+def _check_table_budget(max_q: int) -> int:
+    """Number of points in the orbit table for max_q, the sum of q * phi(q).
+
+    Counted q by q; a ValueError as soon as the count passes the budget,
+    so an oversized table is refused before anything is built.
+    """
+    total = 0
+    for q in range(1, max_q + 1):
+        total += q * sum(1 for p in range(q) if gcd(p, q) == 1)
+        if total > _TABLE_BUDGET:
+            raise ValueError(
+                f"max_q = {max_q} exceeds the Sturmian orbit-table budget of "
+                f"{_TABLE_BUDGET} points (passed at q = {q})"
+            )
+    return total
+
+
 @lru_cache(maxsize=4)
 def _orbit_table(max_q: int):
     """Float points of every Sturmian orbit with q <= max_q, built once.
@@ -131,7 +151,9 @@ def _orbit_table(max_q: int):
     ``rotation_numbers(max_q)``, their orbit points concatenated in that
     order, and (q, count_q) per denominator (rotations come grouped by q).
     Each point is n / m, the correctly rounded float of Fraction(n, m).
+    A table over ``_TABLE_BUDGET`` points is a ValueError.
     """
+    _check_table_budget(max_q)
     rotations = tuple(rotation_numbers(max_q))
     points = np.array(
         [n / (2**q - 1) for p, q in rotations for n in _orbit_numerators(p, q)]

@@ -400,18 +400,32 @@ def sample(f, n: int) -> GridFunction:
     return GridFunction(f(np.arange(n) / n))
 
 
-def _refine_values(v: np.ndarray, factor: int) -> np.ndarray:
+def _refine_into(v: np.ndarray, factor: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Periodic linear interpolation of node values onto the grid that is
-    ``factor`` times finer; old nodes land on every factor-th entry exactly."""
-    w = np.arange(factor) / factor
-    return (v[:, None] * (1.0 - w) + np.roll(v, -1)[:, None] * w).ravel()
+    ``factor`` times finer, written into ``out`` (length factor * n); old
+    nodes land on every factor-th entry exactly.
+
+    Fine entry i*factor + k is v[i]*(1 - k/factor) + v[i+1]*(k/factor):
+    two products and one sum, the weights rounded once each.  ``scratch``
+    is a (3, n) work array, so the fill allocates nothing.
+    """
+    right, lo, hi = scratch
+    right[:-1] = v[1:]
+    right[-1] = v[0]
+    for k in range(factor):
+        w = k / factor
+        np.multiply(v, 1.0 - w, out=lo)
+        np.multiply(right, w, out=hi)
+        np.add(lo, hi, out=out[k::factor])
+    return out
 
 
 def refine_linear(g: GridFunction, factor: int) -> GridFunction:
     """Upsample by an integer factor; old nodes are copied exactly."""
     if factor < 1:
         raise ValueError("refinement factor must be >= 1")
-    return GridFunction(_refine_values(g.values, factor))
+    out = np.empty(factor * g.n)
+    return GridFunction(_refine_into(g.values, factor, out, np.empty((3, g.n))))
 
 
 def lipschitz_estimate(f, n: int = 4096) -> float:

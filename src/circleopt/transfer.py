@@ -18,6 +18,11 @@ can enter a cycle when the optimal orbit has period >= 2; the averaged one
 keeps the same fixed points without that failure mode, and correctness
 never rests on convergence claims: the residual is always measured a
 posteriori.
+
+A sweep fills buffers allocated once per solve: the interpolated g, f + g
+and the image are written in place, with the same floating-point
+operations in the same order as a plain linear interpolation
+(``refine_linear``) followed by the max, so iterates are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .torus import FunctionSpec, GridFunction, _refine_values, sample
+from .torus import FunctionSpec, GridFunction, _refine_into, sample
 
 
 def max_transfer(f: GridFunction, d: int) -> GridFunction:
@@ -92,6 +97,11 @@ def solve_calibrated(
     (default 1e-9 * range(f)); non-convergence is reported, never silently
     accepted.  A given tol must be finite and positive and max_iter at
     least 1 (ValueError otherwise, before any sweep).
+
+    A sweep allocates nothing: it fills buffers allocated once per solve,
+    with the same floating-point operations in the same order as
+    ``refine_linear`` followed by the max over preimages.  ``g0`` is
+    copied, never written.
     """
     if not isinstance(f, FunctionSpec):
         raise TypeError(f"need a FunctionSpec, got {type(f).__name__}")
@@ -118,17 +128,30 @@ def solve_calibrated(
     else:
         g = np.zeros(n)
 
+    # every sweep works in these two buffers; the loop allocates no array.
+    # The image overwrites the first preimage row, and the scratch rows,
+    # free once the fill is done, hold g's displacement and its modulus.
+    scratch = np.empty((3, n))
+    fine = np.empty(d * n)
+    image = fine[:n]
+    diff, absdiff = scratch[1], scratch[2]
     beta = 0.0
     step = np.inf
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
         # g on the d*n grid: exact copies at multiples of d, linear between
-        image = (ff + _refine_values(g, d)).reshape(d, n).max(axis=0)
+        _refine_into(g, d, fine, scratch)
+        np.add(ff, fine, out=fine)
+        # max over the d preimage rows fine[k*n:(k+1)*n], row by row
+        for k in range(1, d):
+            np.maximum(image, fine[k * n : (k + 1) * n], out=image)
         beta = float(np.max(image))
-        raw = image - beta
-        step = float(np.max(np.abs(raw - g)))
-        g = g + 0.5 * (raw - g)
+        np.subtract(image, beta, out=image)
+        np.subtract(image, g, out=diff)
+        step = float(np.max(np.abs(diff, out=absdiff)))
+        np.multiply(diff, 0.5, out=diff)
+        np.add(g, diff, out=g)
         if step < tol:
             converged = True
             break

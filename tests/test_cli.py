@@ -344,6 +344,19 @@ class TestFailedRunsLeaveNoRunDirectory:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(out.glob("run-*"))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["scan", "--omega-count", "2"], ["sturmian", "--p", "1", "--q", "2"]],
+        ids=["scan", "sturmian"],
+    )
+    def test_orbit_table_over_budget(self, argv, cos_spec, tmp_path, capsys):
+        # 2.0e8 orbit points at max_q = 1000: refused before the table or a solve
+        out = tmp_path / "out"
+        assert main(argv + ["--spec", cos_spec, "--max-q", "1000", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: max_q = 1000 exceeds the Sturmian orbit-table budget of 4194304 points")
+        assert not list(out.glob("run-*"))
+
     def test_validate_without_cases(self, tmp_path, capsys):
         assert main(["validate", "--cases", "0", "--out", str(tmp_path)]) == 3
         assert "cases must be >= 1" in capsys.readouterr().err

@@ -193,6 +193,24 @@ class TestOrbitTable:
         assert points.tolist() == exact
 
 
+class TestOrbitTableBudget:
+    def test_largest_table_inside_the_budget(self):
+        # counts only: sum of q * phi(q) for q <= 274 is 4185413 <= 2^22
+        from circleopt.sturmian import _check_table_budget
+
+        assert _check_table_budget(32) == 7043
+        assert _check_table_budget(274) == 4185413
+
+    @pytest.mark.parametrize("max_q", [275, 1000, 10**9])
+    def test_over_budget_is_refused_before_building(self, max_q):
+        from circleopt.sturmian import _orbit_table
+
+        _orbit_table.cache_clear()
+        with pytest.raises(ValueError, match="exceeds the Sturmian orbit-table budget"):
+            best_sturmian(cosine(), max_q)
+        assert _orbit_table.cache_info().currsize == 0
+
+
 class TestAntipodalDifference:
     def test_constants_vanish(self):
         f = sample(constant(2.0), 64)

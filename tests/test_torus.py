@@ -20,6 +20,7 @@ from circleopt import (
     spec_from_json,
 )
 from circleopt.catalog import constant, cosine, quadratic_extremal, tent
+from circleopt.torus import _refine_into
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,6 +79,41 @@ class TestSample:
         np.testing.assert_array_equal(g2.values[::2], g.values)
         for i in range(32):
             assert g2(i / 32) == g.values[i]
+
+
+def _broadcast_refine(v, factor):
+    """Broadcast form of the interpolation, the bitwise reference for the strided fill."""
+    w = np.arange(factor) / factor
+    return (v[:, None] * (1.0 - w) + np.roll(v, -1)[:, None] * w).ravel()
+
+
+def _hard_values(n, seed):
+    """Signed values from 1e-300 to 1e300 with -0.0 and subnormals mixed in."""
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-300, 301, n).astype(float)
+    v *= rng.choice([-1.0, 1.0], n)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, -1.5e-310]
+    for i, x in zip(rng.choice(n, size=min(n, len(special)), replace=False), special):
+        v[i] = x
+    return v
+
+
+class TestRefineFill:
+    @pytest.mark.parametrize("factor", [2, 3, 5])
+    @pytest.mark.parametrize("n", [4, 7, 4096, 3**7])
+    def test_bitwise_equal_to_broadcast(self, factor, n):
+        v = _hard_values(n, seed=factor * 10007 + n)
+        out = np.full(factor * n, np.nan)
+        _refine_into(v, factor, out, np.empty((3, n)))
+        ref = _broadcast_refine(v, factor)
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("factor", [2, 3, 5])
+    def test_refine_linear_unchanged(self, factor):
+        g = sample(Sum((cosine(), Scale(0.3, Cosine(3, 0.4)))), 96)
+        out = refine_linear(g, factor).values
+        ref = _broadcast_refine(g.values, factor)
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
 
 
 class TestDerivative:

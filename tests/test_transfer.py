@@ -15,7 +15,7 @@ from circleopt import (
     solve_calibrated,
     uniform_defect,
 )
-from circleopt.catalog import constant, cosine, random_trig
+from circleopt.catalog import constant, cosine, quadratic_extremal, random_trig
 
 FOUR_PI_SQ = 4.0 * math.pi**2
 
@@ -231,6 +231,74 @@ class TestSolveCalibrated:
         sol2 = solve_calibrated(f, d=2, grid_n=1024, g0=g0)
         diff = sol1.g.values - sol2.g.values
         assert np.max(diff) - np.min(diff) < 10 * sol1.tol
+
+
+def _reference_solve(f, d, n, max_iter=100_000, g0=None):
+    """Allocating broadcast form of the sweep, the bitwise reference for the solver."""
+    f_coarse = sample(f, n)
+    ff = sample(f, d * n).values
+    rng = f_coarse.value_range()
+    tol = 1e-9 * rng if rng > 0.0 else 1e-12
+    w = np.arange(d) / d
+    g = g0.values - np.max(g0.values) if g0 is not None else np.zeros(n)
+    beta, step, converged = 0.0, np.inf, False
+    for iterations in range(1, max_iter + 1):
+        refined = (g[:, None] * (1.0 - w) + np.roll(g, -1)[:, None] * w).ravel()
+        image = (ff + refined).reshape(d, n).max(axis=0)
+        beta = float(np.max(image))
+        raw = image - beta
+        step = float(np.max(np.abs(raw - g)))
+        g = g + 0.5 * (raw - g)
+        if step < tol:
+            converged = True
+            break
+    g = g - np.max(g)
+    residual = calibration_residual(f_coarse, GridFunction(g), beta, d)
+    return g, beta, residual, iterations, converged, step
+
+
+def _assert_same_solution(sol, ref):
+    g, beta, residual, iterations, converged, step = ref
+    assert sol.g.values.tobytes() == g.tobytes()
+    assert (sol.beta, sol.residual, sol.iterations, sol.converged, sol.final_step) == (
+        beta, residual, iterations, converged, step
+    )
+
+
+_OBSERVABLES = {
+    "cosine": cosine(),
+    "quadratic_extremal": quadratic_extremal(),
+    "random_trig": random_trig(np.random.default_rng(3)),
+}
+
+
+class TestSweepMatchesBroadcastReference:
+    @pytest.mark.parametrize("d, n", [(2, 512), (3, 243)])
+    @pytest.mark.parametrize("name", sorted(_OBSERVABLES))
+    def test_converged_solve_is_bitwise_the_reference(self, name, d, n):
+        f = _OBSERVABLES[name]
+        sol = solve_calibrated(f, d=d, grid_n=n)
+        assert sol.converged
+        _assert_same_solution(sol, _reference_solve(f, d, n))
+
+    @pytest.mark.parametrize("d, n", [(2, 512), (3, 243)])
+    def test_stopped_solve_is_bitwise_the_reference(self, d, n):
+        f = _OBSERVABLES["random_trig"]
+        sol = solve_calibrated(f, d=d, grid_n=n, max_iter=7)
+        assert not sol.converged
+        _assert_same_solution(sol, _reference_solve(f, d, n, max_iter=7))
+
+    @pytest.mark.parametrize("d, n", [(2, 512), (3, 243)])
+    def test_signed_zero_start_is_bitwise_the_reference(self, d, n):
+        # max +0.0 at the last node, so the -0.0 nodes can survive the normalization
+        start = 0.1 * np.cos(2 * np.pi * (np.arange(n) + 1) / n) - 0.1
+        start[::5] = -0.0
+        g0 = GridFunction(start)
+        before = g0.values.tobytes()
+        f = _OBSERVABLES["quadratic_extremal"]
+        sol = solve_calibrated(f, d=d, grid_n=n, g0=g0)
+        assert g0.values.tobytes() == before
+        _assert_same_solution(sol, _reference_solve(f, d, n, g0=g0))
 
 
 class TestDefectInequalityForSolutions:
