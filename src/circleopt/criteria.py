@@ -473,9 +473,8 @@ def scan_translates(
         omega = j / omega_count
         f_om = Translate(omega, f) if omega != 0.0 else f
         sol = solve_calibrated(f_om, d=2, grid_n=grid_n, tol=tol, max_iter=max_iter)
-        f_grid = sample(f_om, grid_n)
-        r = antipodal_difference(f_grid, sol.g)
-        eps = 5.0 * (f_grid.lipschitz_estimate() + sol.g.lipschitz_estimate()) / grid_n
+        r = antipodal_difference(sol.f, sol.g)
+        eps = 5.0 * (sol.f.lipschitz_estimate() + sol.g.lipschitz_estimate()) / grid_n
         cert = sturmian_certificate(r, eps)
         mu, val = best_sturmian(f_om, max_q)
         rows.append(

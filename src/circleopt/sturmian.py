@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from math import gcd
+from math import gcd, isfinite
 
 import numpy as np
 
 from .convexity import pointwise_defect, uniform_defect
-from .torus import GridFunction
+from .torus import GridFunction, _mod1
 
 
 def sturmian_word(p: int, q: int) -> tuple[int, ...]:
@@ -209,24 +209,12 @@ def _circular_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     n = mask.size
     if mask.all():
         return [(0, n)]
-    if not mask.any():
-        return []
-    # rotate so position 0 is False, then find plain runs
+    # rotate so position 0 is False; then rises and falls alternate, and a
+    # run still open at the end falls at the appended False
     off = int(np.argmin(mask))  # first False
-    rolled = np.roll(mask, -off)
-    runs = []
-    in_run = False
-    start = 0
-    for i, m in enumerate(rolled):
-        if m and not in_run:
-            in_run = True
-            start = i
-        elif not m and in_run:
-            in_run = False
-            runs.append(((start + off) % n, i - start))
-    if in_run:
-        runs.append(((start + off) % n, rolled.size - start))
-    return runs
+    edges = np.flatnonzero(np.diff(np.roll(mask, -off), append=False)) + 1
+    starts = edges[0::2]
+    return list(zip(((starts + off) % n).tolist(), (edges[1::2] - starts).tolist()))
 
 
 @dataclass(frozen=True)
@@ -272,11 +260,14 @@ def sturmian_certificate(r: GridFunction, epsilon_r: float) -> SturmianCertifica
 
     For R the antipodal difference of (f, g) the scan passes the band
     epsilon_r = 5 (Lip f + Lip g) / N.  Each arc may be at most
-    w_max = 16 / N wide.
+    w_max = 16 / N wide.  A NaN, infinite or negative epsilon_r is a
+    ValueError, not a band that fails.
     """
     n = r.n
     if n % 2 != 0:
         raise ValueError("certificate needs an even grid")
+    if not (isfinite(epsilon_r) and epsilon_r >= 0.0):
+        raise ValueError(f"epsilon_r must be finite and >= 0, got {epsilon_r}")
     anti = float(np.max(np.abs(r.values + np.roll(r.values, -(n // 2)))))
     scale = max(1.0, float(np.max(np.abs(r.values))))
     if anti > 1e-12 * scale:
@@ -332,11 +323,11 @@ def preimage_branch_bound(f, g, x: float, n: int) -> float:
     ys = ((x + 0.5) + np.arange(m)) / m  # all preimages under T^(n-1)
     # forward orbit T^j y for j = 0..n-2; term k uses point T^(n-k) y
     totals = np.zeros(m)
-    pts = ys % 1.0
-    powers = [pts.copy()]
+    pts = _mod1(ys)
+    powers = [pts]
     for _ in range(n - 2):
-        pts = (2.0 * pts) % 1.0
-        powers.append(pts.copy())
+        pts = _mod1(2.0 * pts)
+        powers.append(pts)
     for k in range(2, n + 1):
         delta = 2.0**-k
         at = powers[n - k]

@@ -29,6 +29,19 @@ _NODE_SNAP = 1e-9
 _JOIN_TOL = 1e-9  # relative continuity tolerance at piecewise junctions
 
 
+def _mod1(x):
+    """x mod 1 in [0, 1] for a float array or scalar, bitwise numpy's ``x % 1.0``.
+
+    Both round the exact value x - floor(x) once (numpy's remainder adds 1
+    to the exact fmod of a negative x), so they agree to the bit, -0.0 -> +0.0
+    and a tiny negative x -> 1.0 included, at a fraction of the cost.
+    """
+    r = np.floor(x)
+    if r.ndim == 0:
+        return x - r
+    return np.subtract(x, r, out=r)
+
+
 class FunctionSpec:
     """Base class for symbolic period-1 observables.
 
@@ -38,7 +51,7 @@ class FunctionSpec:
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
-        out = self._eval(arr % 1.0)
+        out = self._eval(_mod1(arr))
         if arr.ndim == 0:
             return float(out)
         return np.asarray(out, dtype=float)
@@ -222,7 +235,7 @@ class Translate(FunctionSpec):
         object.__setattr__(self, "omega", 0.0 if omega == 1.0 else omega)
 
     def _eval(self, r):
-        return self.inner._eval((r - self.omega) % 1.0)
+        return self.inner._eval(_mod1(r - self.omega))
 
     def derivative(self):
         return Translate(self.omega, self.inner.derivative())
@@ -277,7 +290,7 @@ class AntisymmetricExtension(FunctionSpec):
         shape = np.shape(r)
         flat = np.atleast_1d(np.asarray(r, dtype=float))
         lo = self.half._eval(flat)
-        hi = 2.0 * self.v - self.half._eval((flat - 0.5) % 1.0)
+        hi = 2.0 * self.v - self.half._eval(_mod1(flat - 0.5))
         return np.where(flat < 0.5, lo, hi).reshape(shape)
 
     def derivative(self):
@@ -365,7 +378,7 @@ class GridFunction:
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
-        t = (arr % 1.0) * self.n
+        t = _mod1(arr) * self.n
         j = np.rint(t)
         exact = np.abs(t - j) < _NODE_SNAP
         i0 = np.floor(t).astype(int)
@@ -400,19 +413,25 @@ def sample(f, n: int) -> GridFunction:
     return GridFunction(f(np.arange(n) / n))
 
 
-def _refine_into(v: np.ndarray, factor: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _refine_into(ext: np.ndarray, factor: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Periodic linear interpolation of node values onto the grid that is
     ``factor`` times finer, written into ``out`` (length factor * n); old
     nodes land on every factor-th entry exactly.
 
-    Fine entry i*factor + k is v[i]*(1 - k/factor) + v[i+1]*(k/factor):
-    two products and one sum, the weights rounded once each.  ``scratch``
-    is a (3, n) work array, so the fill allocates nothing.
+    ``ext`` holds the n node values v followed by one spare entry, which
+    the fill sets to v[0], so the right neighbours v[i+1] are the view
+    ``ext[1:]``.  Fine entry i*factor + k is v[i]*(1 - k/factor) +
+    v[i+1]*(k/factor): two products and one sum, the weights rounded once
+    each.  At k = 0 the product v*1.0 is v itself and is skipped; the sum
+    with v[i+1]*0.0 stays, since it turns a -0.0 node into +0.0.
+    ``scratch`` is a (2, n) work array, so the fill allocates nothing.
     """
-    right, lo, hi = scratch
-    right[:-1] = v[1:]
-    right[-1] = v[0]
-    for k in range(factor):
+    ext[-1] = ext[0]
+    v, right = ext[:-1], ext[1:]
+    lo, hi = scratch
+    np.multiply(right, 0.0, out=hi)
+    np.add(v, hi, out=out[::factor])
+    for k in range(1, factor):
         w = k / factor
         np.multiply(v, 1.0 - w, out=lo)
         np.multiply(right, w, out=hi)
@@ -425,7 +444,7 @@ def refine_linear(g: GridFunction, factor: int) -> GridFunction:
     if factor < 1:
         raise ValueError("refinement factor must be >= 1")
     out = np.empty(factor * g.n)
-    return GridFunction(_refine_into(g.values, factor, out, np.empty((3, g.n))))
+    return GridFunction(_refine_into(np.append(g.values, 0.0), factor, out, np.empty((2, g.n))))
 
 
 def lipschitz_estimate(f, n: int = 4096) -> float:

@@ -56,9 +56,12 @@ def calibration_residual(f: GridFunction, g: GridFunction, beta: float, d: int) 
 
 @dataclass(frozen=True)
 class SubactionSolution:
-    """Calibrated sub-action g (normalized to max g = 0) with diagnostics."""
+    """Calibrated sub-action g (normalized to max g = 0) with diagnostics;
+    f holds the N-grid samples of the observable the residual was measured
+    against."""
 
     g: GridFunction
+    f: GridFunction
     beta: float
     residual: float
     iterations: int
@@ -121,35 +124,39 @@ def solve_calibrated(
         tol = 1e-9 * rng if rng > 0.0 else 1e-12
 
     ff = f_fine.values  # length d*n; index i + k*n is preimage k of node i
+    # g lives in the first n entries of g_ext; the fill keeps the last one
+    # equal to g[0], so g's right neighbours are a view, never a copy
+    g_ext = np.empty(n + 1)
+    g = g_ext[:-1]
     if g0 is not None:
         if g0.n != n:
             raise ValueError(f"g0 grid size {g0.n} != {n}")
-        g = g0.values - np.max(g0.values)
+        np.subtract(g0.values, g0.values.max(), out=g)
     else:
-        g = np.zeros(n)
+        g[:] = 0.0
 
-    # every sweep works in these two buffers; the loop allocates no array.
+    # every sweep works in these buffers; the loop allocates no array.
     # The image overwrites the first preimage row, and the scratch rows,
     # free once the fill is done, hold g's displacement and its modulus.
-    scratch = np.empty((3, n))
+    scratch = np.empty((2, n))
     fine = np.empty(d * n)
     image = fine[:n]
-    diff, absdiff = scratch[1], scratch[2]
+    diff, absdiff = scratch
     beta = 0.0
     step = np.inf
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
         # g on the d*n grid: exact copies at multiples of d, linear between
-        _refine_into(g, d, fine, scratch)
+        _refine_into(g_ext, d, fine, scratch)
         np.add(ff, fine, out=fine)
         # max over the d preimage rows fine[k*n:(k+1)*n], row by row
         for k in range(1, d):
             np.maximum(image, fine[k * n : (k + 1) * n], out=image)
-        beta = float(np.max(image))
+        beta = float(image.max())
         np.subtract(image, beta, out=image)
         np.subtract(image, g, out=diff)
-        step = float(np.max(np.abs(diff, out=absdiff)))
+        step = float(np.abs(diff, out=absdiff).max())
         np.multiply(diff, 0.5, out=diff)
         np.add(g, diff, out=g)
         if step < tol:
@@ -161,6 +168,7 @@ def solve_calibrated(
     residual = calibration_residual(f_coarse, g_fn, beta, d)
     return SubactionSolution(
         g=g_fn,
+        f=f_coarse,
         beta=beta,
         residual=residual,
         iterations=iterations,

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from circleopt.catalog import (
     quadratic_extremal,
     tent,
 )
+from circleopt import torus
 from circleopt.torus import PiecewisePoly
 
 FOUR_PI_SQ = 4.0 * math.pi**2
@@ -230,6 +232,13 @@ class TestScanTranslates:
         res = scan_translates(cosine(), 4, grid_n=1024, max_iter=2)
         assert not res.all_pass
         assert all(not r.converged for r in res.rows)
+
+    def test_unchanged_under_numpy_remainder(self, monkeypatch):
+        fast = scan_translates(cosine(), 4, grid_n=512)
+        monkeypatch.setattr(torus, "_mod1", lambda x: x % 1.0)
+        ref = scan_translates(cosine(), 4, grid_n=512)
+        assert json.dumps(fast.to_dict(), sort_keys=True) == json.dumps(ref.to_dict(), sort_keys=True)
+        assert fast.to_csv() == ref.to_csv()
 
     @pytest.mark.parametrize("omega_count, max_q", [(0, 32), (-1, 32), (4, 0)])
     def test_empty_scan_rejected(self, omega_count, max_q):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circleopt import (
     GridFunction,
@@ -17,8 +19,9 @@ from circleopt import (
     sturmian_word,
     uniform_defect,
 )
+from circleopt import sturmian
 from circleopt.catalog import constant, cosine
-from circleopt.sturmian import rotation_numbers
+from circleopt.sturmian import _circular_runs, rotation_numbers
 
 
 class TestSturmianMeasure:
@@ -242,6 +245,54 @@ def _scan_band(s):
     return 5.0 * GridFunction(s).lipschitz_estimate() / s.size
 
 
+def _loop_circular_runs(mask):
+    """The Python loop over the rotated mask, the reference for the array form."""
+    n = mask.size
+    if mask.all():
+        return [(0, n)]
+    if not mask.any():
+        return []
+    off = int(np.argmin(mask))
+    rolled = np.roll(mask, -off)
+    runs = []
+    in_run = False
+    start = 0
+    for i, m in enumerate(rolled):
+        if m and not in_run:
+            in_run = True
+            start = i
+        elif not m and in_run:
+            in_run = False
+            runs.append(((start + off) % n, i - start))
+    if in_run:
+        runs.append(((start + off) % n, rolled.size - start))
+    return runs
+
+
+class TestCircularRuns:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.booleans(), max_size=200))
+    @example([True] * 7)
+    @example([False] * 7)
+    @example([True, False] * 5)  # one-node runs
+    @example([True, True, False, False, True])  # a run across the wrap
+    @example([True] + [False] * 10 + [True, True])
+    @example([False, True])
+    @example([True])
+    @example([False])
+    def test_equals_the_loop(self, bits):
+        mask = np.array(bits, dtype=bool)
+        runs = _circular_runs(mask)
+        assert runs == _loop_circular_runs(mask)
+        assert all(type(v) is int for run in runs for v in run)
+
+    @pytest.mark.parametrize("density", [0.02, 0.5, 0.98])
+    def test_random_masks_at_certificate_size(self, density):
+        rng = np.random.default_rng(int(density * 100))
+        mask = rng.random(4096) < density
+        assert _circular_runs(mask) == _loop_circular_runs(mask)
+
+
 class TestCertificate:
     def test_pure_cosine_passes(self):
         s = np.cos(2 * np.pi * np.arange(512) / 512)
@@ -292,6 +343,12 @@ class TestCertificate:
             s = np.cos(2 * np.pi * np.arange(64) / 64) + 1.0
             sturmian_certificate(GridFunction(s), _scan_band(s))
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1e-3])
+    def test_bad_band_rejected(self, eps):
+        s = np.cos(2 * np.pi * np.arange(256) / 256)
+        with pytest.raises(ValueError, match="epsilon_r must be finite and >= 0"):
+            sturmian_certificate(GridFunction(s - np.roll(s, -128)), eps)
+
     def test_tolerances_embedded(self):
         xs = np.arange(256) / 256
         s = np.cos(2 * np.pi * xs)
@@ -323,6 +380,14 @@ class TestPreimageBranchBound:
             for n in (2, 3):
                 lhs = -2 * (g(float(x)) - g(float(x) + 0.5))
                 assert lhs <= preimage_branch_bound(f, g, float(x), n) + tol
+
+    def test_unchanged_under_numpy_remainder(self, monkeypatch):
+        g = solve_calibrated(cosine(), d=2, grid_n=1024).g
+        args = [(x, n) for x in (0.0, 0.3, -0.2, 0.75) for n in (2, 5, 9)]
+        fast = [preimage_branch_bound(cosine(), g, x, n) for x, n in args]
+        monkeypatch.setattr(sturmian, "_mod1", lambda x: x % 1.0)
+        ref = [preimage_branch_bound(cosine(), g, x, n) for x, n in args]
+        assert np.array(fast).tobytes() == np.array(ref).tobytes()
 
     def test_branch_cap(self):
         with pytest.raises(ValueError):

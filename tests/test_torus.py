@@ -10,6 +10,7 @@ from circleopt import (
     AntisymmetricExtension,
     Cosine,
     GridFunction,
+    Negate,
     PiecewisePoly,
     Scale,
     Sum,
@@ -19,8 +20,9 @@ from circleopt import (
     spec_from_dict,
     spec_from_json,
 )
+from circleopt import torus
 from circleopt.catalog import constant, cosine, quadratic_extremal, tent
-from circleopt.torus import _refine_into
+from circleopt.torus import _mod1, _refine_into
 
 TWO_PI = 2.0 * math.pi
 
@@ -104,7 +106,7 @@ class TestRefineFill:
     def test_bitwise_equal_to_broadcast(self, factor, n):
         v = _hard_values(n, seed=factor * 10007 + n)
         out = np.full(factor * n, np.nan)
-        _refine_into(v, factor, out, np.empty((3, n)))
+        _refine_into(np.append(v, np.nan), factor, out, np.empty((2, n)))
         ref = _broadcast_refine(v, factor)
         assert np.array_equal(out.view(np.int64), ref.view(np.int64))
 
@@ -114,6 +116,57 @@ class TestRefineFill:
         out = refine_linear(g, factor).values
         ref = _broadcast_refine(g.values, factor)
         assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+# signed zeros, subnormals, tiny negatives that reduce to 1.0, values just
+# below an integer, the half-integers where the spacing is 1/2, and huge values
+_MOD1_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, -1e-17, -2.0**-54,
+    1.0 - 2.0**-53, -(1.0 - 2.0**-53), 1.0, -1.0, 0.5, -0.5, 3.7, -3.7,
+    2.0**52 + 0.5, -(2.0**52 + 0.5), 2.0**53, 1e300, -1e300,
+]
+
+
+class TestMod1:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+    @example(_MOD1_EDGES)
+    def test_bitwise_numpy_remainder(self, xs):
+        x = np.array(xs)
+        assert np.array_equal(_bits(_mod1(x)), _bits(x % 1.0))
+
+    @pytest.mark.parametrize("x", _MOD1_EDGES)
+    def test_zero_d_bitwise_numpy_remainder(self, x):
+        zero_d = np.asarray(x)
+        assert _bits(_mod1(zero_d)) == _bits(zero_d % 1.0)
+
+    def test_every_node_kind_unchanged_under_numpy_remainder(self, monkeypatch):
+        half = PiecewisePoly((0.0, 0.25), ((0.0, 4.0), (2.0, -4.0)), wrap=False)
+        specs = [
+            Cosine(3, 0.4),
+            tent(),
+            Sum((cosine(), Scale(0.3, Cosine(2, 1.0)))),
+            Scale(-1.7, Cosine(2, 0.1)),
+            Translate(0.3, quadratic_extremal()),
+            Negate(Translate(0.7, tent())),
+            AntisymmetricExtension(half),
+        ]
+        xs = np.concatenate([np.linspace(-3.0, 3.0, 4097), np.arange(512) / 512, _MOD1_EDGES[:10]])
+        grid = sample(quadratic_extremal(), 96)
+
+        def evaluate():
+            out = [f(xs) for f in specs] + [grid(xs)]
+            return out + [np.array([f(x) for x in (-1e-17, 0.3, -2.5)]) for f in specs]
+
+        fast = evaluate()
+        monkeypatch.setattr(torus, "_mod1", lambda x: x % 1.0)
+        ref = evaluate()
+        for a, b in zip(fast, ref):
+            assert np.array_equal(_bits(a), _bits(b))
 
 
 class TestDerivative:

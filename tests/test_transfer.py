@@ -145,6 +145,12 @@ class TestSolveCalibrated:
         assert sol.residual == pytest.approx(0.0, abs=1e-15)
         np.testing.assert_allclose(sol.g.values, 0.0)
 
+    def test_solution_carries_the_coarse_samples(self):
+        f = Translate(0.3, quadratic_extremal())
+        sol = solve_calibrated(f, d=2, grid_n=256)
+        assert sol.f.values.tobytes() == sample(f, 256).values.tobytes()
+        assert sol.residual == calibration_residual(sol.f, sol.g, sol.beta, 2)
+
     def test_cosine_beta_and_residual(self):
         sol = solve_calibrated(cosine(), d=2, grid_n=4096)
         assert sol.converged
