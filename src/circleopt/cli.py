@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .convexity import convexity_defect
+from .convexity import _delta_table, convexity_defect
 from .criteria import (
     check_class_a,
     check_class_b,
@@ -32,7 +32,7 @@ from .criteria import (
     search_c,
 )
 from .sturmian import best_sturmian, sturmian_measure
-from .torus import lipschitz_estimate, spec_from_dict
+from .torus import lipschitz_estimate, sample, spec_from_dict
 from .transfer import beta_lower_bound, solve_calibrated
 from .validate import run_all
 
@@ -129,9 +129,11 @@ def cmd_solve(args) -> tuple[int, dict, dict]:
 
 
 def cmd_eta(args) -> tuple[int, dict, dict]:
-    rep = convexity_defect(_load_spec(args.spec), args.mode, args.n)
+    f = _load_spec(args.spec)
+    rep = convexity_defect(f, args.mode, args.n)
+    doc = {**rep.to_dict(), "delta_table": _delta_table(sample(f, args.n))}
     print(f"eta = {rep.eta!r}  ({rep.method}, {rep.bound_direction})")
-    return EXIT_PASS, {"mode": args.mode}, {"convexity.json": _json_text(rep.to_dict())}
+    return EXIT_PASS, {"mode": args.mode}, {"convexity.json": _json_text(doc)}
 
 
 def cmd_sturmian(args) -> tuple[int, dict, dict]:

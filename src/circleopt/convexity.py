@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .torus import FunctionSpec, GridFunction, sample
+from .torus import FunctionSpec, GridFunction, _check_grid_size, sample
 
 # Size of the (shifts x nodes) block the second-difference kernel works on;
 # a fixed byte count keeps its working memory flat in N.
@@ -102,12 +102,14 @@ class ConvexityReport:
 
     eta: float
     method: str  # "second_derivative" | "finite_difference"
-    bound_direction: str  # "exact_within_tolerance" | "lower_bound"
-    delta_table: tuple[tuple[float, float, float], ...]  # (delta, defect, error_bound)
     witness_x: float
     witness_delta: float
     error_bound: float
     grid_n: int
+
+    @property
+    def bound_direction(self) -> str:
+        return "exact_within_tolerance" if self.method == "second_derivative" else "lower_bound"
 
     @property
     def is_finite(self) -> bool:
@@ -118,34 +120,28 @@ class ConvexityReport:
             "eta": self.eta,
             "method": self.method,
             "bound_direction": self.bound_direction,
-            "delta_table": [
-                {"delta": d, "xi_star": v, "error_bound": e} for d, v, e in self.delta_table
-            ],
             "witnesses": {"x": self.witness_x, "delta": self.witness_delta},
             "error_bound": self.error_bound,
             "grid_n": self.grid_n,
         }
 
 
-def _delta_table(
-    g: GridFunction, maxima: np.ndarray | None = None
-) -> tuple[tuple[float, float, float], ...]:
-    """Tabulate the uniform defect over at most 32 node-aligned deltas k/N.
-
-    ``maxima[k - 1]``, when given, is the second-difference max at shift k
-    for k = 1..N/2; otherwise the tabulated shifts are computed here.
-    """
+def _delta_table(g: GridFunction) -> list[dict]:
+    """Uniform defect of g at up to 32 node-aligned deltas k/N, as rows
+    ``{"delta", "xi_star", "error_bound"}`` of the ``eta`` artifact."""
     n = g.n
     stride = max(1, (n // 2) // 32)
     ks = np.arange(stride, n // 2 + 1, stride)
-    m = _second_difference_max(g.values, ks)[0] if maxima is None else maxima[ks - 1]
     err = 2.0 * g.lipschitz_estimate() / n
-    return tuple((int(k) / n, float(max(mk, 0.0)), err) for k, mk in zip(ks, m))
+    return [
+        {"delta": int(k) / n, "xi_star": float(max(mk, 0.0)), "error_bound": err}
+        for k, mk in zip(ks, _second_difference_max(g.values, ks)[0])
+    ]
 
 
 def _finite_difference_eta(g: GridFunction, min_delta_nodes: int = 1):
     """max over delta = k/N (k >= min_delta_nodes) and grid x of
-    delta^-2 * defect, with witnesses and the per-k maxima."""
+    delta^-2 * defect, with its witnesses and the kink flag."""
     n = g.n
     ks = np.arange(1, n // 2 + 1)
     maxima, argmax = _second_difference_max(g.values, ks)
@@ -155,7 +151,8 @@ def _finite_difference_eta(g: GridFunction, min_delta_nodes: int = 1):
     score = np.where(maxima > 0.0, maxima * inv_delta_sq, 0.0)
     best = 0.0
     best_x = 0.0
-    best_delta = max(1, min_delta_nodes) / n
+    m = max(1, min_delta_nodes)
+    best_delta = m / n
     eligible = np.where(ks >= min_delta_nodes, score, 0.0)
     i = int(np.argmax(eligible))  # first maximum: the smallest such delta
     if eligible[i] > 0.0:
@@ -163,9 +160,19 @@ def _finite_difference_eta(g: GridFunction, min_delta_nodes: int = 1):
         best_x = float(argmax[i]) / n
         best_delta = int(ks[i]) / n
     # A kink makes delta^-2 * defect blow up like 1/delta as delta -> 0:
-    # flag +inf when halving delta from 2/N to 1/N grows the score by ~2x.
-    infinite = bool(n >= 8 and score[1] > 0.0 and score[0] > 1.6 * score[1])
-    return best, best_x, best_delta, infinite, maxima
+    # flag +inf when halving delta from 2m/N to m/N, the finest scale the
+    # caller admits, grows the score by ~2x.
+    infinite = bool(n >= 8 and 2 * m <= n // 2 and score[2 * m - 1] > 0.0
+                    and score[m - 1] > 1.6 * score[2 * m - 1])
+    return best, best_x, best_delta, infinite
+
+
+def _one_sided(second: FunctionSpec) -> np.ndarray:
+    """f'' at 1e-9 either side of each of its non-smooth points, in order."""
+    eps = 1e-9
+    return np.array(
+        [second((b + s) % 1.0) for b in second.nonsmooth_points() for s in (-eps, eps)]
+    )
 
 
 def convexity_defect(
@@ -200,17 +207,11 @@ def convexity_defect(
         raise ValueError("second_derivative mode needs a symbolic spec with two derivatives")
 
     if second is not None:
+        _check_grid_size(grid_n)
         xs = np.arange(grid_n) / grid_n
         vals = second(xs)
-        cands = [vals]
-        eps = 1e-9
-        for b in second.nonsmooth_points():
-            cands.append(np.array([second((b - eps) % 1.0), second((b + eps) % 1.0)]))
-        allvals = np.concatenate(cands)
-        m = float(np.min(allvals))
-        eta = max(0.0, -m)
+        eta = max(0.0, -float(np.min(np.concatenate([vals, _one_sided(second)]))))
         witness = float(xs[int(np.argmin(vals))])
-        g = sample(f, grid_n)
         # error bound: slope of f'' between its discontinuities times the
         # spacing (one-sided limits at the discontinuities are evaluated
         # directly, so jumps do not contribute error)
@@ -224,8 +225,6 @@ def convexity_defect(
         return ConvexityReport(
             eta=eta,
             method="second_derivative",
-            bound_direction="exact_within_tolerance",
-            delta_table=_delta_table(g),
             witness_x=witness,
             witness_delta=0.0,
             error_bound=lip2 / grid_n,
@@ -233,12 +232,10 @@ def convexity_defect(
         )
 
     g = f if isinstance(f, GridFunction) else sample(f, grid_n)
-    eta, wx, wd, infinite, maxima = _finite_difference_eta(g, min_delta_nodes)
+    eta, wx, wd, infinite = _finite_difference_eta(g, min_delta_nodes)
     return ConvexityReport(
         eta=math.inf if infinite else eta,
         method="finite_difference",
-        bound_direction="lower_bound",
-        delta_table=_delta_table(g, maxima),
         witness_x=wx,
         witness_delta=wd,
         error_bound=2.0 * g.lipschitz_estimate() / g.n,

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convexity import ConvexityReport, convexity_defect, pointwise_defect
+from .convexity import ConvexityReport, _one_sided, convexity_defect, pointwise_defect
 from .sturmian import (
     SturmianCertificate,
     _check_table_budget,
@@ -105,11 +105,6 @@ def _check_window(a: float, b: float) -> None:
         raise ValueError(f"need a < b < a + 1/2, got a={a}, b={b}")
 
 
-def _window_grid(lo: float, hi: float, grid_n: int) -> np.ndarray:
-    """Closed uniform grid on [lo, hi] including both endpoints."""
-    return np.linspace(lo, hi, grid_n + 1)
-
-
 def _eta_or_raise(f, grid_n: int) -> ConvexityReport:
     rep = convexity_defect(f, "auto", grid_n)
     if not rep.is_finite:
@@ -134,7 +129,7 @@ def check_theorem_sturm(f: FunctionSpec, a: float, b: float, grid_n: int = 4096)
     eta = eta_rep.eta
     lip = lipschitz_estimate(f, grid_n)
 
-    xs1 = _window_grid(a, b, grid_n)
+    xs1 = np.linspace(a, b, grid_n + 1)
     z = xs1 + 0.5
     branch = np.maximum(
         pointwise_defect(f, z / 2.0, 0.25),
@@ -147,7 +142,7 @@ def check_theorem_sturm(f: FunctionSpec, a: float, b: float, grid_n: int = 4096)
     # Lip of the left side in x: |f(x)| + |f(x+1/2)| + (1/2)*(4 Lip * 1/2)
     bound1 = 3.0 * lip * ((b - a) / grid_n) / 2.0 + eta_rep.error_bound / 96.0
 
-    xs2 = _window_grid(b, a + 0.5, grid_n)
+    xs2 = np.linspace(b, a + 0.5, grid_n + 1)
     vals2 = -eta / 6.0 - (fp(xs2) - fp(xs2 + 0.5))
     i2 = int(np.argmin(vals2))
     raw2 = float(vals2[i2])
@@ -192,13 +187,13 @@ def check_class_a(
     fine = np.arange(4 * grid_n) / (4 * grid_n)
     fmax = float(max([np.max(f(fine))] + [f(bp) for bp in f.nonsmooth_points()]))
     fmax_err = lip / (4 * grid_n) / 2.0
-    xs1 = _window_grid(a, b, grid_n)
+    xs1 = np.linspace(a, b, grid_n + 1)
     vals1 = 2.0 * f(xs1) - v - (fmax + fmax_err) - eta / 96.0
     i1 = int(np.argmin(vals1))
     raw1 = float(vals1[i1])
     bound1 = 2.0 * lip * ((b - a) / grid_n) / 2.0 + eta_rep.error_bound / 96.0
 
-    xs2 = _window_grid(b, a + 0.5, grid_n)
+    xs2 = np.linspace(b, a + 0.5, grid_n + 1)
     vals2 = -eta / 12.0 - fp(xs2)
     i2 = int(np.argmin(vals2))
     raw2 = float(vals2[i2])
@@ -240,8 +235,8 @@ def check_class_b(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
     raw_even = tol_id - float(np.max(np.abs(f(-xs) - fg.values)))
 
     try:
-        second = f.derivative().derivative()
         fp = f.derivative()
+        second = fp.derivative()
     except ValueError as exc:
         return CriterionReport.from_margins(
             "class-B",
@@ -264,11 +259,7 @@ def check_class_b(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
 
     # eta identity: max f'' and -min f'' agree with eta within 1% + eval noise
     fine = np.arange(2 * grid_n) / (2 * grid_n)
-    cands = [second(fine)]
-    eps = 1e-9
-    for bp in second.nonsmooth_points():
-        cands.append(np.array([second((bp - eps) % 1.0), second((bp + eps) % 1.0)]))
-    allv = np.concatenate(cands)
+    allv = np.concatenate([second(fine), _one_sided(second)])
     smax, smin = float(np.max(allv)), float(np.min(allv))
     tol_eta = 0.01 * max(1.0, eta)
     raw_sym = tol_eta - abs(smax + smin)

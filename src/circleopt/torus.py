@@ -42,6 +42,13 @@ def _mod1(x):
     return np.subtract(x, r, out=r)
 
 
+def _check_finite(field: str, *values) -> None:
+    """Reject a spec parameter that is NaN or infinite, naming its field."""
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"{field} must be finite, got {v!r}")
+
+
 class FunctionSpec:
     """Base class for symbolic period-1 observables.
 
@@ -83,6 +90,7 @@ class Cosine(FunctionSpec):
     def __post_init__(self):
         if isinstance(self.freq, bool) or not (isinstance(self.freq, int) and self.freq >= 1):
             raise ValueError(f"Cosine frequency must be a positive integer, got {self.freq!r}")
+        _check_finite("Cosine.phase", self.phase)
 
     def _eval(self, r):
         return np.cos(TWO_PI * self.freq * r + self.phase)
@@ -115,6 +123,8 @@ class PiecewisePoly(FunctionSpec):
         coefs = tuple(tuple(float(c) for c in piece) for piece in self.coefficients)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "coefficients", coefs)
+        _check_finite("PiecewisePoly breakpoints", *bps)
+        _check_finite("PiecewisePoly coefficients", *(c for piece in coefs for c in piece))
         if not isinstance(self.wrap, bool):
             raise ValueError(f"PiecewisePoly wrap must be a boolean, got {self.wrap!r}")
         if len(bps) == 0 or bps[0] != 0.0:
@@ -209,6 +219,9 @@ class Scale(FunctionSpec):
     factor: float
     inner: FunctionSpec
 
+    def __post_init__(self):
+        _check_finite("Scale.factor", self.factor)
+
     def _eval(self, r):
         return self.factor * self.inner._eval(r)
 
@@ -230,7 +243,9 @@ class Translate(FunctionSpec):
     inner: FunctionSpec
 
     def __post_init__(self):
-        omega = float(self.omega) % 1.0
+        omega = float(self.omega)
+        _check_finite("Translate.omega", omega)
+        omega %= 1.0
         # a tiny negative omega rounds up to 1.0, which is 0 on the circle
         object.__setattr__(self, "omega", 0.0 if omega == 1.0 else omega)
 
@@ -277,6 +292,7 @@ class AntisymmetricExtension(FunctionSpec):
     v: float = 0.0
 
     def __post_init__(self):
+        _check_finite("AntisymmetricExtension.v", self.v)
         h0 = self.half(0.0)
         h_half = self.half(0.5)
         scale = max(1.0, abs(h0), abs(h_half), abs(self.v))
@@ -406,10 +422,14 @@ class GridFunction:
         )
 
 
-def sample(f, n: int) -> GridFunction:
-    """Sample a spec (or any vectorized callable) at n uniform nodes; exact at every node."""
+def _check_grid_size(n: int) -> None:
     if n < 4:
         raise ValueError(f"grid size must be at least 4, got {n}")
+
+
+def sample(f, n: int) -> GridFunction:
+    """Sample a spec (or any vectorized callable) at n uniform nodes; exact at every node."""
+    _check_grid_size(n)
     return GridFunction(f(np.arange(n) / n))
 
 

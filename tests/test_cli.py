@@ -215,6 +215,16 @@ class TestCheck:
         assert main(["check", "--criterion", "search-c", "--spec", str(spec),
                      "--n", "10000", "--out", str(tmp_path)]) == 0
 
+    def test_search_c_non_finite_spec_is_a_usage_error(self, tmp_path, capsys):
+        # once "inconclusive (worst net margin nan)", exit 2, with a run directory
+        spec = tmp_path / "nan.json"
+        spec.write_text('{"kind": "cos", "freq": 1, "phase": NaN}')
+        out = tmp_path / "out"
+        assert main(["check", "--criterion", "search-c", "--spec", str(spec),
+                     "--n", "512", "--out", str(out)]) == 3
+        assert "Cosine.phase must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScan:
     def test_small_scan(self, cos_spec, tmp_path):

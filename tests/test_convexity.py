@@ -6,13 +6,30 @@ import pytest
 from circleopt import (
     GridFunction,
     Scale,
+    Translate,
     convexity_defect,
     pointwise_defect,
     sample,
     uniform_defect,
 )
-from circleopt.catalog import constant, cosine, quadratic_extremal, random_trig, tent
-from circleopt.convexity import _delta_table, _finite_difference_eta, _second_difference_max
+from circleopt import convexity
+from circleopt.catalog import (
+    constant,
+    cosine,
+    cosine_extremal_blend,
+    flattened_cosine,
+    quadratic_extremal,
+    random_antisym_even,
+    random_trig,
+    tent,
+)
+from circleopt.convexity import (
+    _delta_table,
+    _finite_difference_eta,
+    _one_sided,
+    _second_difference_max,
+)
+from circleopt.criteria import check_class_b
 
 FOUR_PI_SQ = 4.0 * math.pi**2
 
@@ -130,8 +147,9 @@ class TestConvexityDefect:
 
     def test_delta_table_dominated_by_eta(self):
         rep = convexity_defect(cosine(), "second_derivative", 4096)
-        for delta, xi, err in rep.delta_table:
-            assert xi / delta**2 <= rep.eta + err / delta**2 + 1e-9
+        for row in _delta_table(sample(cosine(), 4096)):
+            delta = row["delta"]
+            assert row["xi_star"] / delta**2 <= rep.eta + row["error_bound"] / delta**2 + 1e-9
 
     def test_grid_input_uses_finite_difference(self):
         rep = convexity_defect(sample(cosine(), 2048), "auto")
@@ -147,7 +165,82 @@ class TestConvexityDefect:
 
     def test_report_serializes(self):
         doc = convexity_defect(cosine(), "auto").to_dict()
-        assert set(doc) >= {"eta", "delta_table", "witnesses", "error_bound", "method"}
+        assert set(doc) >= {"eta", "witnesses", "error_bound", "method"}
+
+    def test_second_derivative_route_samples_nothing(self, monkeypatch):
+        def no_sample(f, n):
+            raise AssertionError("the second-derivative route sampled f")
+
+        monkeypatch.setattr(convexity, "sample", no_sample)
+        rep = convexity_defect(quadratic_extremal(), "second_derivative", 1024)
+        assert rep.eta == pytest.approx(2.0, abs=1e-12)
+        assert check_class_b(cosine(), 1024).passed
+
+    @pytest.mark.parametrize("grid_n", [0, 3])
+    def test_second_derivative_route_rejects_small_grids(self, grid_n):
+        with pytest.raises(ValueError, match=f"grid size must be at least 4, got {grid_n}"):
+            convexity_defect(cosine(), "second_derivative", grid_n)
+
+    def test_min_delta_nodes_moves_the_kink_test(self):
+        # a 1-node sawtooth: +inf at min_delta_nodes=1, where its score
+        # nearly doubles from k=2 to k=1; from k=4 on only its odd-k second
+        # differences 4e-5 * (N/k)^2 remain (1.7 at k=5)
+        g = sample(cosine(), 1024)
+        saw = GridFunction(g.values + 1e-5 * (-1.0) ** np.arange(1024))
+        assert math.isinf(convexity_defect(saw, "finite_difference").eta)
+        for m in (4, 8):
+            eta = convexity_defect(saw, "finite_difference", min_delta_nodes=m).eta
+            assert eta == pytest.approx(FOUR_PI_SQ, rel=0.05)
+        # a real kink still reads +inf when the finest scales are skipped
+        assert math.isinf(convexity_defect(tent(), "finite_difference", 1024, 4).eta)
+
+
+class TestDeltaTable:
+    @pytest.mark.parametrize("n", [512, 1024, 4096, 4099])
+    @pytest.mark.parametrize(
+        "f",
+        [cosine(), quadratic_extremal(), random_trig(np.random.default_rng(11))],
+        ids=["cosine", "extremal", "random-trig"],
+    )
+    def test_rows_are_uniform_defects(self, f, n):
+        g = sample(f, n)
+        rows = _delta_table(g)
+        assert 1 <= len(rows) <= 32 and rows[-1]["delta"] <= 0.5
+        for row in rows:
+            ref = uniform_defect(g, row["delta"])
+            assert (row["xi_star"], row["error_bound"]) == (ref.value, ref.error_bound)
+
+
+def _loop_one_sided(second):
+    """Per-point reference: f'' at 1e-9 either side of each non-smooth point."""
+    eps = 1e-9
+    cands = []
+    for b in second.nonsmooth_points():
+        cands.append(np.array([second((b - eps) % 1.0), second((b + eps) % 1.0)]))
+    return np.concatenate(cands) if cands else np.zeros(0)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        cosine(),
+        constant(2.0),
+        quadratic_extremal(),
+        cosine_extremal_blend(0.5),
+        flattened_cosine(1 / 27),
+        random_trig(np.random.default_rng(5)),
+        random_antisym_even(np.random.default_rng(5)),
+        Scale(-1.5, cosine(3, 0.25)),
+        Translate(0.3, quadratic_extremal()),
+    ],
+    ids=["cosine", "constant", "extremal", "blend", "flattened", "random-trig",
+         "random-antisym", "scaled-cos3", "translated-extremal"],
+)
+def test_one_sided_matches_loop(f):
+    second = f.derivative().derivative()
+    got, ref = _one_sided(second), _loop_one_sided(second)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
 
 
 def _roll_second_difference(v, k):
@@ -168,7 +261,9 @@ def _loop_finite_difference_eta(g, min_delta_nodes):
         score_by_k[k] = score
         if k >= min_delta_nodes and score > best:
             best, best_x, best_delta = score, float(np.argmax(vals)) / n, k / n
-    infinite = bool(n >= 8 and score_by_k[2] > 0.0 and score_by_k[1] > 1.6 * score_by_k[2])
+    m = max(1, min_delta_nodes)
+    infinite = bool(n >= 8 and 2 * m <= n // 2 and score_by_k[2 * m] > 0.0
+                    and score_by_k[m] > 1.6 * score_by_k[2 * m])
     return best, best_x, best_delta, infinite
 
 
@@ -189,21 +284,22 @@ class TestSecondDifferenceKernel:
             ref = _roll_second_difference(v, int(k))
             assert (m, i) == (ref.max(), ref.argmax()), k
 
-    @pytest.mark.parametrize("min_delta_nodes", [1, 4])
+    @pytest.mark.parametrize("min_delta_nodes", [1, 4, 8])
     @pytest.mark.parametrize(
         "g",
         [
             sample(cosine(), 512),
             GridFunction(sample(cosine(), 512).values + 1e-6 * (-1.0) ** np.arange(512)),
+            GridFunction(sample(cosine(), 1024).values + 1e-5 * (-1.0) ** np.arange(1024)),
             sample(quadratic_extremal(), 1000),
             sample(tent(), 1024),
             sample(constant(1.0), 64),
             # integer second differences 2k^2: the score ties exactly across many k
             GridFunction(-((np.arange(512) - 256.0) ** 2)),
         ],
-        ids=["cosine", "noisy-cosine", "extremal", "tent", "constant", "parabola"],
+        ids=["cosine", "noisy-cosine", "sawtooth-cosine", "extremal", "tent", "constant",
+             "parabola"],
     )
     def test_finite_difference_matches_loop(self, g, min_delta_nodes):
-        *got, maxima = _finite_difference_eta(g, min_delta_nodes)
-        assert tuple(got) == _loop_finite_difference_eta(g, min_delta_nodes)
-        assert _delta_table(g, maxima) == _delta_table(g)
+        got = _finite_difference_eta(g, min_delta_nodes)
+        assert got == _loop_finite_difference_eta(g, min_delta_nodes)

@@ -1,6 +1,8 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+module-level private name is read somewhere in the package.
 
-``__init__.py`` is excluded: its imports are the package's re-exports.
+``__init__.py`` is excluded from the import check: its imports are the
+package's re-exports.
 """
 
 import ast
@@ -10,9 +12,8 @@ import pytest
 
 import circleopt
 
-MODULES = sorted(
-    p for p in Path(circleopt.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+SOURCES = sorted(Path(circleopt.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,3 +44,64 @@ def test_names_in_annotations_and_attribute_bases_count_as_used():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private_definitions(tree: ast.Module):
+    """Module-level functions, classes and constants named _x (not __x__)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names that no module reads besides defining them.
+
+    A read is a load of the bare name or an attribute access ``m._name``;
+    an import alone is not one (an unused import is caught above).
+    """
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return [
+        f"{mod}.{name} (line {line})"
+        for mod, tree in trees.items()
+        for name, line in _private_definitions(tree)
+        if name not in read
+    ]
+
+
+def test_detects_an_unread_private_name():
+    sources = {
+        "table": (
+            "import numpy as np\n"
+            "_STRIDE: int = 32\n"
+            "_SPARE = 1\n"
+            "class _Row:\n    pass\n"
+            "def _table(g, maxima=None):\n    return np.arange(_STRIDE)\n"
+            "def _table_from_maxima(g, maxima):\n    return maxima\n"
+            "def __getattr__(name):\n    raise AttributeError(name)\n"
+        ),
+        "cli": "from .table import _table\nimport table\nprint(_table(1), table._Row)\n",
+    }
+    assert unread_private_names(sources) == [
+        "table._SPARE (line 3)",
+        "table._table_from_maxima (line 8)",
+    ]
+
+
+def test_no_unread_private_names():
+    assert unread_private_names({p.stem: p.read_text() for p in SOURCES}) == []

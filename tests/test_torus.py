@@ -227,6 +227,50 @@ class TestAntisymmetricExtension:
             f.derivative()
 
 
+# each numeric spec parameter, built with one value put in
+NUMERIC_FIELDS = {
+    "Cosine.phase": lambda x: Cosine(1, x),
+    "Scale.factor": lambda x: Scale(x, cosine()),
+    "Translate.omega": lambda x: Translate(x, cosine()),
+    "PiecewisePoly breakpoints": lambda x: PiecewisePoly((0.0, x), ((0.0,), (1.0,))),
+    "PiecewisePoly coefficients": lambda x: PiecewisePoly((0.0, 0.5), ((0.0, 1.0), (x,))),
+    "AntisymmetricExtension.v": lambda x: AntisymmetricExtension(cosine(), x),
+}
+
+
+class TestNonFiniteSpecs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS)
+    def test_rejected_at_construction(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad!r}$"):
+            NUMERIC_FIELDS[field](bad)
+
+    def test_first_breakpoint_named_finite(self):
+        with pytest.raises(ValueError, match="breakpoints must be finite, got nan"):
+            PiecewisePoly((math.nan,), ((1.0,),))
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"kind": "cos", "freq": 1, "phase": NaN}', "Cosine.phase"),
+            ('{"kind": "scale", "factor": -Infinity, "inner": {"kind": "cos", "freq": 1}}',
+             "Scale.factor"),
+            ('{"kind": "translate", "omega": Infinity, "inner": {"kind": "cos", "freq": 1}}',
+             "Translate.omega"),
+            ('{"kind": "piecewise_poly", "breakpoints": [0.0, NaN], "coefficients": [[0], [1]]}',
+             "PiecewisePoly breakpoints"),
+            ('{"kind": "sum", "terms": [{"kind": "piecewise_poly", "breakpoints": [0.0],'
+             ' "coefficients": [[1.0, Infinity]]}]}', "PiecewisePoly coefficients"),
+            ('{"kind": "antisym_ext", "v": NaN, "half": {"kind": "cos", "freq": 1}}',
+             "AntisymmetricExtension.v"),
+        ],
+        ids=["cos", "scale", "translate", "breakpoint", "coefficient", "antisym_ext"],
+    )
+    def test_json_literals_rejected(self, text, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            spec_from_json(text)
+
+
 class TestSerialization:
     def test_round_trip(self):
         f = Sum((Scale(0.5, Translate(0.25, cosine())), quadratic_extremal()))
