@@ -13,6 +13,7 @@ exit code.  Exit codes: 0 pass/success, 1 criterion fail,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -192,7 +193,9 @@ def cmd_validate(args) -> tuple[int, dict, dict]:
     return code, {}, {"validate.json": _json_text([r.to_dict() for r in results])}
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared for the process."""
     ap = argparse.ArgumentParser(
         prog="circleopt",
         description="Ergodic optimization toolkit for circle expanding maps",

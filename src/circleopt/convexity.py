@@ -25,30 +25,40 @@ import numpy as np
 
 from .torus import FunctionSpec, GridFunction, _check_grid_size, sample
 
-# Size of the (shifts x nodes) block the second-difference kernel works on;
-# a fixed byte count keeps its working memory flat in N.
-_BLOCK_BYTES = 128 * 1024
+# Size of the (shifts x nodes) block the second-difference kernel fills per
+# step; a fixed byte count keeps its working memory flat in N.
+_BLOCK_BYTES = 512 * 1024
 
 
-def _second_difference_max(v: np.ndarray, ks) -> tuple[np.ndarray, np.ndarray]:
-    """Max and first argmax over nodes x of 2 v[x] - v[x+k] - v[x-k], per k.
+def _second_difference_max(v: np.ndarray, ks: range) -> tuple[np.ndarray, np.ndarray]:
+    """Max and first argmax over nodes x of 2 v[x] - v[x+k] - v[x-k], per k in ks.
 
-    Indices are periodic and k is reduced mod N, so every integer k gives
-    what ``2.0 * v - np.roll(v, -k) - np.roll(v, k)`` gives, bit for bit.
+    ks is a range with a positive step and 0 <= k <= N (ValueError
+    otherwise).  Indices are periodic: row k holds what
+    ``2.0 * v - np.roll(v, -k) - np.roll(v, k)`` gives, bit for bit, and so
+    do its max and first argmax.
     """
     n = v.size
-    ks = np.asarray(ks, dtype=np.int64) % n
+    if not isinstance(ks, range) or ks.step <= 0 or (ks and not (ks[0] >= 0 and ks[-1] <= n)):
+        raise ValueError(f"shifts must be a range with a positive step inside 0..{n}, got {ks!r}")
     # row r of win is v shifted left by r (r = 0..N), so v[x+k] is win[k, x]
-    # and v[x-k] is win[N-k, x]
+    # and v[x-k] is win[N-k, x]: a progression of k is a strided view of rows
     win = np.lib.stride_tricks.sliding_window_view(np.concatenate([v, v]), n)
-    maxima = np.empty(ks.size)
-    argmax = np.empty(ks.size, dtype=np.int64)
-    rows = max(1, _BLOCK_BYTES // v.nbytes)
-    for lo in range(0, ks.size, rows):
+    two_v = 2.0 * v
+    maxima = np.empty(len(ks))
+    argmax = np.empty(len(ks), dtype=np.int64)
+    rows = max(1, min(len(ks), _BLOCK_BYTES // v.nbytes))
+    buf = np.empty((rows, n))
+    for lo in range(0, len(ks), rows):
         kb = ks[lo:lo + rows]
-        vals = 2.0 * v - win[kb] - win[n - kb]
-        maxima[lo:lo + rows] = vals.max(axis=1)
-        argmax[lo:lo + rows] = vals.argmax(axis=1)
+        hi = lo + len(kb)
+        vals = buf[:len(kb)]
+        np.subtract(two_v, win[kb.start:kb.stop:kb.step], out=vals)
+        np.subtract(vals, win[n - kb[-1]:n - kb[0] + 1:kb.step][::-1], out=vals)
+        vals.argmax(axis=1, out=argmax[lo:hi])
+        # a reduction, not the value at the argmax: a row of signed zeros
+        # has its max's sign from np.max, as the roll expression's has
+        vals.max(axis=1, out=maxima[lo:hi])
     return maxima, argmax
 
 
@@ -86,7 +96,8 @@ def uniform_defect(f: GridFunction, delta: float) -> DefectBound:
     k = delta * n
     if abs(k - round(k)) >= 1e-9:
         raise ValueError(f"delta={delta} is not a multiple of the grid spacing 1/{n}")
-    maxima, _ = _second_difference_max(f.values, [int(round(k))])
+    k = int(round(k)) % n
+    maxima, _ = _second_difference_max(f.values, range(k, k + 1))
     return DefectBound(float(max(maxima[0], 0.0)), 2.0 * f.lipschitz_estimate() / n)
 
 
@@ -131,10 +142,10 @@ def _delta_table(g: GridFunction) -> list[dict]:
     ``{"delta", "xi_star", "error_bound"}`` of the ``eta`` artifact."""
     n = g.n
     stride = max(1, (n // 2) // 32)
-    ks = np.arange(stride, n // 2 + 1, stride)
+    ks = range(stride, n // 2 + 1, stride)
     err = 2.0 * g.lipschitz_estimate() / n
     return [
-        {"delta": int(k) / n, "xi_star": float(max(mk, 0.0)), "error_bound": err}
+        {"delta": k / n, "xi_star": float(max(mk, 0.0)), "error_bound": err}
         for k, mk in zip(ks, _second_difference_max(g.values, ks)[0])
     ]
 
@@ -143,27 +154,30 @@ def _finite_difference_eta(g: GridFunction, min_delta_nodes: int = 1):
     """max over delta = k/N (k >= min_delta_nodes) and grid x of
     delta^-2 * defect, with its witnesses and the kink flag."""
     n = g.n
-    ks = np.arange(1, n // 2 + 1)
+    m = max(1, min_delta_nodes)
+    if 2 * m > n // 2:
+        raise ValueError(
+            f"min_delta_nodes={min_delta_nodes} leaves no room for the kink test at "
+            f"N={n}: need 2 * max(1, min_delta_nodes) <= N/2"
+        )
+    ks = range(m, n // 2 + 1)
     maxima, argmax = _second_difference_max(g.values, ks)
     # delta^-2 by Python's float pow: numpy's square rounds differently in
     # the last bit for some k, which would move eta and its witness
-    inv_delta_sq = np.array([(n / k) ** 2 for k in range(1, n // 2 + 1)])
+    inv_delta_sq = np.array([(n / k) ** 2 for k in ks])
     score = np.where(maxima > 0.0, maxima * inv_delta_sq, 0.0)
     best = 0.0
     best_x = 0.0
-    m = max(1, min_delta_nodes)
     best_delta = m / n
-    eligible = np.where(ks >= min_delta_nodes, score, 0.0)
-    i = int(np.argmax(eligible))  # first maximum: the smallest such delta
-    if eligible[i] > 0.0:
-        best = float(eligible[i])
+    i = int(np.argmax(score))  # first maximum: the smallest such delta
+    if score[i] > 0.0:
+        best = float(score[i])
         best_x = float(argmax[i]) / n
-        best_delta = int(ks[i]) / n
+        best_delta = ks[i] / n
     # A kink makes delta^-2 * defect blow up like 1/delta as delta -> 0:
     # flag +inf when halving delta from 2m/N to m/N, the finest scale the
-    # caller admits, grows the score by ~2x.
-    infinite = bool(n >= 8 and 2 * m <= n // 2 and score[2 * m - 1] > 0.0
-                    and score[m - 1] > 1.6 * score[2 * m - 1])
+    # caller admits, grows the score by ~2x (score[j] is k = m + j).
+    infinite = bool(n >= 8 and score[m] > 0.0 and score[0] > 1.6 * score[m])
     return best, best_x, best_delta, infinite
 
 
@@ -172,6 +186,33 @@ def _one_sided(second: FunctionSpec) -> np.ndarray:
     eps = 1e-9
     return np.array(
         [second((b + s) % 1.0) for b in second.nonsmooth_points() for s in (-eps, eps)]
+    )
+
+
+def _second_derivative_report(
+    second: FunctionSpec, vals: np.ndarray, one_sided: np.ndarray
+) -> ConvexityReport:
+    """The second-derivative route's report from f'' at the N nodes i/N
+    (``vals``) and beside its non-smooth points (``one_sided``)."""
+    grid_n = vals.size
+    eta = max(0.0, -float(np.min(np.concatenate([vals, one_sided]))))
+    # error bound: slope of f'' between its discontinuities times the
+    # spacing (one-sided limits at the discontinuities are evaluated
+    # directly, so jumps do not contribute error)
+    diffs = np.abs(np.diff(np.concatenate([vals, vals[:1]])))
+    keep = np.ones(grid_n, dtype=bool)
+    for b in second.nonsmooth_points():
+        i = int(math.floor((b % 1.0) * grid_n))
+        keep[i % grid_n] = False
+        keep[(i - 1) % grid_n] = False
+    lip2 = float(np.max(diffs[keep])) * grid_n if keep.any() else 0.0
+    return ConvexityReport(
+        eta=eta,
+        method="second_derivative",
+        witness_x=int(np.argmin(vals)) / grid_n,
+        witness_delta=0.0,
+        error_bound=lip2 / grid_n,
+        grid_n=grid_n,
     )
 
 
@@ -190,7 +231,9 @@ def convexity_defect(
     ``min_delta_nodes`` restricts the finite-difference delta grid to
     delta >= min_delta_nodes / N.  Solved sub-actions carry an
     interpolation sawtooth below ~4 grid spacings; measuring them with
-    min_delta_nodes=4 probes the function rather than the artifact.
+    min_delta_nodes=4 probes the function rather than the artifact.  The
+    kink test compares delta = m/N with 2m/N (m = max(1, min_delta_nodes)),
+    so 2m > N/2 raises a ValueError.
     """
     if mode not in ("auto", "second_derivative", "finite_difference"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -208,28 +251,7 @@ def convexity_defect(
 
     if second is not None:
         _check_grid_size(grid_n)
-        xs = np.arange(grid_n) / grid_n
-        vals = second(xs)
-        eta = max(0.0, -float(np.min(np.concatenate([vals, _one_sided(second)]))))
-        witness = float(xs[int(np.argmin(vals))])
-        # error bound: slope of f'' between its discontinuities times the
-        # spacing (one-sided limits at the discontinuities are evaluated
-        # directly, so jumps do not contribute error)
-        diffs = np.abs(np.diff(np.concatenate([vals, vals[:1]])))
-        keep = np.ones(grid_n, dtype=bool)
-        for b in second.nonsmooth_points():
-            i = int(math.floor((b % 1.0) * grid_n))
-            keep[i % grid_n] = False
-            keep[(i - 1) % grid_n] = False
-        lip2 = float(np.max(diffs[keep])) * grid_n if keep.any() else 0.0
-        return ConvexityReport(
-            eta=eta,
-            method="second_derivative",
-            witness_x=witness,
-            witness_delta=0.0,
-            error_bound=lip2 / grid_n,
-            grid_n=grid_n,
-        )
+        return _second_derivative_report(second, second(np.arange(grid_n) / grid_n), _one_sided(second))
 
     g = f if isinstance(f, GridFunction) else sample(f, grid_n)
     eta, wx, wd, infinite = _finite_difference_eta(g, min_delta_nodes)

@@ -10,7 +10,7 @@ import pytest
 import circleopt
 from circleopt.catalog import cosine, tent
 from circleopt.torus import PiecewisePoly, Sum
-from circleopt.cli import main
+from circleopt.cli import build_parser, main
 from circleopt.sturmian import _orbit_table
 
 
@@ -155,6 +155,25 @@ class TestSolve:
         assert capsys.readouterr().out.splitlines()[-1] == f"artifacts in {rd}"
         second = {p.name: p.read_bytes() for p in rd.iterdir()}
         assert first == second
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_usage_error_leaves_the_parser_unchanged(self, cos_spec, tmp_path, capsys):
+        def eta_files(out):
+            assert main(["eta", "--spec", cos_spec, "--n", "512", "--out", str(out)]) == 0
+            rd = _only_run_dir(out)
+            return rd.name, {p.name: p.read_bytes() for p in rd.iterdir()}
+
+        build_parser.cache_clear()
+        first = eta_files(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(["eta", "--spec", cos_spec, "--mode", "bogus", "--out", str(tmp_path / "bad")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "bad").exists()
+        assert eta_files(tmp_path / "again") == first
 
 
 class TestEta:

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circleopt import (
     GridFunction,
@@ -194,6 +197,16 @@ class TestConvexityDefect:
         # a real kink still reads +inf when the finest scales are skipped
         assert math.isinf(convexity_defect(tent(), "finite_difference", 1024, 4).eta)
 
+    @pytest.mark.parametrize("m", [20, 40])
+    def test_min_delta_nodes_without_room_for_the_kink_test(self, m):
+        # 2m > N/2: delta = 2m/N is not on the grid, so a kink would read
+        # finite (m = 20) or the scan would be empty (m = 40)
+        with pytest.raises(ValueError, match=f"min_delta_nodes={m} .* N=64"):
+            convexity_defect(tent(), "finite_difference", 64, m)
+
+    def test_largest_min_delta_nodes_still_flags_a_kink(self):
+        assert math.isinf(convexity_defect(tent(), "finite_difference", 64, 16).eta)
+
 
 class TestDeltaTable:
     @pytest.mark.parametrize("n", [512, 1024, 4096, 4099])
@@ -267,6 +280,30 @@ def _loop_finite_difference_eta(g, min_delta_nodes):
     return best, best_x, best_delta, infinite
 
 
+def _assert_matches_roll(v, ks):
+    """The kernel's max and first argmax are the roll expression's, bit for bit."""
+    maxima, argmax = _second_difference_max(v, ks)
+    assert maxima.shape == argmax.shape == (len(ks),)
+    for k, m, i in zip(ks, maxima, argmax):
+        ref = _roll_second_difference(v, k)
+        assert i == ref.argmax(), k
+        assert m.tobytes() == ref.max().tobytes(), k
+
+
+# integer values make exact ties; -0.0 and 0.0 tie with each other
+_TIE_VALUES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+_FLOAT_VALUES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _vector_and_shifts(draw):
+    n = draw(st.integers(1, 40))
+    v = np.array(draw(st.lists(st.one_of(_TIE_VALUES, _FLOAT_VALUES), min_size=n, max_size=n)))
+    start = draw(st.integers(0, n))
+    stop = draw(st.integers(start, n + 1))
+    return v, range(start, stop, draw(st.integers(1, n + 1)))
+
+
 class TestSecondDifferenceKernel:
     @pytest.mark.parametrize("n", [7, 101, 4096])
     @pytest.mark.parametrize("kind", ["random", "cosine"])
@@ -276,13 +313,43 @@ class TestSecondDifferenceKernel:
             v = np.random.default_rng(n).standard_normal(n)
         else:
             v = sample(cosine(), n).values
-        # every shift 0..N+2 (so k >= N/2 and k >= N), multiples of N, and
-        # an unordered tail with repeats
-        ks = np.concatenate([np.arange(n + 3), [2 * n, 3 * n, 5 * n + 1, 3, 3 * n - 1, 1]])
-        maxima, argmax = _second_difference_max(v, ks)
-        for k, m, i in zip(ks, maxima, argmax):
-            ref = _roll_second_difference(v, int(k))
-            assert (m, i) == (ref.max(), ref.argmax()), k
+        # every shift 0..N, then strided progressions that start, stop and
+        # step off the block boundaries, and the empty and one-shift ranges
+        _assert_matches_roll(v, range(n + 1))
+        for ks in (range(1, n // 2 + 1, 3), range(2, n + 1, 7), range(n // 3, n, n // 3 or 1),
+                   range(n, n + 1), range(5, 5)):
+            _assert_matches_roll(v, ks)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_vector_and_shifts())
+    # an all-zero row whose first maximum is -0.0 while np.max gives +0.0
+    @example((np.array([-0.0, 0.0, 0.0, 0.0]), range(1, 2)))
+    def test_matches_roll_on_random_progressions(self, case):
+        _assert_matches_roll(*case)
+
+    @pytest.mark.parametrize(
+        "ks",
+        [[1, 2], np.arange(1, 4), range(-1, 3), range(0, 10), range(3, 0, -1), range(9, 12)],
+        ids=["list", "array", "negative", "past-n", "descending", "beyond"],
+    )
+    def test_rejects_shifts_outside_a_forward_range(self, ks):
+        with pytest.raises(ValueError, match="range with a positive step inside 0..8"):
+            _second_difference_max(np.arange(8.0), ks)
+
+    def test_memory_stays_within_the_block(self):
+        # v||v, 2v and the two outputs (N/2 entries each) are 4 N-arrays; the
+        # rest is the block, numpy's ufunc buffer (np.getbufsize() elements)
+        # for the in-place subtraction of a strided view, and array headers
+        v = sample(cosine(), 4096).values
+        ks = range(1, 4096 // 2 + 1)
+        _second_difference_max(v, ks)
+        tracemalloc.start()
+        try:
+            _second_difference_max(v, ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < convexity._BLOCK_BYTES + 4 * v.nbytes + 8 * np.getbufsize() + 16 * 1024
 
     @pytest.mark.parametrize("min_delta_nodes", [1, 4, 8])
     @pytest.mark.parametrize(

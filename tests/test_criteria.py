@@ -15,6 +15,7 @@ from circleopt import (
     check_class_b,
     check_kappa,
     check_theorem_sturm,
+    convexity_defect,
     scan_translates,
     search_c,
 )
@@ -24,9 +25,10 @@ from circleopt.catalog import (
     cosine_extremal_blend,
     flattened_cosine,
     quadratic_extremal,
+    random_antisym_even,
     tent,
 )
-from circleopt import torus
+from circleopt import convexity, torus
 from circleopt.torus import PiecewisePoly
 
 FOUR_PI_SQ = 4.0 * math.pi**2
@@ -122,6 +124,49 @@ class TestClassB:
         rep = check_class_b(cosine_extremal_blend(0.5))
         assert rep.passed
         assert rep.raw_margins["second_derivative_symmetry"] > 0
+
+    @pytest.mark.parametrize("f", [cosine(), quadratic_extremal()], ids=["cosine", "extremal"])
+    def test_second_derivative_derived_and_scanned_once(self, f, monkeypatch):
+        def no_sample(g, n):
+            raise AssertionError("the eta report sampled f")
+
+        second = f.derivative().derivative()
+        derivations, sizes = [], []
+        derive, call = type(f).derivative, torus.FunctionSpec.__call__
+
+        def counting_derive(self):
+            derivations.append(self)
+            return derive(self)
+
+        def counting_call(self, x):
+            if self == second:
+                sizes.append(int(np.size(x)))
+            return call(self, x)
+
+        monkeypatch.setattr(convexity, "sample", no_sample)
+        monkeypatch.setattr(type(f), "derivative", counting_derive)
+        monkeypatch.setattr(torus.FunctionSpec, "__call__", counting_call)
+        rep = check_class_b(f, 1024)
+        assert rep.passed
+        assert derivations.count(f) == 1
+        # the 2N grid, which holds the N-grid eta scan, one point either side
+        # of each non-smooth point, and the concavity scan inside (-1/4, 1/4)
+        one_sided = [1] * 2 * len(second.nonsmooth_points())
+        assert sorted(sizes) == sorted([2 * 1024, 1024 - 1] + one_sided)
+
+    @pytest.mark.parametrize("n", [512, 4096, 4099])
+    @pytest.mark.parametrize(
+        "f",
+        [cosine(), quadratic_extremal(), flattened_cosine(0.02), cosine_extremal_blend(0.5),
+         random_antisym_even(np.random.default_rng(5))],
+        ids=["cosine", "extremal", "flattened", "blend", "random"],
+    )
+    def test_eta_is_the_second_derivative_route_bitwise(self, f, n):
+        second = f.derivative().derivative()
+        fine = second(np.arange(2 * n) / (2 * n))
+        assert fine[::2].tobytes() == second(np.arange(n) / n).tobytes()
+        eta = check_class_b(f, n).tolerances["eta"]
+        assert np.float64(eta).tobytes() == np.float64(convexity_defect(f, "second_derivative", n).eta).tobytes()
 
 
 class TestKappa:
