@@ -14,9 +14,11 @@ Everything is immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
+
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
@@ -27,6 +29,8 @@ TWO_PI = 2.0 * math.pi
 _NODE_SNAP = 1e-9
 
 _JOIN_TOL = 1e-9  # relative continuity tolerance at piecewise junctions
+
+_CSV_BLOCK = 4096  # rows of GridFunction.to_csv formatted per % call
 
 
 def _mod1(x):
@@ -416,10 +420,21 @@ class GridFunction:
         return float(np.max(self.values) - np.min(self.values))
 
     def to_csv(self) -> str:
+        """Rows ``x,value`` with x = i/N, both ``%.12g``.
+
+        Formatted a block of rows per ``%`` call from an interleaved
+        (x, value) array; np.arange(n) / n is bitwise i / n, so the text is
+        that of one ``%`` per row.
+        """
         n = self.n
-        return "x,value\n" + "".join(
-            "%.12g,%.12g\n" % (i / n, v) for i, v in enumerate(self.values)
-        )
+        pairs = np.empty((n, 2))
+        pairs[:, 0] = np.arange(n) / n
+        pairs[:, 1] = self.values
+        parts = ["x,value\n"]
+        for lo in range(0, n, _CSV_BLOCK):
+            block = pairs[lo : lo + _CSV_BLOCK]
+            parts.append("%.12g,%.12g\n" * len(block) % tuple(block.ravel().tolist()))
+        return "".join(parts)
 
 
 def _check_grid_size(n: int) -> None:
@@ -433,38 +448,67 @@ def sample(f, n: int) -> GridFunction:
     return GridFunction(f(np.arange(n) / n))
 
 
-def _refine_into(ext: np.ndarray, factor: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Periodic linear interpolation of node values onto the grid that is
-    ``factor`` times finer, written into ``out`` (length factor * n); old
-    nodes land on every factor-th entry exactly.
+@functools.lru_cache(maxsize=None)
+def _weight_plan(factor: int) -> tuple[tuple[float, ...], tuple[tuple[int, int], ...]]:
+    """The distinct interpolation weights for ``factor`` and, for each
+    k = 1..factor-1, the indices of the weights 1 - k/factor (left node)
+    and k/factor (right node) among them.
+
+    A weight enters once however often it recurs: 1 - k/factor is bitwise
+    (factor - k)/factor for factor 2 and 4 but for neither k of factor 3,
+    so factor 2 needs one product array and factor 3 four.
+    """
+    weights: list[float] = []
+
+    def index(c: float) -> int:
+        if c not in weights:
+            weights.append(c)
+        return weights.index(c)
+
+    pairs = tuple((index(1.0 - k / factor), index(k / factor)) for k in range(1, factor))
+    return tuple(weights), pairs
+
+
+def _refine_into(ext: np.ndarray, rows: np.ndarray, products: np.ndarray, add=None) -> np.ndarray:
+    """Periodic linear interpolation of n node values onto the grid that is
+    ``factor`` times finer, written residue by residue: ``rows`` has shape
+    (factor, n) and rows[k][i] is fine entry i*factor + k.
 
     ``ext`` holds the n node values v followed by one spare entry, which
     the fill sets to v[0], so the right neighbours v[i+1] are the view
-    ``ext[1:]``.  Fine entry i*factor + k is v[i]*(1 - k/factor) +
-    v[i+1]*(k/factor): two products and one sum, the weights rounded once
-    each.  At k = 0 the product v*1.0 is v itself and is skipped; the sum
-    with v[i+1]*0.0 stays, since it turns a -0.0 node into +0.0.
-    ``scratch`` is a (2, n) work array, so the fill allocates nothing.
+    ``ext[1:]``.  Row 0 is v itself; row k >= 1 is v*(1 - k/factor) +
+    v[i+1]*(k/factor), the weights rounded once each.  ``products`` is a
+    (len(weights), n + 1) buffer that gets ext times each distinct weight
+    of ``_weight_plan``, so a product shared by two rows (for factor 2,
+    v*0.5 is the left term of entry i and the right term of entry i - 1) is
+    computed once.  With ``add`` (shape (factor, n)), every row k gets
+    add[k] + (its interpolant): row 0 becomes add[0] + v.  The fill
+    allocates nothing.
     """
+    weights, pairs = _weight_plan(rows.shape[0])
     ext[-1] = ext[0]
-    v, right = ext[:-1], ext[1:]
-    lo, hi = scratch
-    np.multiply(right, 0.0, out=hi)
-    np.add(v, hi, out=out[::factor])
-    for k in range(1, factor):
-        w = k / factor
-        np.multiply(v, 1.0 - w, out=lo)
-        np.multiply(right, w, out=hi)
-        np.add(lo, hi, out=out[k::factor])
-    return out
+    v = ext[:-1]
+    for c, prod in zip(weights, products):
+        np.multiply(ext, c, out=prod)
+    if add is None:
+        rows[0] = v
+    else:
+        np.add(add[0], v, out=rows[0])
+    for k, (lo, hi) in enumerate(pairs, 1):
+        np.add(products[lo, :-1], products[hi, 1:], out=rows[k])
+        if add is not None:
+            np.add(rows[k], add[k], out=rows[k])
+    return rows
 
 
 def refine_linear(g: GridFunction, factor: int) -> GridFunction:
-    """Upsample by an integer factor; old nodes are copied exactly."""
+    """Upsample by an integer factor; old nodes are copied bit for bit."""
     if factor < 1:
         raise ValueError("refinement factor must be >= 1")
     out = np.empty(factor * g.n)
-    return GridFunction(_refine_into(np.append(g.values, 0.0), factor, out, np.empty((2, g.n))))
+    products = np.empty((len(_weight_plan(factor)[0]), g.n + 1))
+    _refine_into(np.append(g.values, 0.0), out.reshape(g.n, factor).T, products)
+    return GridFunction(out)
 
 
 def lipschitz_estimate(f, n: int = 4096) -> float:

@@ -19,21 +19,22 @@ keeps the same fixed points without that failure mode, and correctness
 never rests on convergence claims: the residual is always measured a
 posteriori.
 
-A sweep fills buffers allocated once per solve: the interpolated g, f + g
-and the image are written in place, with the same floating-point
-operations in the same order as a plain linear interpolation
-(``refine_linear``) followed by the max, so iterates are bit-reproducible.
+A sweep fills buffers allocated once per solve: f + g on the fine grid,
+with g interpolated by ``refine_linear``'s fill, and the image are written
+in place, so iterates are bit-reproducible.  For d = 2 a sweep makes 12
+passes over the grid.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .torus import FunctionSpec, GridFunction, _refine_into, sample
+from .torus import FunctionSpec, GridFunction, _refine_into, _weight_plan, sample
 
 
 def max_transfer(f: GridFunction, d: int) -> GridFunction:
@@ -58,10 +59,12 @@ def calibration_residual(f: GridFunction, g: GridFunction, beta: float, d: int) 
 class SubactionSolution:
     """Calibrated sub-action g (normalized to max g = 0) with diagnostics;
     f holds the N-grid samples of the observable the residual was measured
-    against."""
+    against; lipschitz_fine is the empirical Lipschitz constant of the
+    d*N-grid samples the sweeps read (``lipschitz_estimate(f, d*N)``)."""
 
     g: GridFunction
     f: GridFunction
+    lipschitz_fine: float
     beta: float
     residual: float
     iterations: int
@@ -101,10 +104,12 @@ def solve_calibrated(
     accepted.  A given tol must be finite and positive and max_iter at
     least 1 (ValueError otherwise, before any sweep).
 
-    A sweep allocates nothing: it fills buffers allocated once per solve,
-    with the same floating-point operations in the same order as
-    ``refine_linear`` followed by the max over preimages.  ``g0`` is
-    copied, never written.
+    A sweep allocates nothing: it fills buffers allocated once per solve
+    with ``refine_linear``'s fill plus f, then takes the max over
+    preimages.  The fill reads a fine node that is a grid node as f + g,
+    which needs the iterate to hold no -0.0: it starts at +0.0, and
+    g + diff*0.5 is -0.0 only if g is.  So ``g0`` is copied with -0.0 read
+    as +0.0, and never written.
     """
     if not isinstance(f, FunctionSpec):
         raise TypeError(f"need a FunctionSpec, got {type(f).__name__}")
@@ -123,7 +128,10 @@ def solve_calibrated(
         rng = f_coarse.value_range()
         tol = 1e-9 * rng if rng > 0.0 else 1e-12
 
-    ff = f_fine.values  # length d*n; index i + k*n is preimage k of node i
+    lipschitz_fine = f_fine.lipschitz_estimate()
+    # the fine samples by residue: ff[k][i] = f at fine node i*d + k
+    ff = f_fine.values.reshape(n, d).T.copy()
+    del f_fine  # the sweeps read ff only
     # g lives in the first n entries of g_ext; the fill keeps the last one
     # equal to g[0], so g's right neighbours are a view, never a copy
     g_ext = np.empty(n + 1)
@@ -132,27 +140,32 @@ def solve_calibrated(
         if g0.n != n:
             raise ValueError(f"g0 grid size {g0.n} != {n}")
         np.subtract(g0.values, g0.values.max(), out=g)
+        np.add(g, 0.0, out=g)  # -0.0 -> +0.0, so the iterate never holds -0.0
     else:
         g[:] = 0.0
 
     # every sweep works in these buffers; the loop allocates no array.
-    # The image overwrites the first preimage row, and the scratch rows,
-    # free once the fill is done, hold g's displacement and its modulus.
-    scratch = np.empty((2, n))
-    fine = np.empty(d * n)
-    image = fine[:n]
-    diff, absdiff = scratch
+    # fg holds f + g on the d*n grid by residue, like ff: entry t*m + s of
+    # row r is fine node (t*n) + s*d + r, preimage t of node s*d + r.  The
+    # image overwrites the fill's products, and two rows of fg, free once
+    # the image is taken, hold g's displacement and its modulus.
+    m = n // d
+    fg = np.empty((d, n))
+    products = np.empty((len(_weight_plan(d)[0]), n + 1))
+    image = products[0, :n]
+    preimages = [(fg[r].reshape(d, m), image[r::d]) for r in range(d)]
+    diff, absdiff = fg[-1], fg[0]
     beta = 0.0
     step = np.inf
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        # g on the d*n grid: exact copies at multiples of d, linear between
-        _refine_into(g_ext, d, fine, scratch)
-        np.add(ff, fine, out=fine)
-        # max over the d preimage rows fine[k*n:(k+1)*n], row by row
-        for k in range(1, d):
-            np.maximum(image, fine[k * n : (k + 1) * n], out=image)
+        _refine_into(g_ext, fg, products, ff)
+        # max over the d preimages, in the order t = 0, 1, ..., d-1
+        for pre, out in preimages:
+            np.maximum(pre[0], pre[1], out=out)
+            for t in range(2, d):
+                np.maximum(out, pre[t], out=out)
         beta = float(image.max())
         np.subtract(image, beta, out=image)
         np.subtract(image, g, out=diff)
@@ -169,6 +182,7 @@ def solve_calibrated(
     return SubactionSolution(
         g=g_fn,
         f=f_coarse,
+        lipschitz_fine=lipschitz_fine,
         beta=beta,
         residual=residual,
         iterations=iterations,
@@ -197,39 +211,52 @@ class PeriodicOrbit:
         return Fraction(self.numerator, self.modulus)
 
 
-@dataclass(frozen=True)
+class _Orbits(Sequence):
+    """A table's orbits as PeriodicOrbit objects, each built when accessed."""
+
+    def __init__(self, table: "PeriodicOrbitTable"):
+        self._table = table
+
+    def __len__(self) -> int:
+        return self._table.periods.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        t = self._table
+        period = int(t.periods[i])
+        return PeriodicOrbit(
+            period=period,
+            numerator=int(t.numerators[i]),
+            modulus=t.d**period - 1,
+            average=float(t.averages[i]),
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class PeriodicOrbitTable:
-    """All periodic orbits up to a period cap, with the best average."""
+    """All periodic orbits up to a period cap, with the best average.
+
+    Held as three read-only arrays in enumeration order (period, then
+    minimal numerator): ``periods``, ``numerators`` (the minimal point is
+    numerator / (d^period - 1)) and ``averages``.  ``orbits`` and ``best``
+    build PeriodicOrbit objects on access only.
+    """
 
     d: int
     max_period: int
-    orbits: tuple[PeriodicOrbit, ...]
+    periods: np.ndarray
+    numerators: np.ndarray
+    averages: np.ndarray
     best_index: int
+
+    @property
+    def orbits(self) -> Sequence[PeriodicOrbit]:
+        return _Orbits(self)
 
     @property
     def best(self) -> PeriodicOrbit:
         return self.orbits[self.best_index]
-
-    def to_dict(self):
-        ranked = sorted(self.orbits, key=lambda o: -o.average)[:10]
-        return {
-            "d": self.d,
-            "max_period": self.max_period,
-            "orbit_count": len(self.orbits),
-            "best": {
-                "period": self.best.period,
-                "representative": str(self.best.representative),
-                "average": self.best.average,
-            },
-            "top": [
-                {
-                    "period": o.period,
-                    "representative": str(o.representative),
-                    "average": o.average,
-                }
-                for o in ranked
-            ],
-        }
 
 
 _ORBIT_BUDGET = 2**24  # largest d^P enumerated: P <= 24 for d = 2
@@ -242,7 +269,8 @@ def beta_lower_bound(f, d: int = 2, max_period: int = 16) -> PeriodicOrbitTable:
     The best Birkhoff average over the table is a lower bound for the
     maximal ergodic average beta(f).  Orbits are deduplicated by their
     minimal representative; only exact periods are listed.  Enumeration is
-    chunked so memory stays bounded up to the budget of 2^24 points.
+    chunked so memory stays bounded up to the budget of 2^24 points.  The
+    best orbit is the first with the largest (average, -period).
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
@@ -250,30 +278,44 @@ def beta_lower_bound(f, d: int = 2, max_period: int = 16) -> PeriodicOrbitTable:
         raise ValueError(
             f"d^P = {d}^{max_period} exceeds the enumeration budget {_ORBIT_BUDGET}"
         )
-    orbits: list[PeriodicOrbit] = []
+    periods, numerators, averages = [], [], []
     for p in range(1, max_period + 1):
         m = d**p - 1
         for lo in range(0, max(m, 1), _ORBIT_CHUNK):
             ks = np.arange(lo, min(lo + _ORBIT_CHUNK, m), dtype=np.int64)
-            if ks.size == 0:
-                continue
-            rows = np.empty((p, ks.size), dtype=np.int64)
-            rows[0] = ks
-            for j in range(1, p):
-                rows[j] = (rows[j - 1] * d) % m
-            # exact period: the smallest j >= 1 with orbit returning to start
-            period = np.full(ks.size, p, dtype=np.int64)
-            for j in range(p - 1, 0, -1):
-                period[rows[j] == ks] = j
-            canonical = rows.min(axis=0)
-            reps = np.nonzero((canonical == ks) & (period == p))[0]
+            # k starts an orbit of exact period p, at its minimal point, iff
+            # every later point k * d^j (j < p) of its orbit is larger
+            minimal = np.ones(ks.size, dtype=bool)
+            x = ks
+            for _ in range(1, p):
+                x = x * d % m
+                minimal &= x > ks
+            reps = ks[minimal]
             if reps.size == 0:
                 continue
-            vals = np.asarray(f(rows[:, reps] / m), dtype=float)
-            means = vals.mean(axis=0)
-            orbits.extend(
-                PeriodicOrbit(period=p, numerator=k, modulus=m, average=avg)
-                for k, avg in zip(ks[reps].tolist(), means.tolist())
-            )
-    best = max(range(len(orbits)), key=lambda i: (orbits[i].average, -orbits[i].period))
-    return PeriodicOrbitTable(d=d, max_period=max_period, orbits=tuple(orbits), best_index=best)
+            points = np.empty((p, reps.size), dtype=np.int64)
+            points[0] = reps
+            for j in range(1, p):
+                points[j] = points[j - 1] * d % m
+            periods.append(np.full(reps.size, p, dtype=np.int64))
+            numerators.append(reps)
+            # column-major, each orbit's points contiguous: the layout sets
+            # mean's summation order, and with it the averages' last bits
+            points = np.asfortranarray(points) / m
+            averages.append(np.asarray(f(points), dtype=float).mean(axis=0))
+    arrays = [np.concatenate(a) for a in (periods, numerators, averages)]
+    for a in arrays:
+        a.setflags(write=False)
+    periods_arr, numerators_arr, averages_arr = arrays
+    # the first index with the largest (average, -period), compared as
+    # Python compares tuples: periods ascend with the index, so that is the
+    # first largest average; a NaN compares false, so it wins only at index 0
+    best = 0 if math.isnan(averages_arr[0]) else int(np.nanargmax(averages_arr))
+    return PeriodicOrbitTable(
+        d=d,
+        max_period=max_period,
+        periods=periods_arr,
+        numerators=numerators_arr,
+        averages=averages_arr,
+        best_index=best,
+    )

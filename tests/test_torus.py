@@ -22,7 +22,7 @@ from circleopt import (
 )
 from circleopt import torus
 from circleopt.catalog import constant, cosine, quadratic_extremal, tent
-from circleopt.torus import _mod1, _refine_into
+from circleopt.torus import _mod1, _refine_into, _weight_plan
 
 TWO_PI = 2.0 * math.pi
 
@@ -84,7 +84,7 @@ class TestSample:
 
 
 def _broadcast_refine(v, factor):
-    """Broadcast form of the interpolation, the bitwise reference for the strided fill."""
+    """Broadcast form of the interpolation, the bitwise reference for the residue fill."""
     w = np.arange(factor) / factor
     return (v[:, None] * (1.0 - w) + np.roll(v, -1)[:, None] * w).ravel()
 
@@ -100,15 +100,52 @@ def _hard_values(n, seed):
     return v
 
 
+def _fill(v, factor, add=None):
+    """The interleaved fine grid from the residue fill, every buffer pre-poisoned with NaN."""
+    n = v.size
+    out = np.full(factor * n, np.nan)
+    products = np.full((len(_weight_plan(factor)[0]), n + 1), np.nan)
+    rows_add = None if add is None else add.reshape(n, factor).T.copy()
+    _refine_into(np.append(v, np.nan), out.reshape(n, factor).T, products, rows_add)
+    return out
+
+
 class TestRefineFill:
     @pytest.mark.parametrize("factor", [2, 3, 5])
     @pytest.mark.parametrize("n", [4, 7, 4096, 3**7])
     def test_bitwise_equal_to_broadcast(self, factor, n):
+        # between nodes the broadcast interpolant's bits; at the nodes v's own
+        # bits, where the broadcast's v*1.0 + v[i+1]*0.0 differs only by
+        # turning some -0.0 into +0.0
         v = _hard_values(n, seed=factor * 10007 + n)
-        out = np.full(factor * n, np.nan)
-        _refine_into(np.append(v, np.nan), factor, out, np.empty((2, n)))
+        out = _fill(v, factor)
         ref = _broadcast_refine(v, factor)
-        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+        moved = _bits(ref[::factor]) != _bits(v)
+        assert np.all(_bits(v[moved]) == _bits(-0.0))
+        ref[::factor] = v
+        assert np.array_equal(_bits(out), _bits(ref))
+
+    @pytest.mark.parametrize("factor", [2, 3, 5])
+    @pytest.mark.parametrize("n", [4, 7, 4096, 3**7])
+    def test_added_samples_bitwise_equal_to_broadcast_sum(self, factor, n):
+        # the solver's form: f + (interpolated g), g free of -0.0 (its invariant)
+        v = _hard_values(n, seed=factor * 10007 + n) + 0.0
+        rng = np.random.default_rng(n + factor)
+        add = rng.normal(size=factor * n)
+        add[rng.choice(factor * n, size=min(factor * n, 8), replace=False)] = [0.0, -0.0] * 4
+        out = _fill(v, factor, add)
+        assert np.array_equal(_bits(out), _bits(add + _broadcast_refine(v, factor)))
+
+    @pytest.mark.parametrize("factor", [2, 3, 4, 5, 7])
+    def test_weight_plan_shares_only_bitwise_equal_weights(self, factor):
+        weights, pairs = _weight_plan(factor)
+        assert len(set(weights)) == len(weights)
+        for k, (lo, hi) in enumerate(pairs, 1):
+            assert weights[lo] == 1.0 - k / factor and weights[hi] == k / factor
+        shared = sum(1.0 - k / factor == (factor - k) / factor for k in range(1, factor))
+        assert len(weights) == 2 * (factor - 1) - shared
+        if factor == 2:
+            assert weights == (0.5,)
 
     @pytest.mark.parametrize("factor", [2, 3, 5])
     def test_refine_linear_unchanged(self, factor):
@@ -116,6 +153,11 @@ class TestRefineFill:
         out = refine_linear(g, factor).values
         ref = _broadcast_refine(g.values, factor)
         assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+
+    def test_refine_linear_copies_signed_zero_nodes(self):
+        g = GridFunction(np.array([-0.0, 1.0, -0.0, -2.0, 0.0, -0.0]))
+        out = refine_linear(g, 2).values
+        assert np.array_equal(_bits(out[::2]), _bits(g.values))
 
 
 def _bits(x):
@@ -315,6 +357,18 @@ class TestSerialization:
         for i, v in enumerate(g.values):
             lines.append(f"{format(i / g.n, '.12g')},{format(v, '.12g')}")
         assert g.to_csv() == "\n".join(lines) + "\n"
+
+
+    @pytest.mark.parametrize("n", [4, 4095, 4096, 4097, 65536, 3**10])
+    def test_grid_csv_blocks_match_one_format_per_row(self, n):
+        # block edges at 4096 rows: one short, exact, one over, several blocks
+        rng = np.random.default_rng(n)
+        v = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n)
+        v[: min(n, 6)] = [-0.0, 1e-300, 5e-324, 1e300, -1e300, 0.0][: min(n, 6)]
+        v[-1] = -2.5e-320
+        g = GridFunction(v)
+        rows = "".join("%.12g,%.12g\n" % (i / n, x) for i, x in enumerate(g.values))
+        assert g.to_csv() == "x,value\n" + rows
 
 
 @st.composite

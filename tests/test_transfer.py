@@ -1,23 +1,37 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circleopt import (
     GridFunction,
+    Negate,
+    PeriodicOrbit,
+    PiecewisePoly,
+    Scale,
+    Sum,
     Translate,
     beta_lower_bound,
     calibration_residual,
     convexity_defect,
+    lipschitz_estimate,
     max_transfer,
     sample,
     solve_calibrated,
     uniform_defect,
 )
+from circleopt import transfer
 from circleopt.catalog import constant, cosine, quadratic_extremal, random_trig
 
 FOUR_PI_SQ = 4.0 * math.pi**2
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
 
 
 def _points(orbit, d):
@@ -117,23 +131,90 @@ def _eager_orbits(d, max_period):
 
 class TestLazyOrbits:
     @pytest.mark.parametrize("d, max_period", [(2, 10), (3, 6)])
-    def test_points_and_to_dict_match_eager_fractions(self, d, max_period):
+    def test_points_match_eager_fractions(self, d, max_period):
         tab = beta_lower_bound(Translate(0.3, cosine()), d, max_period)
         eager = _eager_orbits(d, max_period)
         assert [(o.period, o.representative, _points(o, d)) for o in tab.orbits] == eager
-        averages = [o.average for o in tab.orbits]
-        ranked = sorted(zip(eager, averages), key=lambda e: -e[1])[:10]
 
-        def row(orbit, average):
-            return {"period": orbit[0], "representative": str(orbit[1]), "average": average}
 
-        assert tab.to_dict() == {
-            "d": d,
-            "max_period": max_period,
-            "orbit_count": len(eager),
-            "best": row(eager[tab.best_index], averages[tab.best_index]),
-            "top": [row(*e) for e in ranked],
-        }
+def _object_table(f, d, max_period):
+    """The orbit table as a list of PeriodicOrbit and the best index, by the
+    row-matrix enumeration with `% m` and Python's max over (average, -period)."""
+    orbits = []
+    for p in range(1, max_period + 1):
+        m = d**p - 1
+        ks = np.arange(m, dtype=np.int64)
+        rows = np.empty((p, ks.size), dtype=np.int64)
+        rows[0] = ks
+        for j in range(1, p):
+            rows[j] = (rows[j - 1] * d) % m
+        period = np.full(ks.size, p, dtype=np.int64)
+        for j in range(p - 1, 0, -1):
+            period[rows[j] == ks] = j
+        reps = np.nonzero((rows.min(axis=0) == ks) & (period == p))[0]
+        means = np.asarray(f(rows[:, reps] / m), dtype=float).mean(axis=0)
+        orbits += [
+            PeriodicOrbit(period=p, numerator=k, modulus=m, average=avg)
+            for k, avg in zip(ks[reps].tolist(), means.tolist())
+        ]
+    best = max(range(len(orbits)), key=lambda i: (orbits[i].average, -orbits[i].period))
+    return orbits, best
+
+
+_TABLE_SPECS = {
+    "cosine": cosine(),
+    "translate": Translate(0.3, cosine()),
+    "random_trig": random_trig(np.random.default_rng(11)),
+    "constant_0.7": constant(0.7),
+}
+
+
+class TestOrbitTableArrays:
+    @pytest.mark.parametrize("d, max_period", [(2, 16), (3, 10)])
+    @pytest.mark.parametrize("name", sorted(_TABLE_SPECS))
+    def test_matches_the_object_built_table(self, name, d, max_period):
+        f = _TABLE_SPECS[name]
+        tab = beta_lower_bound(f, d, max_period)
+        orbits, best = _object_table(f, d, max_period)
+        assert len(tab.orbits) == tab.periods.size == len(orbits)
+        assert tab.best_index == best
+        assert tab.best == orbits[best]
+        assert tab.best.representative == orbits[best].representative
+        assert np.array_equal(tab.periods, [o.period for o in orbits])
+        assert np.array_equal(tab.numerators, [o.numerator for o in orbits])
+        assert tab.averages.tobytes() == np.array([o.average for o in orbits]).tobytes()
+        assert list(tab.orbits) == orbits
+        assert tab.orbits[-3:] == tuple(orbits[-3:])
+
+    def test_arrays_are_read_only(self):
+        tab = beta_lower_bound(cosine(), 2, 6)
+        for a in (tab.periods, tab.numerators, tab.averages):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_exact_tie_picks_the_fixed_point(self):
+        # 0.5 sums and divides exactly, so every orbit's average is 0.5
+        tab = beta_lower_bound(constant(0.5), 2, 10)
+        assert np.all(tab.averages == 0.5)
+        assert tab.best_index == 0 and tab.best.period == 1
+
+    def test_nan_averages_follow_the_tuple_rule(self):
+        # inf - inf on [1/2, 1): every orbit but the fixed point 0 averages
+        # NaN, which never compares larger, so the fixed point stays best
+        inf_step = Scale(1e300, Scale(1e300, PiecewisePoly((0.0, 0.5), ((0.0,), (1.0,)))))
+        f = Sum((cosine(), inf_step, Negate(inf_step)))
+        with np.errstate(all="ignore"):
+            tab = beta_lower_bound(f, 2, 8)
+            orbits, best = _object_table(f, 2, 8)
+        assert np.isnan(tab.averages[1:]).all()
+        assert tab.best_index == best == 0 and tab.best.average == 1.0
+
+    def test_constant_averages_tie_only_to_rounding(self):
+        # 0.7 * p / p is not always 0.7: the best is the first orbit whose
+        # rounded mean is largest, whatever its period
+        tab = beta_lower_bound(constant(0.7), 2, 10)
+        np.testing.assert_allclose(tab.averages, 0.7, rtol=1e-15)
+        assert tab.best_index == _object_table(constant(0.7), 2, 10)[1]
 
 
 class TestSolveCalibrated:
@@ -150,6 +231,12 @@ class TestSolveCalibrated:
         sol = solve_calibrated(f, d=2, grid_n=256)
         assert sol.f.values.tobytes() == sample(f, 256).values.tobytes()
         assert sol.residual == calibration_residual(sol.f, sol.g, sol.beta, 2)
+
+    @pytest.mark.parametrize("d, n", [(2, 256), (3, 243)])
+    def test_solution_carries_the_fine_grid_slope(self, d, n):
+        f = random_trig(np.random.default_rng(4))
+        sol = solve_calibrated(f, d=d, grid_n=n, max_iter=3)
+        assert _bits(sol.lipschitz_fine) == _bits(lipschitz_estimate(f, d * n))
 
     def test_cosine_beta_and_residual(self):
         sol = solve_calibrated(cosine(), d=2, grid_n=4096)
@@ -266,26 +353,55 @@ def _reference_solve(f, d, n, max_iter=100_000, g0=None):
 def _assert_same_solution(sol, ref):
     g, beta, residual, iterations, converged, step = ref
     assert sol.g.values.tobytes() == g.tobytes()
-    assert (sol.beta, sol.residual, sol.iterations, sol.converged, sol.final_step) == (
-        beta, residual, iterations, converged, step
-    )
+    assert np.array([sol.beta, sol.residual, sol.final_step]).tobytes() == np.array(
+        [beta, residual, step]
+    ).tobytes()
+    assert (sol.iterations, sol.converged) == (iterations, converged)
 
+
+# -0.0 on [0, 1/2), a non-positive bump on [1/2, 1): beta is a signed zero
+_SIGNED_ZEROS = Negate(PiecewisePoly((0.0, 0.5), ((0.0,), (-0.5, 1.5, -1.0))))
 
 _OBSERVABLES = {
     "cosine": cosine(),
     "quadratic_extremal": quadratic_extremal(),
     "random_trig": random_trig(np.random.default_rng(3)),
+    "zero_scaled_cosine": Scale(0.0, cosine()),
+    "signed_zeros": _SIGNED_ZEROS,
 }
 
 
+def _signed_zero_start(n):
+    # max +0.0 at the last node, so the -0.0 nodes can survive the normalization
+    start = 0.1 * np.cos(2 * np.pi * (np.arange(n) + 1) / n) - 0.1
+    start[::5] = -0.0
+    return start
+
+
+def _criterion_9_start(n):
+    rng = np.random.default_rng(42)
+    xs = np.arange(n) / n
+    return GridFunction(
+        0.25 * np.cos(2 * np.pi * xs + rng.uniform(0, 2 * np.pi))
+        + 0.1 * np.cos(4 * np.pi * xs + rng.uniform(0, 2 * np.pi))
+    )
+
+
 class TestSweepMatchesBroadcastReference:
-    @pytest.mark.parametrize("d, n", [(2, 512), (3, 243)])
+    @pytest.mark.parametrize("d, n", [(2, 64), (2, 512), (2, 4096), (3, 243), (3, 3**7)])
     @pytest.mark.parametrize("name", sorted(_OBSERVABLES))
     def test_converged_solve_is_bitwise_the_reference(self, name, d, n):
         f = _OBSERVABLES[name]
         sol = solve_calibrated(f, d=d, grid_n=n)
         assert sol.converged
         _assert_same_solution(sol, _reference_solve(f, d, n))
+
+    def test_signed_zero_observables_hold_negative_zeros(self):
+        # the cases above really feed -0.0 samples to the sweep, and beta is 0
+        for name in ("zero_scaled_cosine", "signed_zeros"):
+            f = _OBSERVABLES[name]
+            assert np.sum(_bits(sample(f, 128).values) == _bits(-0.0)) >= 32
+            assert solve_calibrated(f, d=2, grid_n=64).beta == 0.0
 
     @pytest.mark.parametrize("d, n", [(2, 512), (3, 243)])
     def test_stopped_solve_is_bitwise_the_reference(self, d, n):
@@ -294,17 +410,87 @@ class TestSweepMatchesBroadcastReference:
         assert not sol.converged
         _assert_same_solution(sol, _reference_solve(f, d, n, max_iter=7))
 
-    @pytest.mark.parametrize("d, n", [(2, 512), (3, 243)])
-    def test_signed_zero_start_is_bitwise_the_reference(self, d, n):
-        # max +0.0 at the last node, so the -0.0 nodes can survive the normalization
-        start = 0.1 * np.cos(2 * np.pi * (np.arange(n) + 1) / n) - 0.1
-        start[::5] = -0.0
+    @pytest.mark.parametrize("d, n", [(2, 64), (2, 512), (3, 81), (3, 243)])
+    @pytest.mark.parametrize("name", sorted(_OBSERVABLES))
+    def test_signed_zero_start_is_bitwise_the_reference(self, name, d, n):
+        # g0 - max(g0) can hold -0.0; the solver reads it as +0.0, so it is
+        # bitwise the reference started from g0 + 0.0
+        start = _signed_zero_start(n)
         g0 = GridFunction(start)
         before = g0.values.tobytes()
-        f = _OBSERVABLES["quadratic_extremal"]
+        f = _OBSERVABLES[name]
         sol = solve_calibrated(f, d=d, grid_n=n, g0=g0)
         assert g0.values.tobytes() == before
-        _assert_same_solution(sol, _reference_solve(f, d, n, g0=g0))
+        _assert_same_solution(sol, _reference_solve(f, d, n, g0=GridFunction(start + 0.0)))
+
+    def test_signed_zero_start_moves_only_a_one_sweep_zero_beta(self):
+        # the one case the normalisation shows in: a single sweep whose beta
+        # is a zero, -0.0 from the raw start and +0.0 from g0 + 0.0
+        f = Sum((Scale(0.0, cosine()), _SIGNED_ZEROS))
+        start = np.array([-0.0, 0.0, -0.0, -0.0, -0.0, 0.0, -0.5, -0.0,
+                          -0.0, -0.0, 0.0, -0.5, -0.0, -0.0, 0.0, 0.0])
+        sol = solve_calibrated(f, d=2, grid_n=16, g0=GridFunction(start), max_iter=1)
+        normalised = _reference_solve(f, 2, 16, max_iter=1, g0=GridFunction(start + 0.0))
+        _assert_same_solution(sol, normalised)
+        assert _bits(sol.beta) == _bits(0.0)
+        raw = _reference_solve(f, 2, 16, max_iter=1, g0=GridFunction(start))
+        assert _bits(raw[1]) == _bits(-0.0) and raw[0].tobytes() == normalised[0].tobytes()
+
+    @pytest.mark.parametrize("d, n", [(2, 4096), (3, 3**7)])
+    def test_criterion_9_start_is_bitwise_the_reference(self, d, n):
+        g0 = _criterion_9_start(n)
+        sol = solve_calibrated(cosine(), d=d, grid_n=n, g0=g0)
+        assert sol.converged
+        _assert_same_solution(sol, _reference_solve(cosine(), d, n, g0=g0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]), max_iter=st.integers(1, 400))
+    def test_random_trig_bitwise_the_reference(self, seed, d, max_iter):
+        f = random_trig(np.random.default_rng(seed))
+        n = 96 * d
+        sol = solve_calibrated(f, d=d, grid_n=n, max_iter=max_iter)
+        _assert_same_solution(sol, _reference_solve(f, d, n, max_iter=max_iter))
+
+
+class TestSweepAllocatesNothing:
+    @pytest.mark.parametrize("d, n", [(2, 4096), (3, 3**7)])
+    def test_peak_memory_does_not_grow_with_sweeps(self, d, n):
+        # tol far below reach, so every solve runs all max_iter sweeps
+        def peak(max_iter):
+            tracemalloc.start()
+            try:
+                solve_calibrated(cosine(), d=d, grid_n=n, tol=1e-300, max_iter=max_iter)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm caches, so both measured calls allocate alike
+        assert peak(200) <= peak(1) + 4096
+
+    @pytest.mark.parametrize("d, n", [(2, 4096), (3, 3**7)])
+    def test_sweeps_allocate_no_array(self, d, n, monkeypatch):
+        # traced from the start of sweep 2 to the start of sweep 50: beyond
+        # the memory held then, only views and Python floats come and go
+        fill = transfer._refine_into
+        calls, held = [], []
+
+        def traced_fill(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                tracemalloc.reset_peak()
+                held.append(tracemalloc.get_traced_memory()[0])
+            elif len(calls) == 50:
+                held.append(tracemalloc.get_traced_memory()[1])
+            return fill(*args)
+
+        monkeypatch.setattr(transfer, "_refine_into", traced_fill)
+        tracemalloc.start()
+        try:
+            solve_calibrated(cosine(), d=d, grid_n=n, tol=1e-300, max_iter=60)
+        finally:
+            tracemalloc.stop()
+        start, peak = held
+        assert peak - start < 8192  # one array of n floats is 8n bytes
 
 
 class TestDefectInequalityForSolutions:
