@@ -91,21 +91,12 @@ def _common_config(args, subcommand: str) -> dict:
     return cfg
 
 
-def _default_period_cap(d: int) -> int:
-    """Largest P >= 1 with d^P <= 2^16 (16 for d = 2, 10 for d = 3)."""
-    cap = 1
-    while d ** (cap + 1) <= 2**16:
-        cap += 1
-    return cap
-
-
 def cmd_solve(args) -> tuple[int, dict, dict]:
     f = _load_spec(args.spec)
     if args.d < 2 or args.n % args.d != 0:
         raise ValueError(f"d={args.d} must be >= 2 and divide N={args.n}")
-    cap = _default_period_cap(args.d) if args.orbit_period_cap is None else args.orbit_period_cap
     # built first so that a cap over the enumeration budget fails before the solve
-    table = beta_lower_bound(f, d=args.d, max_period=cap)
+    table = beta_lower_bound(f, d=args.d, max_period=args.orbit_period_cap)
     sol = solve_calibrated(f, d=args.d, grid_n=args.n, tol=args.tol, max_iter=args.max_iter)
     gap = sol.beta - table.best.average
     # beta(f) <= sup_x f(x) + h(x) - h(dx) for any continuous h; take h = the
@@ -126,7 +117,7 @@ def cmd_solve(args) -> tuple[int, dict, dict]:
     }
     print(f"beta = {sol.beta!r}  residual = {sol.residual:.3e}  iterations = {sol.iterations}")
     code = EXIT_PASS if sol.converged and beta_ok else EXIT_ERROR
-    return code, {"orbit_period_cap": cap}, {"solution.json": _json_text(doc), "g.csv": sol.g.to_csv()}
+    return code, {"orbit_period_cap": table.max_period}, {"solution.json": _json_text(doc), "g.csv": sol.g.to_csv()}
 
 
 def cmd_eta(args) -> tuple[int, dict, dict]:

@@ -21,8 +21,8 @@ Checked conditions, all for the doubling map:
 * the cosine-like ratio gate (f(0) - f(1/4)) / eta(f) > kappa with
   kappa = 7/96 - sqrt(3)/36;
 * the window search on a half-profile h (conditions H1, H2);
-* a full translate scan: solve, form the antipodal difference, certify,
-  and cross-check beta against the best Sturmian integral.
+* a full translate scan: the best Sturmian integral, the solve and the
+  antipodal-gap certificate of every translate.
 """
 
 from __future__ import annotations
@@ -39,13 +39,7 @@ from .convexity import (
     convexity_defect,
     pointwise_defect,
 )
-from .sturmian import (
-    SturmianCertificate,
-    _check_table_budget,
-    antipodal_difference,
-    best_sturmian,
-    sturmian_certificate,
-)
+from .sturmian import SturmianCertificate, best_sturmian, sturmian_certificate
 from .torus import FunctionSpec, Translate, lipschitz_estimate, sample
 from .transfer import solve_calibrated
 
@@ -259,10 +253,11 @@ def check_class_b(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
     eta = eta_rep.eta
     raw_finite = 1.0 if eta_rep.is_finite else -1.0
 
-    # concavity strictly inside (-1/4, 1/4): endpoints excluded so that
-    # right-limits at the quarter points do not leak in
-    xs_in = np.linspace(-0.25, 0.25, grid_n + 1)[1:-1]
-    vals = second(xs_in)
+    # concavity at the 2N-grid nodes strictly inside (-1/4, 1/4), i/(2N)
+    # for |i| <= k: endpoints excluded so that right-limits at the quarter
+    # points do not leak in
+    k = (grid_n - 1) // 2
+    vals = np.concatenate([vals2[2 * grid_n - k :], vals2[: k + 1]])
     tol_cc = 1e-9 * max(1.0, eta)
     i_cc = int(np.argmax(vals))
     raw_cc = tol_cc - float(vals[i_cc])
@@ -288,7 +283,7 @@ def check_class_b(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
     return CriterionReport.from_margins(
         "class-B",
         raw,
-        witnesses={"concavity": float(xs_in[i_cc])},
+        witnesses={"concavity": (i_cc - k) / (2 * grid_n)},
         tolerances={
             "eta": eta,
             "identity_tolerance": tol_id,
@@ -455,28 +450,22 @@ def scan_translates(
 ) -> ScanResult:
     """Solve + certify every translate f(x - j/omega_count).
 
-    For each translate: solve the calibrated equation, form the antipodal
-    difference of (f, g), run the certificate (band width
-    epsilon_r = 5 (Lip f + Lip g)/N, w_max = 16/N), and record the best
-    Sturmian rotation number and integral.  Non-convergence is recorded
-    per row; the scan continues.  An empty scan (omega_count < 1) or
-    Sturmian family (max_q < 1) is a ValueError, not a vacuous pass, and so
-    is a max_q over the orbit-table budget, before the first solve.
+    For each translate: record the best Sturmian rotation number and
+    integral, solve the calibrated equation, and certify (f, g) with
+    ``sturmian_certificate``, which sets the band.  Non-convergence is
+    recorded per row; the scan continues.  An empty scan (omega_count < 1)
+    is a ValueError, not a vacuous pass; so are a max_q < 1 and one over
+    the orbit-table budget, which ``best_sturmian`` refuses before the
+    first solve.
     """
     if omega_count < 1:
         raise ValueError(f"omega_count must be >= 1, got {omega_count}")
-    if max_q < 1:
-        raise ValueError(f"max_q must be >= 1, got {max_q}")
-    _check_table_budget(max_q)
     rows = []
     for j in range(omega_count):
         omega = j / omega_count
         f_om = Translate(omega, f) if omega != 0.0 else f
-        sol = solve_calibrated(f_om, d=2, grid_n=grid_n, tol=tol, max_iter=max_iter)
-        r = antipodal_difference(sol.f, sol.g)
-        eps = 5.0 * (sol.f.lipschitz_estimate() + sol.g.lipschitz_estimate()) / grid_n
-        cert = sturmian_certificate(r, eps)
         mu, val = best_sturmian(f_om, max_q)
+        sol = solve_calibrated(f_om, d=2, grid_n=grid_n, tol=tol, max_iter=max_iter)
         rows.append(
             TranslateRow(
                 omega=omega,
@@ -487,7 +476,7 @@ def scan_translates(
                 rotation_q=mu.q,
                 best_value=val,
                 beta_gap=abs(sol.beta - val),
-                certificate=cert,
+                certificate=sturmian_certificate(sol.f, sol.g),
             )
         )
     return ScanResult(rows=tuple(rows), grid_n=grid_n, max_q=max_q)

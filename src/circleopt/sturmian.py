@@ -14,7 +14,7 @@ a calibrated sub-action g: when the zero set of R is a single pair of
 antipodal points, the maximizing measure of f is unique and Sturmian.  On
 a grid the zero set is bracketed by a band |R| <= eps_R, and a pass
 requires the band to consist of exactly two antipodal arcs of width at
-most w_max.
+most w_max; ``sturmian_certificate`` alone sets both.
 """
 
 from __future__ import annotations
@@ -255,23 +255,19 @@ class SturmianCertificate:
         }
 
 
-def sturmian_certificate(r: GridFunction, epsilon_r: float) -> SturmianCertificate:
-    """Cluster the band |R| <= epsilon_r into cyclic arcs and judge it.
+def sturmian_certificate(f: GridFunction, g: GridFunction) -> SturmianCertificate:
+    """Certify the zero set of R = ``antipodal_difference(f, g)``.
 
-    For R the antipodal difference of (f, g) the scan passes the band
-    epsilon_r = 5 (Lip f + Lip g) / N.  Each arc may be at most
-    w_max = 16 / N wide.  A NaN, infinite or negative epsilon_r is a
-    ValueError, not a band that fails.
+    The band |R| <= epsilon_r, epsilon_r = 5 (Lip f + Lip g) / N, is
+    clustered into cyclic arcs, each of which may be at most w_max = 16 / N
+    wide.  Grids whose slopes overflow give no finite band: a ValueError,
+    not a certificate that fails.
     """
+    r = antipodal_difference(f, g)
     n = r.n
-    if n % 2 != 0:
-        raise ValueError("certificate needs an even grid")
-    if not (isfinite(epsilon_r) and epsilon_r >= 0.0):
-        raise ValueError(f"epsilon_r must be finite and >= 0, got {epsilon_r}")
-    anti = float(np.max(np.abs(r.values + np.roll(r.values, -(n // 2)))))
-    scale = max(1.0, float(np.max(np.abs(r.values))))
-    if anti > 1e-12 * scale:
-        raise ValueError(f"input is not antisymmetric: max |R(x)+R(x+1/2)| = {anti}")
+    epsilon_r = 5.0 * (f.lipschitz_estimate() + g.lipschitz_estimate()) / n
+    if not isfinite(epsilon_r):
+        raise ValueError(f"band epsilon_r = {epsilon_r} is not finite: the grids' slopes overflow")
     w_max = 16.0 / n
 
     mask = np.abs(r.values) <= epsilon_r
@@ -299,7 +295,7 @@ def sturmian_certificate(r: GridFunction, epsilon_r: float) -> SturmianCertifica
         antipodal_pair=pair,
         positivity_arc=positivity,
         worst_margin=float(worst),
-        epsilon_r=float(epsilon_r),
+        epsilon_r=epsilon_r,
         w_max=w_max,
         grid_n=n,
     )

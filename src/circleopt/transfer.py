@@ -263,15 +263,23 @@ _ORBIT_BUDGET = 2**24  # largest d^P enumerated: P <= 24 for d = 2
 _ORBIT_CHUNK = 2**20  # orbit starts enumerated per block
 
 
-def beta_lower_bound(f, d: int = 2, max_period: int = 16) -> PeriodicOrbitTable:
+def beta_lower_bound(f, d: int = 2, max_period: int | None = None) -> PeriodicOrbitTable:
     """Enumerate periodic orbits x = k/(d^p - 1), p <= max_period.
 
     The best Birkhoff average over the table is a lower bound for the
     maximal ergodic average beta(f).  Orbits are deduplicated by their
     minimal representative; only exact periods are listed.  Enumeration is
     chunked so memory stays bounded up to the budget of 2^24 points.  The
-    best orbit is the first with the largest (average, -period).
+    best orbit is the first with the largest (average, -period).  The
+    default max_period is the largest P >= 1 with d^P <= 2^16 (16 for
+    d = 2, 10 for d = 3); d must be an int >= 2.
     """
+    if not isinstance(d, int) or d < 2:
+        raise ValueError(f"branch count d must be an int >= 2, got {d!r}")
+    if max_period is None:
+        max_period = 1
+        while d ** (max_period + 1) <= 2**16:
+            max_period += 1
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     if d ** max_period > _ORBIT_BUDGET:

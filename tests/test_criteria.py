@@ -11,6 +11,7 @@ from circleopt import (
     Scale,
     Sum,
     Translate,
+    antipodal_difference,
     check_class_a,
     check_class_b,
     check_kappa,
@@ -18,6 +19,7 @@ from circleopt import (
     convexity_defect,
     scan_translates,
     search_c,
+    solve_calibrated,
 )
 from circleopt.catalog import (
     constant,
@@ -26,9 +28,11 @@ from circleopt.catalog import (
     flattened_cosine,
     quadratic_extremal,
     random_antisym_even,
+    random_trig,
     tent,
 )
-from circleopt import convexity, torus
+from circleopt import convexity, criteria, torus
+from circleopt.sturmian import _circular_runs
 from circleopt.torus import PiecewisePoly
 
 FOUR_PI_SQ = 4.0 * math.pi**2
@@ -149,10 +153,28 @@ class TestClassB:
         rep = check_class_b(f, 1024)
         assert rep.passed
         assert derivations.count(f) == 1
-        # the 2N grid, which holds the N-grid eta scan, one point either side
-        # of each non-smooth point, and the concavity scan inside (-1/4, 1/4)
+        # the 2N grid, which holds the N-grid eta scan and the concavity scan
+        # inside (-1/4, 1/4), and one point either side of each non-smooth point
         one_sided = [1] * 2 * len(second.nonsmooth_points())
-        assert sorted(sizes) == sorted([2 * 1024, 1024 - 1] + one_sided)
+        assert sorted(sizes) == sorted([2 * 1024] + one_sided)
+
+    @pytest.mark.parametrize("n", [512, 1024, 4096])
+    @pytest.mark.parametrize(
+        "f",
+        [cosine(), quadratic_extremal(), flattened_cosine(0.02), cosine_extremal_blend(0.5),
+         random_antisym_even(np.random.default_rng(5)), random_trig(np.random.default_rng(7))],
+        ids=["cosine", "extremal", "flattened", "blend", "antisym-even", "trig"],
+    )
+    def test_concavity_equals_the_linspace_scan_bitwise(self, f, n):
+        # at power-of-two N the 2N-grid nodes inside (-1/4, 1/4) are the
+        # points of linspace(-1/4, 1/4, N+1)[1:-1] bit for bit
+        xs_in = np.linspace(-0.25, 0.25, n + 1)[1:-1]
+        vals = f.derivative().derivative()(xs_in)
+        i = int(np.argmax(vals))
+        rep = check_class_b(f, n)
+        tol_cc = 1e-9 * max(1.0, rep.tolerances["eta"])
+        assert np.float64(rep.raw_margins["concavity"]).tobytes() == np.float64(tol_cc - vals[i]).tobytes()
+        assert np.float64(rep.witnesses["concavity"]).tobytes() == np.float64(xs_in[i]).tobytes()
 
     @pytest.mark.parametrize("n", [512, 4096, 4099])
     @pytest.mark.parametrize(
@@ -289,3 +311,26 @@ class TestScanTranslates:
     def test_empty_scan_rejected(self, omega_count, max_q):
         with pytest.raises(ValueError, match="must be >= 1"):
             scan_translates(cosine(), omega_count, grid_n=256, max_q=max_q)
+
+    def test_oversized_table_refused_before_any_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the scan solved before refusing max_q")
+
+        monkeypatch.setattr(criteria, "solve_calibrated", no_solve)
+        with pytest.raises(ValueError, match="exceeds the Sturmian orbit-table budget"):
+            scan_translates(cosine(), 4, grid_n=256, max_q=1000)
+
+    @pytest.mark.parametrize("f", [cosine(), random_trig(np.random.default_rng(2))], ids=["cosine", "trig"])
+    def test_certificates_equal_the_composed_oracle(self, f):
+        n = 512
+        res = scan_translates(f, 4, grid_n=n, max_q=8)
+        for row in res.rows:
+            f_om = Translate(row.omega, f) if row.omega != 0.0 else f
+            sol = solve_calibrated(f_om, d=2, grid_n=n)
+            r = antipodal_difference(sol.f, sol.g)
+            eps = 5.0 * (sol.f.lipschitz_estimate() + sol.g.lipschitz_estimate()) / n
+            runs = _circular_runs(np.abs(r.values) <= eps)
+            cert = row.certificate
+            assert (cert.epsilon_r, cert.w_max, cert.grid_n) == (eps, 16.0 / n, n)
+            assert cert.zero_arcs == tuple((s / n, (c - 1) / n, c) for s, c in runs)
+            assert row.beta == sol.beta

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every
-module-level private name is read somewhere in the package.
+"""Every module of the package uses each name it imports, every
+module-level private name is read somewhere in the package, and the
+private names one module imports from another are a fixed list.
 
 ``__init__.py`` is excluded from the import check: its imports are the
 package's re-exports.
@@ -105,3 +106,39 @@ def test_detects_an_unread_private_name():
 
 def test_no_unread_private_names():
     assert unread_private_names({p.stem: p.read_text() for p in SOURCES}) == []
+
+
+def private_imports(sources: dict[str, str]) -> dict[str, set[tuple[str, str]]]:
+    """Per module, the (module, name) pairs of private names (_x, not
+    __x__) it imports from a sibling module with ``from .module import``."""
+    out = {}
+    for mod, src in sources.items():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                for alias in node.names:
+                    if alias.name.startswith("_") and not alias.name.startswith("__"):
+                        out.setdefault(mod, set()).add((node.module, alias.name))
+    return out
+
+
+def test_detects_a_private_import():
+    sources = {
+        "cli": "from .table import _table, Row, __version__\nfrom . import table\nfrom os import _exit\n",
+        "table": "from .grid import _STRIDE\n",
+    }
+    assert private_imports(sources) == {"cli": {("table", "_table")}, "table": {("grid", "_STRIDE")}}
+
+
+# a new entry is a decision taken in one module leaking into another: add it
+# here on purpose, or move the decision to the module that applies it
+PRIVATE_IMPORTS = {
+    "transfer": {("torus", "_refine_into"), ("torus", "_weight_plan")},
+    "sturmian": {("torus", "_mod1")},
+    "convexity": {("torus", "_check_grid_size")},
+    "criteria": {("convexity", "_one_sided"), ("convexity", "_second_derivative_report")},
+    "cli": {("convexity", "_delta_table")},
+}
+
+
+def test_private_imports_are_the_pinned_list():
+    assert private_imports({p.stem: p.read_text() for p in SOURCES}) == PRIVATE_IMPORTS

@@ -107,6 +107,16 @@ class TestBetaLowerBound:
         with pytest.raises(ValueError, match="budget"):
             beta_lower_bound(cosine(), 2, 30)
 
+    @pytest.mark.parametrize("d", [1, 0, -2, 2.0])
+    def test_bad_branch_count_rejected(self, d):
+        with pytest.raises(ValueError, match="branch count d must be an int >= 2"):
+            beta_lower_bound(cosine(), d)
+
+    @pytest.mark.parametrize("d, cap", [(2, 16), (3, 10)])
+    def test_default_cap(self, d, cap):
+        # the largest P with d^P <= 2^16
+        assert beta_lower_bound(constant(0.5), d).max_period == cap
+
     def test_exact_periods_no_duplicates(self):
         tab = beta_lower_bound(cosine(), 2, 8)
         reps = [o.representative for o in tab.orbits]
