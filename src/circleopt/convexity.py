@@ -150,9 +150,10 @@ def _delta_table(g: GridFunction) -> list[dict]:
     ]
 
 
-def _finite_difference_eta(g: GridFunction, min_delta_nodes: int = 1):
-    """max over delta = k/N (k >= min_delta_nodes) and grid x of
-    delta^-2 * defect, with its witnesses and the kink flag."""
+def _finite_difference_report(g: GridFunction, min_delta_nodes: int = 1) -> ConvexityReport:
+    """The finite-difference route's report: the max over delta = k/N
+    (k >= min_delta_nodes) and grid x of delta^-2 * defect, with its
+    witnesses, or +inf where the kink test fires."""
     n = g.n
     m = max(1, min_delta_nodes)
     if 2 * m > n // 2:
@@ -178,7 +179,14 @@ def _finite_difference_eta(g: GridFunction, min_delta_nodes: int = 1):
     # flag +inf when halving delta from 2m/N to m/N, the finest scale the
     # caller admits, grows the score by ~2x (score[j] is k = m + j).
     infinite = bool(n >= 8 and score[m] > 0.0 and score[0] > 1.6 * score[m])
-    return best, best_x, best_delta, infinite
+    return ConvexityReport(
+        eta=math.inf if infinite else best,
+        method="finite_difference",
+        witness_x=best_x,
+        witness_delta=best_delta,
+        error_bound=2.0 * g.lipschitz_estimate() / n,
+        grid_n=n,
+    )
 
 
 def _one_sided(second: FunctionSpec) -> np.ndarray:
@@ -238,28 +246,17 @@ def convexity_defect(
     if mode not in ("auto", "second_derivative", "finite_difference"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    second = None
-    if isinstance(f, FunctionSpec) and mode in ("auto", "second_derivative"):
+    if isinstance(f, FunctionSpec) and mode != "finite_difference":
         try:
             second = f.derivative().derivative()
         except ValueError:
             if mode == "second_derivative":
                 raise
-            second = None
+        else:
+            _check_grid_size(grid_n)
+            return _second_derivative_report(second, second(np.arange(grid_n) / grid_n), _one_sided(second))
     elif mode == "second_derivative":
         raise ValueError("second_derivative mode needs a symbolic spec with two derivatives")
 
-    if second is not None:
-        _check_grid_size(grid_n)
-        return _second_derivative_report(second, second(np.arange(grid_n) / grid_n), _one_sided(second))
-
     g = f if isinstance(f, GridFunction) else sample(f, grid_n)
-    eta, wx, wd, infinite = _finite_difference_eta(g, min_delta_nodes)
-    return ConvexityReport(
-        eta=math.inf if infinite else eta,
-        method="finite_difference",
-        witness_x=wx,
-        witness_delta=wd,
-        error_bound=2.0 * g.lipschitz_estimate() / g.n,
-        grid_n=g.n,
-    )
+    return _finite_difference_report(g, min_delta_nodes)

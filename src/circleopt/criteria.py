@@ -9,7 +9,8 @@ condition never claims anything about the observable itself -- the report
 only says the hypothesis was not verified.
 
 The checkers take specs: slope conditions are evaluated on f.derivative(),
-so a spec without one (a piecewise polynomial with a jump) is a ValueError.
+so a spec without one (a piecewise polynomial with a jump) is a ValueError;
+the window checkers take eta from f'' as well, so a kink is one too.
 
 Checked conditions, all for the doubling map:
 
@@ -48,39 +49,33 @@ KAPPA = 7.0 / 96.0 - math.sqrt(3.0) / 36.0
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """Named margins (net of error bounds) for one criterion.
+    """Named raw margins and their error bounds for one criterion.
 
-    ``margins[name] > 0`` for every name is exactly ``status == "pass"``.
-    ``witnesses`` holds the locations achieving the worst slack.
+    The net margin is each raw margin less its error bound (0 when absent).
+    The status follows from the margins: "fail" if any raw margin is <= 0
+    (a witnessed violation at a node), "pass" if every net margin is
+    positive, "inconclusive" otherwise.  ``witnesses`` holds the locations
+    achieving the worst slack.
     """
 
     criterion: str
-    status: str  # "pass" | "fail" | "inconclusive"
-    margins: dict = field(default_factory=dict)
-    raw_margins: dict = field(default_factory=dict)
+    raw_margins: dict
     error_bounds: dict = field(default_factory=dict)
     witnesses: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     notes: tuple = ()
 
-    @classmethod
-    def from_margins(
-        cls, criterion: str, raw: dict, bounds: dict | None = None, **rest
-    ) -> "CriterionReport":
-        """Net each raw margin of its error bound (0 when absent) and derive
-        the status: fail if any raw margin is <= 0 (witnessed violation at a
-        node); pass if every net margin is positive; inconclusive otherwise."""
-        bounds = {} if bounds is None else bounds
-        margins = {k: raw[k] - bounds.get(k, 0.0) for k in raw}
-        if any(v <= 0.0 for v in raw.values()):
-            status = "fail"
-        elif all(m > 0.0 for m in margins.values()):
-            status = "pass"
-        else:
-            status = "inconclusive"
-        return cls(
-            criterion, status, margins=margins, raw_margins=raw, error_bounds=bounds, **rest
-        )
+    @property
+    def margins(self) -> dict:
+        return {k: v - self.error_bounds.get(k, 0.0) for k, v in self.raw_margins.items()}
+
+    @property
+    def status(self) -> str:
+        if any(v <= 0.0 for v in self.raw_margins.values()):
+            return "fail"
+        if all(m > 0.0 for m in self.margins.values()):
+            return "pass"
+        return "inconclusive"
 
     @property
     def passed(self) -> bool:
@@ -91,7 +86,7 @@ class CriterionReport:
             "criterion": self.criterion,
             "status": self.status,
             "pass": self.passed,
-            "margins": dict(self.margins),
+            "margins": self.margins,
             "raw_margins": dict(self.raw_margins),
             "error_bounds": dict(self.error_bounds),
             "witnesses": dict(self.witnesses),
@@ -106,7 +101,9 @@ def _check_window(a: float, b: float) -> None:
 
 
 def _eta_or_raise(f, grid_n: int) -> ConvexityReport:
-    rep = convexity_defect(f, "auto", grid_n)
+    """eta by the second-derivative route only: the finite-difference route
+    is a lower bound, and a margin built on it would claim too much."""
+    rep = convexity_defect(f, "second_derivative", grid_n)
     if not rep.is_finite:
         raise ValueError("convexity defect is flagged infinite; criterion undefined")
     return rep
@@ -120,8 +117,9 @@ def check_theorem_sturm(f: FunctionSpec, a: float, b: float, grid_n: int = 4096)
                         over the two preimages y of x + 1/2,
       on [b, a+1/2]:    f'(x) - f'(x+1/2) < -eta/6.
 
-    f must be a spec with a symbolic derivative; one without (a jump in a
-    piecewise polynomial) raises the ValueError of ``f.derivative()``.
+    f must be a spec with two symbolic derivatives; one without (a jump in
+    a piecewise polynomial or in its derivative) raises the ValueError of
+    ``f.derivative()``.
     """
     _check_window(a, b)
     fp = f.derivative()
@@ -149,7 +147,7 @@ def check_theorem_sturm(f: FunctionSpec, a: float, b: float, grid_n: int = 4096)
     lip_fp = lipschitz_estimate(fp, grid_n)
     bound2 = 2.0 * lip_fp * ((a + 0.5 - b) / grid_n) / 2.0 + eta_rep.error_bound / 6.0
 
-    return CriterionReport.from_margins(
+    return CriterionReport(
         "theorem-sturm",
         {"R_positive": raw1, "R_prime_negative": raw2},
         {"R_positive": bound1, "R_prime_negative": bound2},
@@ -168,7 +166,7 @@ def check_class_a(
     (A1)  2 f(x) - v - max f > eta/96 on [a, b],
     (A2)  f'(x) < -eta/12 on [b, a+1/2] (checked at nodes of f').
 
-    f must be a spec with a symbolic derivative, as for check_theorem_sturm.
+    f must be a spec with two symbolic derivatives, as for check_theorem_sturm.
     """
     _check_window(a, b)
     fp = f.derivative()
@@ -200,7 +198,7 @@ def check_class_a(
     lip_fp = lipschitz_estimate(fp, grid_n)
     bound2 = lip_fp * ((a + 0.5 - b) / grid_n) / 2.0 + eta_rep.error_bound / 12.0
 
-    return CriterionReport.from_margins(
+    return CriterionReport(
         "class-A",
         {"A0_identity": raw0, "A1_window_gap": raw1, "A2_slope": raw2},
         {"A0_identity": 0.0, "A1_window_gap": bound1, "A2_slope": bound2},
@@ -238,7 +236,7 @@ def check_class_b(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
         fp = f.derivative()
         second = fp.derivative()
     except ValueError as exc:
-        return CriterionReport.from_margins(
+        return CriterionReport(
             "class-B",
             {"antisymmetry": raw_anti, "evenness": raw_even, "smoothness": -1.0},
             notes=(f"no second symbolic derivative: {exc}",),
@@ -280,7 +278,7 @@ def check_class_b(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
         "eta_identity": raw_eta,
         "derivative_at_zero": raw_d0,
     }
-    return CriterionReport.from_margins(
+    return CriterionReport(
         "class-B",
         raw,
         witnesses={"concavity": (i_cc - k) / (2 * grid_n)},
@@ -304,7 +302,7 @@ def check_kappa(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
     """
     b_rep = check_class_b(f, grid_n)
     if not b_rep.passed:
-        return CriterionReport.from_margins(
+        return CriterionReport(
             "kappa",
             {"class_B": -1.0},
             notes=("class-B membership failed; ratio not certified",) + b_rep.notes,
@@ -317,7 +315,7 @@ def check_kappa(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
     ratio = drop / eta
     # a fixed relative bound of 1e-6 on the ratio; neither eta's own
     # error_bound nor the 1% eta validation tolerance of class-B enters it
-    return CriterionReport.from_margins(
+    return CriterionReport(
         "kappa",
         {"ratio_above_kappa": ratio - KAPPA},
         {"ratio_above_kappa": abs(ratio) * 1e-6},
@@ -334,8 +332,10 @@ def search_c(h: FunctionSpec, grid_n: int = 10_000) -> tuple[float | None, Crite
     The scan is exhaustive over a grid of (0, 1/4); reported margins are
     exact evaluations at the returned c, so no discretization bound is
     needed on a success.  On failure the worst margins over the scan are
-    reported.
+    reported.  A grid_n < 2 leaves no interior point to scan: ValueError.
     """
+    if grid_n < 2:
+        raise ValueError(f"search_c needs grid_n >= 2 for an interior grid point, got {grid_n}")
     hp = h.derivative()
     hpp = hp.derivative()
     xs = np.linspace(0.0, 0.25, grid_n + 1)
@@ -367,7 +367,7 @@ def search_c(h: FunctionSpec, grid_n: int = 10_000) -> tuple[float | None, Crite
 
     raw = {"H1_window_gap": float(m1[i]), "H2_slope": float(m2[i])}
     raw.update(prec)
-    report = CriterionReport.from_margins(
+    report = CriterionReport(
         "lemma-sturm-search",
         raw,
         witnesses={"c": float(cs[i])},
@@ -463,7 +463,7 @@ def scan_translates(
     rows = []
     for j in range(omega_count):
         omega = j / omega_count
-        f_om = Translate(omega, f) if omega != 0.0 else f
+        f_om = Translate(omega, f)
         mu, val = best_sturmian(f_om, max_q)
         sol = solve_calibrated(f_om, d=2, grid_n=grid_n, tol=tol, max_iter=max_iter)
         rows.append(

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
 from math import gcd, isfinite
 
 import numpy as np
@@ -115,32 +114,10 @@ def sturmian_measure(p: int, q: int) -> SturmianMeasure:
 
 def rotation_numbers(max_q: int):
     """All reduced p/q with q <= max_q, ordered by (q, p); includes 0/1."""
-    out = [(0, 1)]
-    for q in range(2, max_q + 1):
-        for p in range(1, q):
-            if gcd(p, q) == 1:
-                out.append((p, q))
-    return out
+    return [(p, q) for q in range(1, max_q + 1) for p in range(q) if gcd(p, q) == 1]
 
 
 _TABLE_BUDGET = 2**22  # orbit points in one table: max_q <= 274
-
-
-def _check_table_budget(max_q: int) -> int:
-    """Number of points in the orbit table for max_q, the sum of q * phi(q).
-
-    Counted q by q; a ValueError as soon as the count passes the budget,
-    so an oversized table is refused before anything is built.
-    """
-    total = 0
-    for q in range(1, max_q + 1):
-        total += q * sum(1 for p in range(q) if gcd(p, q) == 1)
-        if total > _TABLE_BUDGET:
-            raise ValueError(
-                f"max_q = {max_q} exceeds the Sturmian orbit-table budget of "
-                f"{_TABLE_BUDGET} points (passed at q = {q})"
-            )
-    return total
 
 
 @lru_cache(maxsize=4)
@@ -149,18 +126,27 @@ def _orbit_table(max_q: int):
 
     Returns (rotations, points, blocks): the rotation numbers of
     ``rotation_numbers(max_q)``, their orbit points concatenated in that
-    order, and (q, count_q) per denominator (rotations come grouped by q).
-    Each point is n / m, the correctly rounded float of Fraction(n, m).
-    A table over ``_TABLE_BUDGET`` points is a ValueError.
+    order, and (q, count_q) per denominator.  Each point is n / m, the
+    correctly rounded float of Fraction(n, m).  The q * phi(q) points are
+    counted q by q, and a count over ``_TABLE_BUDGET`` is a ValueError
+    before any orbit point is built.
     """
-    _check_table_budget(max_q)
-    rotations = tuple(rotation_numbers(max_q))
+    rotations, blocks, total = [], [], 0
+    for q in range(1, max_q + 1):
+        ps = [p for p in range(q) if gcd(p, q) == 1]
+        total += q * len(ps)
+        if total > _TABLE_BUDGET:
+            raise ValueError(
+                f"max_q = {max_q} exceeds the Sturmian orbit-table budget of "
+                f"{_TABLE_BUDGET} points (passed at q = {q})"
+            )
+        rotations += [(p, q) for p in ps]
+        blocks.append((q, len(ps)))
     points = np.array(
         [n / (2**q - 1) for p, q in rotations for n in _orbit_numerators(p, q)]
     )
     points.flags.writeable = False
-    blocks = tuple((q, len(list(group))) for q, group in groupby(q for _, q in rotations))
-    return rotations, points, blocks
+    return tuple(rotations), points, tuple(blocks)
 
 
 def best_sturmian(f, max_q: int = 32) -> tuple[SturmianMeasure, float]:

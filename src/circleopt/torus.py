@@ -33,16 +33,15 @@ _JOIN_TOL = 1e-9  # relative continuity tolerance at piecewise junctions
 _CSV_BLOCK = 4096  # rows of GridFunction.to_csv formatted per % call
 
 
-def _mod1(x):
-    """x mod 1 in [0, 1] for a float array or scalar, bitwise numpy's ``x % 1.0``.
+def _mod1(x: np.ndarray) -> np.ndarray:
+    """x mod 1 in [0, 1] for a float array, bitwise numpy's ``x % 1.0``.
 
     Both round the exact value x - floor(x) once (numpy's remainder adds 1
     to the exact fmod of a negative x), so they agree to the bit, -0.0 -> +0.0
-    and a tiny negative x -> 1.0 included, at a fraction of the cost.
+    and a tiny negative x -> 1.0 included, at a fraction of the cost.  A 0-d
+    array is not accepted: its floor is a scalar, which cannot be written to.
     """
     r = np.floor(x)
-    if r.ndim == 0:
-        return x - r
     return np.subtract(x, r, out=r)
 
 
@@ -56,16 +55,16 @@ def _check_finite(field: str, *values) -> None:
 class FunctionSpec:
     """Base class for symbolic period-1 observables.
 
-    Subclasses implement ``_eval`` on arguments already reduced to [0, 1),
-    plus exact differentiation and serialization.
+    Subclasses implement ``_eval`` on float arrays of at least one
+    dimension, already reduced to [0, 1], returning a float array of the
+    same shape, plus exact differentiation and serialization.  A scalar
+    argument is evaluated as a 1-element array and returned as a float.
     """
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
-        out = self._eval(_mod1(arr))
-        if arr.ndim == 0:
-            return float(out)
-        return np.asarray(out, dtype=float)
+        out = self._eval(_mod1(np.atleast_1d(arr)))
+        return float(out[0]) if arr.ndim == 0 else out
 
     def _eval(self, r: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -141,15 +140,13 @@ class PiecewisePoly(FunctionSpec):
             raise ValueError("empty coefficient tuple")
 
     def _eval(self, r):
-        shape = np.shape(r)
-        flat = np.atleast_1d(np.asarray(r, dtype=float))
-        idx = np.searchsorted(np.asarray(self.breakpoints), flat, side="right") - 1
-        out = np.empty_like(flat)
+        idx = np.searchsorted(np.asarray(self.breakpoints), r, side="right") - 1
+        out = np.empty_like(r)
         for i, piece in enumerate(self.coefficients):
             mask = idx == i
             if mask.any():
-                out[mask] = np.polynomial.polynomial.polyval(flat[mask], np.asarray(piece))
-        return out.reshape(shape)
+                out[mask] = np.polynomial.polynomial.polyval(r[mask], np.asarray(piece))
+        return out
 
     def piece_value(self, i: int, x: float) -> float:
         """Evaluate piece i's polynomial at x regardless of piece bounds."""
@@ -307,11 +304,9 @@ class AntisymmetricExtension(FunctionSpec):
             )
 
     def _eval(self, r):
-        shape = np.shape(r)
-        flat = np.atleast_1d(np.asarray(r, dtype=float))
-        lo = self.half._eval(flat)
-        hi = 2.0 * self.v - self.half._eval(_mod1(flat - 0.5))
-        return np.where(flat < 0.5, lo, hi).reshape(shape)
+        lo = self.half._eval(r)
+        hi = 2.0 * self.v - self.half._eval(_mod1(r - 0.5))
+        return np.where(r < 0.5, lo, hi)
 
     def derivative(self):
         # f' = h' on [0,1/2), -h'(x-1/2) on [1/2,1): the same extension with v=0.
@@ -398,7 +393,7 @@ class GridFunction:
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
-        t = _mod1(arr) * self.n
+        t = _mod1(np.atleast_1d(arr)) * self.n
         j = np.rint(t)
         exact = np.abs(t - j) < _NODE_SNAP
         i0 = np.floor(t).astype(int)
@@ -407,9 +402,7 @@ class GridFunction:
         v1 = self.values[(i0 + 1) % self.n]
         interp = (1.0 - frac) * v0 + frac * v1
         out = np.where(exact, self.values[j.astype(int) % self.n], interp)
-        if arr.ndim == 0:
-            return float(out)
-        return out
+        return float(out[0]) if arr.ndim == 0 else out
 
     def lipschitz_estimate(self) -> float:
         """Empirical Lipschitz constant max |f(x_{i+1}) - f(x_i)| * N."""

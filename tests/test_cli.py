@@ -343,6 +343,31 @@ class TestFailedRunsLeaveNoRunDirectory:
             "error: derivative of discontinuous piecewise polynomial (jump at x=0.5)")
         assert not list(out.glob("run-*"))
 
+    @pytest.mark.parametrize("criterion", ["sturm", "classA"])
+    def test_kinked_spec_has_no_eta(self, criterion, tmp_path, capsys):
+        # -(x - 1/2)^2 has a kink at 0: the finite-difference route would
+        # give only a lower bound on eta, and the window checkers refuse it
+        spec = tmp_path / "kink.json"
+        spec.write_text(PiecewisePoly((0.0,), ((-0.25, 1.0, -1.0),)).to_json())
+        out = tmp_path / "out"
+        argv = ["check", "--criterion", criterion, "--spec", str(spec), "--a", "0.3", "--b", "0.45",
+                "--n", "512", "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: derivative of discontinuous piecewise polynomial (jump at x=0)\n")
+        assert not list(out.glob("run-*"))
+
+    @pytest.mark.parametrize("n", ["-1", "0", "1"])
+    def test_search_c_grid_without_interior_point(self, n, tmp_path, capsys):
+        spec = tmp_path / "half.json"
+        spec.write_text(PiecewisePoly((0.0,), ((0.0, 0.0, 0.5),), wrap=False).to_json())
+        out = tmp_path / "out"
+        argv = ["check", "--criterion", "search-c", "--spec", str(spec), "--n", n, "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: search_c needs grid_n >= 2 for an interior grid point, got {n}\n")
+        assert not list(out.glob("run-*"))
+
     @pytest.mark.parametrize(
         "spec",
         [{"kind": "piecewise_poly", "breakpoints": [0.0], "coefficients": [[0.5]]},

@@ -28,7 +28,7 @@ from circleopt.catalog import (
 )
 from circleopt.convexity import (
     _delta_table,
-    _finite_difference_eta,
+    _finite_difference_report,
     _one_sided,
     _second_difference_max,
 )
@@ -368,5 +368,9 @@ class TestSecondDifferenceKernel:
              "parabola"],
     )
     def test_finite_difference_matches_loop(self, g, min_delta_nodes):
-        got = _finite_difference_eta(g, min_delta_nodes)
-        assert got == _loop_finite_difference_eta(g, min_delta_nodes)
+        rep = _finite_difference_report(g, min_delta_nodes)
+        best, best_x, best_delta, infinite = _loop_finite_difference_eta(g, min_delta_nodes)
+        assert rep.eta == (math.inf if infinite else best)
+        assert (rep.witness_x, rep.witness_delta) == (best_x, best_delta)
+        assert (rep.method, rep.grid_n) == ("finite_difference", g.n)
+        assert rep.error_bound == 2.0 * g.lipschitz_estimate() / g.n

@@ -7,6 +7,7 @@ import pytest
 from circleopt import (
     KAPPA,
     Cosine,
+    CriterionReport,
     Negate,
     Scale,
     Sum,
@@ -38,6 +39,49 @@ from circleopt.torus import PiecewisePoly
 FOUR_PI_SQ = 4.0 * math.pi**2
 
 
+class TestCriterionReport:
+    @pytest.mark.parametrize(
+        "raw, bounds, status",
+        [
+            ({"a": 1.0, "b": 2.0}, {"a": 0.5, "b": 1.0}, "pass"),
+            ({"a": 1.0, "b": 2.0}, {"a": 0.5}, "pass"),  # b has no bound: nets to itself
+            ({"a": 1e-300}, {}, "pass"),
+            ({"a": 1.0, "b": 2.0}, {"a": 1.0}, "inconclusive"),  # a nets to exactly 0
+            ({"a": 1.0, "b": 2.0}, {"b": 3.0}, "inconclusive"),
+            ({"a": 1.0, "b": 0.0}, {}, "fail"),  # a raw margin of exactly 0
+            ({"a": 1.0, "b": -0.0}, {"a": 0.5}, "fail"),
+            ({"a": -1.0, "b": 2.0}, {"b": 5.0}, "fail"),
+        ],
+    )
+    def test_status_follows_the_margins(self, raw, bounds, status):
+        rep = CriterionReport("test", raw, bounds)
+        assert rep.status == status
+        assert rep.margins == {k: v - bounds.get(k, 0.0) for k, v in raw.items()}
+        assert rep.passed == (status == "pass") == all(m > 0.0 for m in rep.margins.values())
+        doc = rep.to_dict()
+        assert set(doc) == {"criterion", "status", "pass", "margins", "raw_margins",
+                            "error_bounds", "witnesses", "tolerances", "notes"}
+        assert (doc["status"], doc["pass"], doc["margins"]) == (status, rep.passed, rep.margins)
+
+    @pytest.mark.parametrize("given", [{"status": "pass"}, {"margins": {"a": 1.0}}],
+                             ids=["status", "margins"])
+    def test_status_and_margins_are_not_fields(self, given):
+        with pytest.raises(TypeError):
+            CriterionReport("test", {"a": -1.0}, **given)
+
+
+# -(x - 1/2)^2: continuous, with one convex kink at x = 0 where f' jumps
+# from -1 to 1.  The finite-difference route reads eta ~ 2 there, a lower
+# bound that the window margins must not be built on.
+KINKED = PiecewisePoly((0.0,), ((-0.25, 1.0, -1.0),))
+
+
+@pytest.mark.parametrize("check", [check_theorem_sturm, check_class_a], ids=["sturm", "classA"])
+def test_window_checkers_take_eta_from_the_second_derivative_only(check):
+    with pytest.raises(ValueError, match=r"discontinuous piecewise polynomial \(jump at x=0\)"):
+        check(KINKED, 0.3, 0.45)
+
+
 class TestTheoremSturm:
     def test_cosine_passes_on_tenth_window(self):
         rep = check_theorem_sturm(cosine(), -0.1, 0.1)
@@ -58,7 +102,8 @@ class TestTheoremSturm:
             check_theorem_sturm(cosine(), 0.2, 0.1)
 
     def test_rejects_infinite_defect(self):
-        with pytest.raises(ValueError, match="infinite"):
+        # tent's f' jumps: eta has no second-derivative route to stand on
+        with pytest.raises(ValueError, match="discontinuous"):
             check_theorem_sturm(tent(), -0.1, 0.1)
 
     def test_rejects_jump_without_grid_fallback(self):
@@ -237,6 +282,17 @@ class TestKappa:
 
 
 class TestSearchC:
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_grid_without_interior_point_rejected(self, n):
+        h = PiecewisePoly((0.0,), ((0.0, 0.0, 0.5),), wrap=False)
+        with pytest.raises(ValueError, match=f"search_c needs grid_n >= 2 .*, got {n}$"):
+            search_c(h, n)
+
+    def test_smallest_grid_scans_its_one_interior_point(self):
+        h = PiecewisePoly((0.0,), ((0.0, 0.0, 0.5),), wrap=False)
+        _, rep = search_c(h, 2)
+        assert rep.witnesses == {"c": 0.125}
+
     def test_half_square_profile(self):
         h = PiecewisePoly((0.0,), ((0.0, 0.0, 0.5),), wrap=False)
         c, rep = search_c(h, 10_000)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -196,13 +197,56 @@ class TestOrbitTable:
         assert points.tolist() == exact
 
 
-class TestOrbitTableBudget:
-    def test_largest_table_inside_the_budget(self):
-        # counts only: sum of q * phi(q) for q <= 274 is 4185413 <= 2^22
-        from circleopt.sturmian import _check_table_budget
+def _loop_rotation_numbers(max_q):
+    """Reference: 0/1, then the reduced p/q for q = 2..max_q, p = 1..q-1."""
+    out = [(0, 1)]
+    for q in range(2, max_q + 1):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                out.append((p, q))
+    return out
 
-        assert _check_table_budget(32) == 7043
-        assert _check_table_budget(274) == 4185413
+
+class TestRotationNumbers:
+    @pytest.mark.parametrize("max_q", [1, 2, 5, 32, 60])
+    def test_matches_nested_loop(self, max_q):
+        assert rotation_numbers(max_q) == _loop_rotation_numbers(max_q)
+
+    @pytest.mark.parametrize("max_q", [1, 2, 5, 32])
+    def test_table_rotations_and_blocks(self, max_q):
+        from circleopt.sturmian import _orbit_table
+
+        rotations, points, blocks = _orbit_table(max_q)
+        assert list(rotations) == rotation_numbers(max_q)
+        assert blocks == tuple(
+            (q, len(list(group))) for q, group in groupby(q for _, q in rotations)
+        )
+        assert points.size == sum(q * count for q, count in blocks)
+
+
+class TestOrbitTableBudget:
+    def test_largest_table_inside_the_budget(self, monkeypatch):
+        # sum of q * phi(q): 7043 points for q <= 32, 4185413 <= 2^22 for
+        # q <= 274, so 274 reaches the point construction and 275 does not
+        from circleopt.sturmian import _TABLE_BUDGET, _orbit_table
+
+        assert sum(q for _, q in rotation_numbers(32)) == 7043
+        assert sum(q for _, q in rotation_numbers(274)) == 4185413 <= _TABLE_BUDGET
+        assert sum(q for _, q in rotation_numbers(275)) > _TABLE_BUDGET
+
+        class Built(Exception):
+            pass
+
+        def refuse(p, q):
+            raise Built
+
+        monkeypatch.setattr(sturmian, "_orbit_numerators", refuse)
+        _orbit_table.cache_clear()
+        with pytest.raises(Built):
+            _orbit_table(274)
+        with pytest.raises(ValueError, match=r"max_q = 275 exceeds .* \(passed at q = 275\)"):
+            _orbit_table(275)
+        assert _orbit_table.cache_info().currsize == 0
 
     @pytest.mark.parametrize("max_q", [275, 1000, 10**9])
     def test_over_budget_is_refused_before_building(self, max_q):
