@@ -24,7 +24,6 @@ from .torus import (
 )
 from .convexity import (
     ConvexityReport,
-    DefectBound,
     convexity_defect,
     pointwise_defect,
     uniform_defect,

@@ -19,57 +19,40 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .torus import FunctionSpec, GridFunction, _check_grid_size, sample
 
-# Size of the (shifts x nodes) block the second-difference kernel fills per
-# step; a fixed byte count keeps its working memory flat in N.
-_BLOCK_BYTES = 512 * 1024
 
+def _second_difference(vv: np.ndarray, k: int) -> np.ndarray:
+    """2 v[x] - v[x+k] - v[x-k] over the nodes x, periodic, for 0 <= k <= N.
 
-def _second_difference_max(v: np.ndarray, ks: range) -> tuple[np.ndarray, np.ndarray]:
-    """Max and first argmax over nodes x of 2 v[x] - v[x+k] - v[x-k], per k in ks.
-
-    ks is a range with a positive step and 0 <= k <= N (ValueError
-    otherwise).  Indices are periodic: row k holds what
-    ``2.0 * v - np.roll(v, -k) - np.roll(v, k)`` gives, bit for bit, and so
-    do its max and first argmax.
+    ``vv`` is v||v, the grid values twice over, so both neighbour terms
+    are slices; the result is ``2.0 * v - np.roll(v, -k) - np.roll(v, k)``
+    bit for bit.
     """
-    n = v.size
-    if not isinstance(ks, range) or ks.step <= 0 or (ks and not (ks[0] >= 0 and ks[-1] <= n)):
-        raise ValueError(f"shifts must be a range with a positive step inside 0..{n}, got {ks!r}")
-    # row r of win is v shifted left by r (r = 0..N), so v[x+k] is win[k, x]
-    # and v[x-k] is win[N-k, x]: a progression of k is a strided view of rows
-    win = np.lib.stride_tricks.sliding_window_view(np.concatenate([v, v]), n)
-    two_v = 2.0 * v
-    maxima = np.empty(len(ks))
-    argmax = np.empty(len(ks), dtype=np.int64)
-    rows = max(1, min(len(ks), _BLOCK_BYTES // v.nbytes))
-    buf = np.empty((rows, n))
-    for lo in range(0, len(ks), rows):
-        kb = ks[lo:lo + rows]
-        hi = lo + len(kb)
-        vals = buf[:len(kb)]
-        np.subtract(two_v, win[kb.start:kb.stop:kb.step], out=vals)
-        np.subtract(vals, win[n - kb[-1]:n - kb[0] + 1:kb.step][::-1], out=vals)
-        vals.argmax(axis=1, out=argmax[lo:hi])
-        # a reduction, not the value at the argmax: a row of signed zeros
-        # has its max's sign from np.max, as the roll expression's has
-        vals.max(axis=1, out=maxima[lo:hi])
-    return maxima, argmax
+    n = vv.size // 2
+    return 2.0 * vv[:n] - vv[k:k + n] - vv[n - k:2 * n - k]
 
 
-class DefectBound(NamedTuple):
-    """A grid supremum together with its discretization-error bound."""
+def _candidate_shifts(n: int, m: int) -> list[int]:
+    """The shifts k in [m, N/2] with no divisor in [m, k), and 2m, ascending.
 
-    value: float
-    error_bound: float
-
-    def __float__(self):
-        return float(self.value)
+    Write D_k = 2v - v(.+k) - v(.-k).  Then D_jk[x] is the sum over |i| < j
+    of (j - |i|) D_k[x + ik], whose weights sum to j^2, so the score
+    (N/jk)^2 max D_jk is at most (N/k)^2 max D_k in exact arithmetic: the
+    maximum over [m, N/2] is carried by these shifts.  2m is the kink
+    test's second scale.  A sieve strikes the multiples of each kept k.
+    """
+    half = n // 2
+    keep = np.zeros(half + 1, dtype=bool)
+    keep[m:] = True
+    for j in range(m, half // 2 + 1):
+        if keep[j]:
+            keep[2 * j::j] = False
+    keep[2 * m] = True
+    return np.flatnonzero(keep).tolist()
 
 
 def pointwise_defect(f, x, delta: float):
@@ -80,13 +63,12 @@ def pointwise_defect(f, x, delta: float):
     return np.maximum(val, 0.0) if np.ndim(x) else float(max(val, 0.0))
 
 
-def uniform_defect(f: GridFunction, delta: float) -> DefectBound:
+def uniform_defect(f: GridFunction, delta: float) -> float:
     """Maximum of the pointwise defect over the nodes of a grid function.
 
     The three evaluations are exact node lookups, so delta must be a
     multiple of the spacing 1/N (ValueError otherwise).  The result is a
-    lower bound for the sup over x; the attached error bound
-    Lip(f) * (2 / N) covers the gap.  A spec is passed as ``sample(f, N)``.
+    lower bound for the sup over x.  A spec is passed as ``sample(f, N)``.
     """
     if not isinstance(f, GridFunction):
         raise TypeError(f"need a GridFunction, got {type(f).__name__}")
@@ -96,9 +78,8 @@ def uniform_defect(f: GridFunction, delta: float) -> DefectBound:
     k = delta * n
     if abs(k - round(k)) >= 1e-9:
         raise ValueError(f"delta={delta} is not a multiple of the grid spacing 1/{n}")
-    k = int(round(k)) % n
-    maxima, _ = _second_difference_max(f.values, range(k, k + 1))
-    return DefectBound(float(max(maxima[0], 0.0)), 2.0 * f.lipschitz_estimate() / n)
+    d = _second_difference(np.concatenate([f.values, f.values]), int(round(k)) % n)
+    return float(max(d.max(), 0.0))
 
 
 @dataclass(frozen=True)
@@ -142,18 +123,20 @@ def _delta_table(g: GridFunction) -> list[dict]:
     ``{"delta", "xi_star", "error_bound"}`` of the ``eta`` artifact."""
     n = g.n
     stride = max(1, (n // 2) // 32)
-    ks = range(stride, n // 2 + 1, stride)
+    vv = np.concatenate([g.values, g.values])
     err = 2.0 * g.lipschitz_estimate() / n
-    return [
-        {"delta": k / n, "xi_star": float(max(mk, 0.0)), "error_bound": err}
-        for k, mk in zip(ks, _second_difference_max(g.values, ks)[0])
-    ]
+    rows = []
+    for k in range(stride, n // 2 + 1, stride):
+        xi = float(max(_second_difference(vv, k).max(), 0.0))
+        rows.append({"delta": k / n, "xi_star": xi, "error_bound": err})
+    return rows
 
 
 def _finite_difference_report(g: GridFunction, min_delta_nodes: int = 1) -> ConvexityReport:
     """The finite-difference route's report: the max over delta = k/N
     (k >= min_delta_nodes) and grid x of delta^-2 * defect, with its
-    witnesses, or +inf where the kink test fires."""
+    witnesses, or +inf where the kink test fires.  Only the shifts of
+    ``_candidate_shifts`` are read; no other k can score higher."""
     n = g.n
     m = max(1, min_delta_nodes)
     if 2 * m > n // 2:
@@ -161,8 +144,9 @@ def _finite_difference_report(g: GridFunction, min_delta_nodes: int = 1) -> Conv
             f"min_delta_nodes={min_delta_nodes} leaves no room for the kink test at "
             f"N={n}: need 2 * max(1, min_delta_nodes) <= N/2"
         )
-    ks = range(m, n // 2 + 1)
-    maxima, argmax = _second_difference_max(g.values, ks)
+    ks = _candidate_shifts(n, m)
+    vv = np.concatenate([g.values, g.values])
+    maxima = np.array([_second_difference(vv, k).max() for k in ks])
     # delta^-2 by Python's float pow: numpy's square rounds differently in
     # the last bit for some k, which would move eta and its witness
     inv_delta_sq = np.array([(n / k) ** 2 for k in ks])
@@ -173,12 +157,13 @@ def _finite_difference_report(g: GridFunction, min_delta_nodes: int = 1) -> Conv
     i = int(np.argmax(score))  # first maximum: the smallest such delta
     if score[i] > 0.0:
         best = float(score[i])
-        best_x = float(argmax[i]) / n
+        best_x = float(_second_difference(vv, ks[i]).argmax()) / n
         best_delta = ks[i] / n
     # A kink makes delta^-2 * defect blow up like 1/delta as delta -> 0:
     # flag +inf when halving delta from 2m/N to m/N, the finest scale the
-    # caller admits, grows the score by ~2x (score[j] is k = m + j).
-    infinite = bool(n >= 8 and score[m] > 0.0 and score[0] > 1.6 * score[m])
+    # caller admits, grows the score by ~2x (ks starts at m).
+    s2m = score[ks.index(2 * m)]
+    infinite = bool(n >= 8 and s2m > 0.0 and score[0] > 1.6 * s2m)
     return ConvexityReport(
         eta=math.inf if infinite else best,
         method="finite_difference",
@@ -189,12 +174,12 @@ def _finite_difference_report(g: GridFunction, min_delta_nodes: int = 1) -> Conv
     )
 
 
-def _one_sided(second: FunctionSpec) -> np.ndarray:
-    """f'' at 1e-9 either side of each of its non-smooth points, in order."""
+def _one_sided(second: FunctionSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The points 1e-9 either side of each non-smooth point of f'', in
+    order, and f'' at each of them."""
     eps = 1e-9
-    return np.array(
-        [second((b + s) % 1.0) for b in second.nonsmooth_points() for s in (-eps, eps)]
-    )
+    xs = [(b + s) % 1.0 for b in second.nonsmooth_points() for s in (-eps, eps)]
+    return np.array(xs), np.array([second(x) for x in xs])
 
 
 def _second_derivative_report(
@@ -254,7 +239,8 @@ def convexity_defect(
                 raise
         else:
             _check_grid_size(grid_n)
-            return _second_derivative_report(second, second(np.arange(grid_n) / grid_n), _one_sided(second))
+            vals = second(np.arange(grid_n) / grid_n)
+            return _second_derivative_report(second, vals, _one_sided(second)[1])
     elif mode == "second_derivative":
         raise ValueError("second_derivative mode needs a symbolic spec with two derivatives")
 

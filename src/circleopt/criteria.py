@@ -221,7 +221,8 @@ def check_class_b(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
     """Even antisymmetric concave family membership.
 
     Verifies at nodes: f(x) + f(x+1/2) constant, f(-x) = f(x), finite
-    convexity defect, concavity on [-1/4, 1/4]; and validates the identity
+    convexity defect; concavity on (-1/4, 1/4) at the 2N-grid nodes and
+    beside the non-smooth points of f''; and validates the identity
     eta = max f'' = -min f'' together with f'(0) = 0.
     """
     fg = sample(f, grid_n)
@@ -246,16 +247,21 @@ def check_class_b(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
     # f'' once on the 2N grid: its even nodes (2i)/(2N) are the N-grid
     # nodes i/N bit for bit, so they feed the eta report as well
     vals2 = second(np.arange(2 * grid_n) / (2 * grid_n))
-    one_sided = _one_sided(second)
+    pts, one_sided = _one_sided(second)
     eta_rep = _second_derivative_report(second, vals2[::2], one_sided)
     eta = eta_rep.eta
     raw_finite = 1.0 if eta_rep.is_finite else -1.0
 
-    # concavity at the 2N-grid nodes strictly inside (-1/4, 1/4), i/(2N)
-    # for |i| <= k: endpoints excluded so that right-limits at the quarter
-    # points do not leak in
+    # concavity strictly inside (-1/4, 1/4): at the 2N-grid nodes i/(2N)
+    # for |i| <= k, then beside each non-smooth point of f'' there, so that
+    # a convex arc between nodes shows (nodes first: a tie keeps a node as
+    # the witness).  Endpoints are excluded so that right-limits at the
+    # quarter points do not leak in
     k = (grid_n - 1) // 2
-    vals = np.concatenate([vals2[2 * grid_n - k :], vals2[: k + 1]])
+    signed = np.where(pts >= 0.5, pts - 1.0, pts)
+    inside = np.abs(signed) < 0.25
+    vals = np.concatenate([vals2[2 * grid_n - k :], vals2[: k + 1], one_sided[inside]])
+    xs_cc = np.concatenate([np.arange(-k, k + 1) / (2 * grid_n), signed[inside]])
     tol_cc = 1e-9 * max(1.0, eta)
     i_cc = int(np.argmax(vals))
     raw_cc = tol_cc - float(vals[i_cc])
@@ -281,7 +287,7 @@ def check_class_b(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
     return CriterionReport(
         "class-B",
         raw,
-        witnesses={"concavity": (i_cc - k) / (2 * grid_n)},
+        witnesses={"concavity": float(xs_cc[i_cc])},
         tolerances={
             "eta": eta,
             "identity_tolerance": tol_id,

@@ -314,5 +314,5 @@ def preimage_branch_bound(f, g, x: float, n: int) -> float:
         delta = 2.0**-k
         at = powers[n - k]
         totals += pointwise_defect(f, at, delta)
-    tail = float(uniform_defect(g, 2.0**-n))
+    tail = uniform_defect(g, 2.0**-n)
     return float(np.max(totals) + tail)

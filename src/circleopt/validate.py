@@ -97,11 +97,11 @@ def suite_cone_laws(seed: int, cases: int) -> SuiteResult:
         # every delta is a multiple of 1/grid_n: node lookups in the samples
         sum_grid = GridFunction(fv + gv)
         max_grid = GridFunction(np.maximum(fv, gv))
-        uf = float(uniform_defect(GridFunction(fv), delta))
-        ug = float(uniform_defect(GridFunction(gv), delta))
-        u_sum = float(uniform_defect(sum_grid, delta))
-        u_max = float(uniform_defect(max_grid, delta))
-        u_hom = float(uniform_defect(GridFunction(a * fv + b), delta))
+        uf = uniform_defect(GridFunction(fv), delta)
+        ug = uniform_defect(GridFunction(gv), delta)
+        u_sum = uniform_defect(sum_grid, delta)
+        u_max = uniform_defect(max_grid, delta)
+        u_hom = uniform_defect(GridFunction(a * fv + b), delta)
         t.check(uf + ug - u_sum + tol_pt, "uniform subadditivity")
         t.check(max(uf, ug) - u_max + tol_pt, "uniform max law")
         t.check(tol_pt * max(1.0, a) - abs(u_hom - a * uf), "uniform homogeneity")
@@ -156,8 +156,8 @@ def suite_defect_contraction(seed: int, cases: int) -> SuiteResult:
         d = int(rng.choice([2, 3]))
         delta = float(rng.choice([0.125, 0.0625]))
         mf = max_transfer(f, d)
-        lhs = float(uniform_defect(mf, delta))
-        rhs = float(uniform_defect(f, delta / d))
+        lhs = uniform_defect(mf, delta)
+        rhs = uniform_defect(f, delta / d)
         tol = 10.0 * f.lipschitz_estimate() / mf.n
         t.check(rhs - lhs + tol, f"contraction d={d} delta={delta}")
     return t.result("defect-contraction")

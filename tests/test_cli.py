@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import circleopt
-from circleopt.catalog import cosine, tent
+from circleopt.catalog import cosine, quadratic_extremal, tent
 from circleopt.torus import PiecewisePoly, Sum
 from circleopt.cli import build_parser, main
 from circleopt.sturmian import _orbit_table
@@ -184,6 +184,18 @@ class TestEta:
         doc = json.loads((_only_run_dir(out) / "convexity.json").read_text())
         assert doc["eta"] == pytest.approx(4 * math.pi**2, abs=1e-9)
         assert "delta_table" in doc and "witnesses" in doc
+
+    def test_finite_difference_reads_the_exact_extremal_eta(self, tmp_path, capsys):
+        # every shift scores 2 on -x^2 in exact arithmetic; the route reads
+        # k = 1 and 2 only, and k = 1 gives the exact value
+        spec = tmp_path / "quad.json"
+        spec.write_text(json.dumps(quadratic_extremal().to_dict()))
+        out = tmp_path / "out"
+        argv = ["eta", "--spec", str(spec), "--mode", "finite_difference", "--n", "4096"]
+        assert main(argv + ["--out", str(out)]) == 0
+        doc = json.loads((_only_run_dir(out) / "convexity.json").read_text())
+        assert (doc["eta"], doc["witnesses"]["delta"]) == (2.0, 1 / 4096)
+        assert "eta = 2.0  (finite_difference, lower_bound)" in capsys.readouterr().out
 
 
 class TestSturmian:

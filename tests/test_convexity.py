@@ -27,10 +27,11 @@ from circleopt.catalog import (
     tent,
 )
 from circleopt.convexity import (
+    _candidate_shifts,
     _delta_table,
     _finite_difference_report,
     _one_sided,
-    _second_difference_max,
+    _second_difference,
 )
 from circleopt.criteria import check_class_b
 
@@ -64,14 +65,11 @@ class TestUniformDefect:
     def test_constant(self):
         assert float(uniform_defect(sample(constant(1.5), 4096), 0.125)) == 0.0
 
-    def test_error_bound_reported(self):
-        v = uniform_defect(sample(cosine(), 1024), 0.25)
-        assert v.error_bound == pytest.approx(2 * sample(cosine(), 4096).lipschitz_estimate() / 1024, rel=0.01)
-
     def test_grid_node_aligned_exact(self):
         g = sample(cosine(), 64)
         v = uniform_defect(g, 0.25)
-        assert v.value == pytest.approx(2.0, abs=1e-12)
+        assert type(v) is float
+        assert v == pytest.approx(2.0, abs=1e-12)
 
     def test_spec_input_rejected(self):
         with pytest.raises(TypeError, match="need a GridFunction, got Cosine"):
@@ -97,12 +95,28 @@ class TestUniformDefect:
             for fn, values in pairs:
                 for delta in (1 / 16, 1 / 8, 1 / 4):
                     ref = float(max(np.max(2.0 * fn(xs) - fn(xs + delta) - fn(xs - delta)), 0.0))
-                    assert uniform_defect(GridFunction(values), delta).value == ref
+                    assert uniform_defect(GridFunction(values), delta) == ref
 
     def test_grid_off_lattice_delta_rejected(self):
         # 0.1 is not a multiple of 1/64: no silent interpolated search
         with pytest.raises(ValueError, match="not a multiple of the grid spacing 1/64"):
             uniform_defect(sample(cosine(), 64), 0.1)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.25])
+    def test_rejects_nonpositive_delta(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            uniform_defect(sample(cosine(), 64), delta)
+
+    def test_shifts_wrap_around_the_circle(self):
+        # the shift is taken mod N: a whole turn leaves nothing, and the
+        # defect is even in delta, so 1 - delta reads what delta reads, up
+        # to the order of the two neighbour subtractions
+        g = sample(random_trig(np.random.default_rng(5)), 64)
+        assert uniform_defect(g, 1.0) == 0.0
+        for k in range(1, 64):
+            ref = uniform_defect(g, k / 64)
+            assert uniform_defect(g, 1.0 + k / 64) == ref, k
+            assert uniform_defect(g, (64 - k) / 64) == pytest.approx(ref, rel=1e-12, abs=1e-12), k
 
 
 class TestConvexityDefect:
@@ -221,16 +235,19 @@ class TestDeltaTable:
         assert 1 <= len(rows) <= 32 and rows[-1]["delta"] <= 0.5
         for row in rows:
             ref = uniform_defect(g, row["delta"])
-            assert (row["xi_star"], row["error_bound"]) == (ref.value, ref.error_bound)
+            assert (row["xi_star"], row["error_bound"]) == (ref, 2 * g.lipschitz_estimate() / n)
 
 
 def _loop_one_sided(second):
-    """Per-point reference: f'' at 1e-9 either side of each non-smooth point."""
+    """Per-point reference: the points 1e-9 either side of each non-smooth
+    point, and f'' there."""
     eps = 1e-9
-    cands = []
+    xs, vals = [], []
     for b in second.nonsmooth_points():
-        cands.append(np.array([second((b - eps) % 1.0), second((b + eps) % 1.0)]))
-    return np.concatenate(cands) if cands else np.zeros(0)
+        for x in ((b - eps) % 1.0, (b + eps) % 1.0):
+            xs.append(x)
+            vals.append(second(x))
+    return np.array(xs, dtype=float), np.array(vals, dtype=float)
 
 
 @pytest.mark.parametrize(
@@ -251,43 +268,40 @@ def _loop_one_sided(second):
 )
 def test_one_sided_matches_loop(f):
     second = f.derivative().derivative()
-    got, ref = _one_sided(second), _loop_one_sided(second)
-    assert got.dtype == ref.dtype and got.shape == ref.shape
-    assert got.tobytes() == ref.tobytes()
+    for got, ref in zip(_one_sided(second), _loop_one_sided(second)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 def _roll_second_difference(v, k):
     return 2.0 * v - np.roll(v, -k) - np.roll(v, k)
 
 
-def _loop_finite_difference_eta(g, min_delta_nodes):
-    """Per-k reference for the finite-difference route."""
+def _loop_scores(g):
+    """Per-k reference for the finite-difference route: for k = 1..N/2,
+    the score (N/k)^2 max D_k (0 where max D_k <= 0) and D_k's first argmax."""
     n = g.n
-    best, best_x, best_delta = 0.0, 0.0, max(1, min_delta_nodes) / n
-    score_by_k = np.zeros(n // 2 + 1)
+    scores, argmax = {}, {}
     for k in range(1, n // 2 + 1):
         vals = _roll_second_difference(g.values, k)
         m = float(np.max(vals))
-        if m <= 0.0:
-            continue
-        score = m * (n / k) ** 2
-        score_by_k[k] = score
-        if k >= min_delta_nodes and score > best:
-            best, best_x, best_delta = score, float(np.argmax(vals)) / n, k / n
-    m = max(1, min_delta_nodes)
-    infinite = bool(n >= 8 and 2 * m <= n // 2 and score_by_k[2 * m] > 0.0
-                    and score_by_k[m] > 1.6 * score_by_k[2 * m])
-    return best, best_x, best_delta, infinite
+        scores[k] = m * (n / k) ** 2 if m > 0.0 else 0.0
+        argmax[k] = int(np.argmax(vals))
+    return scores, argmax
 
 
-def _assert_matches_roll(v, ks):
-    """The kernel's max and first argmax are the roll expression's, bit for bit."""
-    maxima, argmax = _second_difference_max(v, ks)
-    assert maxima.shape == argmax.shape == (len(ks),)
-    for k, m, i in zip(ks, maxima, argmax):
-        ref = _roll_second_difference(v, k)
-        assert i == ref.argmax(), k
-        assert m.tobytes() == ref.max().tobytes(), k
+def _loop_best(g, scores, argmax, ks, min_delta_nodes):
+    """The first best score over the shifts ks, with its witnesses."""
+    n = g.n
+    best, best_x, best_delta = 0.0, 0.0, max(1, min_delta_nodes) / n
+    for k in ks:
+        if scores[k] > best:
+            best, best_x, best_delta = scores[k], argmax[k] / n, k / n
+    return best, best_x, best_delta
+
+
+def _brute_candidates(n, m):
+    return {k for k in range(m, n // 2 + 1) if not any(k % j == 0 for j in range(m, k))} | {2 * m}
 
 
 # integer values make exact ties; -0.0 and 0.0 tie with each other
@@ -296,60 +310,79 @@ _FLOAT_VALUES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def _vector_and_shifts(draw):
+def _vector_and_shift(draw):
     n = draw(st.integers(1, 40))
     v = np.array(draw(st.lists(st.one_of(_TIE_VALUES, _FLOAT_VALUES), min_size=n, max_size=n)))
-    start = draw(st.integers(0, n))
-    stop = draw(st.integers(start, n + 1))
-    return v, range(start, stop, draw(st.integers(1, n + 1)))
+    return v, draw(st.integers(0, n))
+
+
+def _assert_matches_roll(v, k):
+    """The per-shift difference is the roll expression, bit for bit, so its
+    max and first argmax are the roll expression's too."""
+    got = _second_difference(np.concatenate([v, v]), k)
+    ref = _roll_second_difference(v, k)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes(), k
+    assert got.argmax() == ref.argmax() and got.max().tobytes() == ref.max().tobytes(), k
 
 
 class TestSecondDifferenceKernel:
     @pytest.mark.parametrize("n", [7, 101, 4096])
     @pytest.mark.parametrize("kind", ["random", "cosine"])
     def test_matches_roll_bitwise(self, n, kind):
-        # cosine samples have exact ties, which exercise the first-argmax rule
+        # cosine samples have exact ties, which exercise the first argmax
         if kind == "random":
             v = np.random.default_rng(n).standard_normal(n)
         else:
             v = sample(cosine(), n).values
-        # every shift 0..N, then strided progressions that start, stop and
-        # step off the block boundaries, and the empty and one-shift ranges
-        _assert_matches_roll(v, range(n + 1))
-        for ks in (range(1, n // 2 + 1, 3), range(2, n + 1, 7), range(n // 3, n, n // 3 or 1),
-                   range(n, n + 1), range(5, 5)):
-            _assert_matches_roll(v, ks)
+        for k in range(n + 1):
+            _assert_matches_roll(v, k)
 
     @settings(max_examples=300, deadline=None)
-    @given(_vector_and_shifts())
+    @given(_vector_and_shift())
     # an all-zero row whose first maximum is -0.0 while np.max gives +0.0
-    @example((np.array([-0.0, 0.0, 0.0, 0.0]), range(1, 2)))
-    def test_matches_roll_on_random_progressions(self, case):
+    @example((np.array([-0.0, 0.0, 0.0, 0.0]), 1))
+    def test_matches_roll_on_random_shifts(self, case):
         _assert_matches_roll(*case)
 
-    @pytest.mark.parametrize(
-        "ks",
-        [[1, 2], np.arange(1, 4), range(-1, 3), range(0, 10), range(3, 0, -1), range(9, 12)],
-        ids=["list", "array", "negative", "past-n", "descending", "beyond"],
-    )
-    def test_rejects_shifts_outside_a_forward_range(self, ks):
-        with pytest.raises(ValueError, match="range with a positive step inside 0..8"):
-            _second_difference_max(np.arange(8.0), ks)
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-1000, 1000), min_size=2, max_size=64))
+    def test_a_multiple_of_a_shift_never_scores_higher(self, ints):
+        # D_jk is a sum of translates of D_k with weights summing to j^2,
+        # so max D_jk <= j^2 max D_k; integer values make every term exact
+        vv = np.array(ints + ints, dtype=float)
+        n = len(ints)
+        for k in range(1, n // 2 + 1):
+            top = _second_difference(vv, k).max()
+            for j in range(2, n // (2 * k) + 1):
+                assert _second_difference(vv, j * k).max() <= j * j * top, (k, j)
 
-    def test_memory_stays_within_the_block(self):
-        # v||v, 2v and the two outputs (N/2 entries each) are 4 N-arrays; the
-        # rest is the block, numpy's ufunc buffer (np.getbufsize() elements)
-        # for the in-place subtraction of a strided view, and array headers
-        v = sample(cosine(), 4096).values
-        ks = range(1, 4096 // 2 + 1)
-        _second_difference_max(v, ks)
+    def test_candidate_shifts_are_the_brute_force_set(self):
+        for n in range(4, 200):
+            for m in range(1, n // 4 + 1):
+                ks = _candidate_shifts(n, m)
+                assert ks == sorted(_brute_candidates(n, m)), (n, m)
+                assert all(type(k) is int for k in ks)
+
+    def test_candidate_shifts_at_the_route_settings(self):
+        assert _candidate_shifts(4096, 1) == [1, 2]
+        ks = _candidate_shifts(4096, 4)
+        assert len(ks) == 311 and ks[:6] == [4, 5, 6, 7, 8, 9]
+
+    @pytest.mark.parametrize("min_delta_nodes", [1, 4])
+    def test_route_memory_is_a_few_arrays(self, min_delta_nodes):
+        # v||v, the difference and its temporaries, and the Lipschitz
+        # estimate's differences: a few N-arrays, whatever the scan reads
+        # (2 shifts at min_delta_nodes=1, 311 at 4)
+        g = sample(cosine(), 4096)
+        _finite_difference_report(g, min_delta_nodes)
         tracemalloc.start()
         try:
-            _second_difference_max(v, ks)
+            _finite_difference_report(g, min_delta_nodes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < convexity._BLOCK_BYTES + 4 * v.nbytes + 8 * np.getbufsize() + 16 * 1024
+        assert peak < 6 * g.values.nbytes
 
     @pytest.mark.parametrize("min_delta_nodes", [1, 4, 8])
     @pytest.mark.parametrize(
@@ -369,8 +402,15 @@ class TestSecondDifferenceKernel:
     )
     def test_finite_difference_matches_loop(self, g, min_delta_nodes):
         rep = _finite_difference_report(g, min_delta_nodes)
-        best, best_x, best_delta, infinite = _loop_finite_difference_eta(g, min_delta_nodes)
-        assert rep.eta == (math.inf if infinite else best)
+        scores, argmax = _loop_scores(g)
+        m = max(1, min_delta_nodes)
+        ks = _candidate_shifts(g.n, m)
+        best, best_x, best_delta = _loop_best(g, scores, argmax, ks, m)
+        infinite = bool(g.n >= 8 and scores[2 * m] > 0.0 and scores[m] > 1.6 * scores[2 * m])
+        assert np.float64(rep.eta).tobytes() == np.float64(math.inf if infinite else best).tobytes()
         assert (rep.witness_x, rep.witness_delta) == (best_x, best_delta)
+        # every other shift ties with the candidates at most, up to rounding
+        best_all, _, _ = _loop_best(g, scores, argmax, range(m, g.n // 2 + 1), m)
+        assert best <= best_all <= best + 4 * math.ulp(best)
         assert (rep.method, rep.grid_n) == ("finite_difference", g.n)
         assert rep.error_bound == 2.0 * g.lipschitz_estimate() / g.n

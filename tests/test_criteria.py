@@ -6,6 +6,7 @@ import pytest
 
 from circleopt import (
     KAPPA,
+    AntisymmetricExtension,
     Cosine,
     CriterionReport,
     Negate,
@@ -37,6 +38,28 @@ from circleopt.sturmian import _circular_runs
 from circleopt.torus import PiecewisePoly
 
 FOUR_PI_SQ = 4.0 * math.pi**2
+
+
+def _bumped_extremal():
+    """quadratic_extremal with f'' = +2 on [c, c + 4e-5] and on its mirror
+    [-c - 4e-5, -c], c = 0.1 + 0.3/8192: both arcs lie between 2N-grid
+    nodes at N = 4096, and f stays C^1, even and antisymmetric, but is
+    convex on them, inside (-1/4, 1/4)."""
+    c, e = 0.1 + 0.3 / 8192, 4e-5
+    # the half-profile h on [0, 1/4]: h(0) = h'(0) = 0, h'' = -2 but +2 on
+    # the bump; on [1/4, 1/2) evenness sets h(x) = 2v - h(1/2 - x)
+    lo = [(0.0, 0.0, -1.0), (2 * c * c, -4 * c, 1.0), (-2 * e * e - 4 * e * c, 4 * e, -1.0)]
+    v = float(np.polynomial.polynomial.polyval(0.25, lo[2]))
+
+    def mirror(a):
+        return (2 * v - a[0] - a[1] / 2 - a[2] / 4, a[1] + a[2], -a[2])
+
+    half = PiecewisePoly(
+        (0.0, c, c + e, 0.25, 0.5 - c - e, 0.5 - c),
+        tuple(lo) + tuple(mirror(a) for a in reversed(lo)),
+        wrap=False,
+    )
+    return AntisymmetricExtension(half, v)
 
 
 class TestCriterionReport:
@@ -169,6 +192,21 @@ class TestClassB:
         rep = check_class_b(tent())
         assert rep.status == "fail"
 
+    def test_convex_arcs_between_nodes_fail_concavity(self):
+        # f'' = +2 on arcs that no 2N-grid node reaches: the one-sided
+        # values beside their ends show it
+        f = _bumped_extremal()
+        x = np.arange(4096) / 4096
+        assert np.max(np.abs(f(x) - f(-x))) < 1e-15
+        assert np.max(np.abs(f(x) + f(x + 0.5) - 2 * f(0.25))) < 1e-15
+        second = f.derivative().derivative()
+        assert np.all(second(np.arange(-2047, 2048) / 8192) == -2.0)
+        rep = check_class_b(f, 4096)
+        assert rep.status == "fail"
+        assert rep.raw_margins["concavity"] == pytest.approx(-2.0, abs=1e-8)
+        assert 0.1 < rep.witnesses["concavity"] < 0.1 + 1e-4
+        assert check_kappa(f, 4096).status == "fail"
+
     def test_second_derivative_symmetry_validated(self):
         rep = check_class_b(cosine_extremal_blend(0.5))
         assert rep.passed
@@ -212,9 +250,17 @@ class TestClassB:
     )
     def test_concavity_equals_the_linspace_scan_bitwise(self, f, n):
         # at power-of-two N the 2N-grid nodes inside (-1/4, 1/4) are the
-        # points of linspace(-1/4, 1/4, N+1)[1:-1] bit for bit
-        xs_in = np.linspace(-0.25, 0.25, n + 1)[1:-1]
-        vals = f.derivative().derivative()(xs_in)
+        # points of linspace(-1/4, 1/4, N+1)[1:-1] bit for bit; after them
+        # come f'' at 1e-9 either side of each non-smooth point inside
+        second = f.derivative().derivative()
+        xs_in = list(np.linspace(-0.25, 0.25, n + 1)[1:-1])
+        vals = list(second(np.array(xs_in)))
+        for b in second.nonsmooth_points():
+            for x in ((b - 1e-9) % 1.0, (b + 1e-9) % 1.0):
+                signed = x - 1.0 if x >= 0.5 else x
+                if abs(signed) < 0.25:
+                    xs_in.append(signed)
+                    vals.append(second(x))
         i = int(np.argmax(vals))
         rep = check_class_b(f, n)
         tol_cc = 1e-9 * max(1.0, rep.tolerances["eta"])
