@@ -59,8 +59,12 @@ def pointwise_defect(f, x, delta: float):
     """max(2 f(x) - f(x+delta) - f(x-delta), 0); vectorized over x."""
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
+    if np.ndim(x) == 0:
+        # one call on the three points instead of three scalar calls
+        here, right, left = f(np.array([x, x + delta, x - delta]))
+        return float(max(2.0 * here - right - left, 0.0))
     val = 2.0 * f(x) - f(np.asarray(x) + delta) - f(np.asarray(x) - delta)
-    return np.maximum(val, 0.0) if np.ndim(x) else float(max(val, 0.0))
+    return np.maximum(val, 0.0)
 
 
 def uniform_defect(f: GridFunction, delta: float) -> float:

@@ -41,8 +41,8 @@ from .convexity import (
     pointwise_defect,
 )
 from .sturmian import SturmianCertificate, best_sturmian, sturmian_certificate
-from .torus import FunctionSpec, Translate, lipschitz_estimate, sample
-from .transfer import solve_calibrated
+from .torus import FunctionSpec, GridFunction, Translate, lipschitz_estimate, sample
+from .transfer import SubactionSolution, solve_calibrated
 
 KAPPA = 7.0 / 96.0 - math.sqrt(3.0) / 36.0
 
@@ -391,6 +391,7 @@ class TranslateRow:
     beta: float
     converged: bool
     residual: float
+    iterations: int
     rotation_p: int
     rotation_q: int
     best_value: float
@@ -436,6 +437,7 @@ class ScanResult:
                     "beta": r.beta,
                     "converged": r.converged,
                     "residual": r.residual,
+                    "iterations": r.iterations,
                     "rotation": [r.rotation_p, r.rotation_q],
                     "best_value": r.best_value,
                     "beta_gap": r.beta_gap,
@@ -444,6 +446,11 @@ class ScanResult:
                 for r in self.rows
             ],
         }
+
+
+def _reflect(g: GridFunction) -> GridFunction:
+    """g(-x) on the same grid: reflect(g)[i] = g[(N - i) mod N]."""
+    return GridFunction(np.roll(g.values[::-1], 1))
 
 
 def scan_translates(
@@ -463,26 +470,39 @@ def scan_translates(
     is a ValueError, not a vacuous pass; so are a max_q < 1 and one over
     the orbit-table budget, which ``best_sturmian`` refuses before the
     first solve.
+
+    Translates are solved in pairs (j, K - j), K = omega_count: j from
+    g = 0, then K - j from g_j(-x) when row j converged.  The doubling map
+    commutes with x -> -x, so for an even f that start is the partner's
+    calibrated sub-action up to rounding; for any f it is only a start,
+    and the solver's stop rule and residual judge the row as they judge a
+    cold one.  Rows are returned in omega order.
     """
     if omega_count < 1:
         raise ValueError(f"omega_count must be >= 1, got {omega_count}")
-    rows = []
-    for j in range(omega_count):
+    rows: list[TranslateRow | None] = [None] * omega_count
+
+    def solve_row(j: int, g0: GridFunction | None) -> SubactionSolution:
         omega = j / omega_count
         f_om = Translate(omega, f)
         mu, val = best_sturmian(f_om, max_q)
-        sol = solve_calibrated(f_om, d=2, grid_n=grid_n, tol=tol, max_iter=max_iter)
-        rows.append(
-            TranslateRow(
-                omega=omega,
-                beta=sol.beta,
-                converged=sol.converged,
-                residual=sol.residual,
-                rotation_p=mu.p,
-                rotation_q=mu.q,
-                best_value=val,
-                beta_gap=abs(sol.beta - val),
-                certificate=sturmian_certificate(sol.f, sol.g),
-            )
+        sol = solve_calibrated(f_om, d=2, grid_n=grid_n, tol=tol, max_iter=max_iter, g0=g0)
+        rows[j] = TranslateRow(
+            omega=omega,
+            beta=sol.beta,
+            converged=sol.converged,
+            residual=sol.residual,
+            iterations=sol.iterations,
+            rotation_p=mu.p,
+            rotation_q=mu.q,
+            best_value=val,
+            beta_gap=abs(sol.beta - val),
+            certificate=sturmian_certificate(sol.f, sol.g),
         )
+        return sol
+
+    for j in range(omega_count // 2 + 1):
+        sol = solve_row(j, None)
+        if 0 < j < omega_count - j:
+            solve_row(omega_count - j, _reflect(sol.g) if sol.converged else None)
     return ScanResult(rows=tuple(rows), grid_n=grid_n, max_q=max_q)

@@ -270,6 +270,8 @@ class TestScan:
         assert csv[1].startswith("0,1,0,1,true")
         doc = json.loads((rd / "scan.json").read_text())
         assert doc["all_pass"] is True
+        # row 3 starts from row 1's reflected sub-action, exact for an even f
+        assert [r["iterations"] > 1 for r in doc["rows"]] == [True, True, True, False]
 
     def test_summary_counts_converged_rows_only(self, cos_spec, tmp_path, capsys):
         out = tmp_path / "out"
@@ -278,7 +280,7 @@ class TestScan:
         assert code == 1
         assert capsys.readouterr().out.splitlines()[0] == "0/2 certificates pass"
         rows = json.loads((_only_run_dir(out) / "scan.json").read_text())["rows"]
-        assert [r["converged"] for r in rows] == [False, False]
+        assert [(r["converged"], r["iterations"]) for r in rows] == [(False, 3), (False, 3)]
 
 
 class TestErrors:

@@ -53,6 +53,27 @@ class TestPointwiseDefect:
         with pytest.raises(ValueError):
             pointwise_defect(cosine(), 0.0, 0.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        which=st.sampled_from(["trig", "quadratic", "grid", "lambda"]),
+        x=st.floats(-2.0, 2.0),
+        delta=st.floats(1e-6, 1.0),
+    )
+    def test_scalar_equals_three_scalar_calls(self, seed, which, x, delta):
+        rng = np.random.default_rng(seed)
+        trig = random_trig(rng)
+        f = {
+            "trig": trig,
+            "quadratic": quadratic_extremal(),
+            "grid": GridFunction(rng.standard_normal(64)),
+            "lambda": lambda y: trig(y) + quadratic_extremal()(y),
+        }[which]
+        old = 2.0 * f(x) - f(np.asarray(x) + delta) - f(np.asarray(x) - delta)
+        got = pointwise_defect(f, x, delta)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(max(old, 0.0)).tobytes()
+
 
 class TestUniformDefect:
     def test_cosine_quarter(self):

@@ -34,10 +34,22 @@ from circleopt.catalog import (
     tent,
 )
 from circleopt import convexity, criteria, torus
-from circleopt.sturmian import _circular_runs
-from circleopt.torus import PiecewisePoly
+from circleopt.sturmian import _circular_runs, sturmian_certificate
+from circleopt.torus import GridFunction, PiecewisePoly
 
 FOUR_PI_SQ = 4.0 * math.pi**2
+
+
+def _paired_solve(f, k, omega_count, n):
+    """Row k's solve in the scan's pair order: cold, or, for k > K/2, from
+    g(-x) of its partner K - k's cold solve when that converged."""
+    partner = omega_count - k
+    f_om = Translate(k / omega_count, f)
+    if not 0 < partner < k:
+        return solve_calibrated(f_om, d=2, grid_n=n)
+    first = solve_calibrated(Translate(partner / omega_count, f), d=2, grid_n=n)
+    g0 = GridFunction(first.g.values[(n - np.arange(n)) % n]) if first.converged else None
+    return solve_calibrated(f_om, d=2, grid_n=n, g0=g0)
 
 
 def _bumped_extremal():
@@ -426,13 +438,48 @@ class TestScanTranslates:
     def test_certificates_equal_the_composed_oracle(self, f):
         n = 512
         res = scan_translates(f, 4, grid_n=n, max_q=8)
-        for row in res.rows:
-            f_om = Translate(row.omega, f) if row.omega != 0.0 else f
-            sol = solve_calibrated(f_om, d=2, grid_n=n)
+        for k, row in enumerate(res.rows):
+            sol = _paired_solve(f, k, 4, n)
             r = antipodal_difference(sol.f, sol.g)
             eps = 5.0 * (sol.f.lipschitz_estimate() + sol.g.lipschitz_estimate()) / n
             runs = _circular_runs(np.abs(r.values) <= eps)
             cert = row.certificate
             assert (cert.epsilon_r, cert.w_max, cert.grid_n) == (eps, 16.0 / n, n)
             assert cert.zero_arcs == tuple((s / n, (c - 1) / n, c) for s, c in runs)
-            assert row.beta == sol.beta
+            assert (row.beta, row.residual, row.iterations) == (sol.beta, sol.residual, sol.iterations)
+
+    @pytest.mark.parametrize("omega_count", [7, 8])
+    @pytest.mark.parametrize(
+        "f",
+        [cosine(), quadratic_extremal(), random_antisym_even(np.random.default_rng(3)),
+         random_trig(np.random.default_rng(2))],
+        ids=["cosine", "quadratic", "antisym-even", "trig"],
+    )
+    def test_rows_agree_with_cold_solves(self, f, omega_count, monkeypatch):
+        n = 1024
+        res = scan_translates(f, omega_count, grid_n=n, max_q=16)
+        monkeypatch.setattr(
+            criteria, "solve_calibrated", lambda *a, g0=None, **kw: solve_calibrated(*a, **kw)
+        )
+        cold = scan_translates(f, omega_count, grid_n=n, max_q=16)
+        for row, ref in zip(res.rows, cold.rows):
+            tol = 1e-9 * torus.sample(Translate(row.omega, f), n).value_range()
+            assert row.omega == ref.omega
+            assert row.certificate.status == ref.certificate.status
+            assert (row.rotation_p, row.rotation_q) == (ref.rotation_p, ref.rotation_q)
+            assert row.converged and ref.converged
+            assert abs(row.beta - ref.beta) <= tol
+            assert row.residual <= tol
+
+    def test_mirrored_rows_of_an_even_observable_take_one_sweep(self):
+        res = scan_translates(cosine(), 8, grid_n=1024, max_q=16)
+        assert [r.iterations == 1 for r in res.rows] == [False] * 5 + [True] * 3
+
+    def test_unconverged_partner_gives_no_start(self):
+        n = 512
+        res = scan_translates(cosine(), 5, grid_n=n, max_q=8, max_iter=2)
+        for k, row in enumerate(res.rows):
+            sol = solve_calibrated(Translate(k / 5, cosine()), d=2, grid_n=n, max_iter=2)
+            assert not row.converged
+            assert (row.beta, row.residual, row.iterations) == (sol.beta, sol.residual, 2)
+            assert row.certificate == sturmian_certificate(sol.f, sol.g)
