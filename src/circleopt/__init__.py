@@ -20,7 +20,6 @@ from .torus import (
     refine_linear,
     sample,
     spec_from_dict,
-    spec_from_json,
 )
 from .convexity import (
     ConvexityReport,

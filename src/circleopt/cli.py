@@ -2,8 +2,9 @@
 
 Subcommands: solve, eta, sturmian, check, scan, validate.  Each cmd_*
 computes, prints its summary and returns (exit code, config entries beyond
-_common_config, {file name: text}); main alone writes those files and the
-configuration, echoed to config.json, into <out>/run-<confighash>/, so
+the parsed arguments, {file name: text}); main alone writes those files and
+the configuration -- every parsed argument that is set, except --out, plus
+those entries -- echoed to config.json, into <out>/run-<confighash>/, so
 identical configurations produce byte-identical outputs.  A command that
 raises creates no run directory; one that returns gets one, whatever its
 exit code.  Exit codes: 0 pass/success, 1 criterion fail,
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .convexity import _delta_table, convexity_defect
+from .convexity import convexity_defect, uniform_defect
 from .criteria import (
     check_class_a,
     check_class_b,
@@ -33,7 +34,7 @@ from .criteria import (
     search_c,
 )
 from .sturmian import best_sturmian, sturmian_measure
-from .torus import sample, spec_from_dict
+from .torus import GridFunction, sample, spec_from_dict
 from .transfer import beta_lower_bound, solve_calibrated
 from .validate import run_all
 
@@ -83,12 +84,22 @@ def _load_spec(path: str):
         raise ValueError(f"malformed function spec in {path}: {exc}") from exc
 
 
-def _common_config(args, subcommand: str) -> dict:
-    cfg = {"subcommand": subcommand, "version": __version__}
-    for key in ("spec", "d", "n", "tol", "max_iter", "orbit_period_cap", "max_q", "omega_count", "seed", "cases"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            cfg[key] = getattr(args, key)
-    return cfg
+def _common_config(args) -> dict:
+    """The subcommand, the version and every parsed argument that is set
+    but --out, so that no flag can miss the run-directory hash."""
+    given = {k: v for k, v in vars(args).items()
+             if v is not None and k not in ("out", "func", "command")}
+    return {"subcommand": args.command, "version": __version__, **given}
+
+
+def _delta_table(g: GridFunction) -> list[dict]:
+    """Uniform defect of g at up to 32 node-aligned deltas k/N, as rows
+    ``{"delta", "xi_star", "error_bound"}`` of the ``eta`` artifact."""
+    n = g.n
+    stride = max(1, (n // 2) // 32)
+    err = 2.0 * g.lipschitz_estimate() / n
+    return [{"delta": k / n, "xi_star": uniform_defect(g, k / n), "error_bound": err}
+            for k in range(stride, n // 2 + 1, stride)]
 
 
 def cmd_solve(args) -> tuple[int, dict, dict]:
@@ -125,7 +136,7 @@ def cmd_eta(args) -> tuple[int, dict, dict]:
     rep = convexity_defect(f, args.mode, args.n)
     doc = {**rep.to_dict(), "delta_table": _delta_table(sample(f, args.n))}
     print(f"eta = {rep.eta!r}  ({rep.method}, {rep.bound_direction})")
-    return EXIT_PASS, {"mode": args.mode}, {"convexity.json": _json_text(doc)}
+    return EXIT_PASS, {}, {"convexity.json": _json_text(doc)}
 
 
 def cmd_sturmian(args) -> tuple[int, dict, dict]:
@@ -140,7 +151,7 @@ def cmd_sturmian(args) -> tuple[int, dict, dict]:
     if "integral" in doc:
         print(f"integral = {doc['integral']!r}; best over q <= {args.max_q}: "
               f"{doc['best']['p']}/{doc['best']['q']} -> {doc['best']['value']!r}")
-    return EXIT_PASS, {"p": args.p, "q": args.q}, {"sturmian.json": _json_text(doc)}
+    return EXIT_PASS, {}, {"sturmian.json": _json_text(doc)}
 
 
 def cmd_check(args) -> tuple[int, dict, dict]:
@@ -159,7 +170,8 @@ def cmd_check(args) -> tuple[int, dict, dict]:
         _, rep = search_c(f, args.n)
     worst = min(rep.margins.values()) if rep.margins else float("nan")
     print(f"{rep.criterion}: {rep.status} (worst net margin {worst!r})")
-    extras = {"criterion": args.criterion, "a": args.a, "b": args.b, "v": args.v}
+    # the window flags stay in config.json as null when unset
+    extras = {"a": args.a, "b": args.b, "v": args.v}
     return _STATUS_EXIT[rep.status], extras, {"criterion.json": _json_text(rep.to_dict())}
 
 
@@ -254,7 +266,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    config = {**_common_config(args, args.command), **extras}
+    config = {**_common_config(args), **extras}
     rundir = _run_dir(args.out, config)
     for name, text in {"config.json": _json_text(config), **files}.items():
         (rundir / name).write_text(text)

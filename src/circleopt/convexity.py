@@ -60,7 +60,8 @@ def pointwise_defect(f, x, delta: float):
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     if np.ndim(x) == 0:
-        # one call on the three points instead of three scalar calls
+        # one call on the three points instead of three scalar calls; arrays
+        # keep three calls, since stacking them is slower at 4097 points
         here, right, left = f(np.array([x, x + delta, x - delta]))
         return float(max(2.0 * here - right - left, 0.0))
     val = 2.0 * f(x) - f(np.asarray(x) + delta) - f(np.asarray(x) - delta)
@@ -122,20 +123,6 @@ class ConvexityReport:
         }
 
 
-def _delta_table(g: GridFunction) -> list[dict]:
-    """Uniform defect of g at up to 32 node-aligned deltas k/N, as rows
-    ``{"delta", "xi_star", "error_bound"}`` of the ``eta`` artifact."""
-    n = g.n
-    stride = max(1, (n // 2) // 32)
-    vv = np.concatenate([g.values, g.values])
-    err = 2.0 * g.lipschitz_estimate() / n
-    rows = []
-    for k in range(stride, n // 2 + 1, stride):
-        xi = float(max(_second_difference(vv, k).max(), 0.0))
-        rows.append({"delta": k / n, "xi_star": xi, "error_bound": err})
-    return rows
-
-
 def _finite_difference_report(g: GridFunction, min_delta_nodes: int = 1) -> ConvexityReport:
     """The finite-difference route's report: the max over delta = k/N
     (k >= min_delta_nodes) and grid x of delta^-2 * defect, with its
@@ -190,9 +177,15 @@ def _second_derivative_report(
     second: FunctionSpec, vals: np.ndarray, one_sided: np.ndarray
 ) -> ConvexityReport:
     """The second-derivative route's report from f'' at the N nodes i/N
-    (``vals``) and beside its non-smooth points (``one_sided``)."""
+    (``vals``) and beside its non-smooth points (``one_sided``).  A
+    non-finite f'' (an overflow in a spec with finite samples) would read
+    as eta = 0 or NaN, so it is a ValueError."""
     grid_n = vals.size
-    eta = max(0.0, -float(np.min(np.concatenate([vals, one_sided]))))
+    read = np.concatenate([vals, one_sided])
+    if not np.all(np.isfinite(read)):
+        bad = read[~np.isfinite(read)][0]
+        raise ValueError(f"f'' is not finite ({bad}); the convexity defect is undefined")
+    eta = max(0.0, -float(np.min(read)))
     # error bound: slope of f'' between its discontinuities times the
     # spacing (one-sided limits at the discontinuities are evaluated
     # directly, so jumps do not contribute error)

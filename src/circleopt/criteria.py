@@ -10,7 +10,8 @@ only says the hypothesis was not verified.
 
 The checkers take specs: slope conditions are evaluated on f.derivative(),
 so a spec without one (a piecewise polynomial with a jump) is a ValueError;
-the window checkers take eta from f'' as well, so a kink is one too.
+the window checkers take eta from f'' as well, so a kink is one too, and
+so is an f'' (or a half-profile's h'') that is not finite.
 
 Checked conditions, all for the doubling map:
 
@@ -34,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convexity import (
-    ConvexityReport,
     _one_sided,
     _second_derivative_report,
     convexity_defect,
@@ -100,15 +100,6 @@ def _check_window(a: float, b: float) -> None:
         raise ValueError(f"need a < b < a + 1/2, got a={a}, b={b}")
 
 
-def _eta_or_raise(f, grid_n: int) -> ConvexityReport:
-    """eta by the second-derivative route only: the finite-difference route
-    is a lower bound, and a margin built on it would claim too much."""
-    rep = convexity_defect(f, "second_derivative", grid_n)
-    if not rep.is_finite:
-        raise ValueError("convexity defect is flagged infinite; criterion undefined")
-    return rep
-
-
 def check_theorem_sturm(f: FunctionSpec, a: float, b: float, grid_n: int = 4096) -> CriterionReport:
     """Two-window test: positivity margin on [a,b], slope margin on [b, a+1/2].
 
@@ -123,7 +114,7 @@ def check_theorem_sturm(f: FunctionSpec, a: float, b: float, grid_n: int = 4096)
     """
     _check_window(a, b)
     fp = f.derivative()
-    eta_rep = _eta_or_raise(f, grid_n)
+    eta_rep = convexity_defect(f, "second_derivative", grid_n)
     eta = eta_rep.eta
     lip = lipschitz_estimate(f, grid_n)
 
@@ -170,7 +161,7 @@ def check_class_a(
     """
     _check_window(a, b)
     fp = f.derivative()
-    eta_rep = _eta_or_raise(f, grid_n)
+    eta_rep = convexity_defect(f, "second_derivative", grid_n)
     eta = eta_rep.eta
     fg = sample(f, grid_n)
     lip = fg.lipschitz_estimate()
@@ -244,9 +235,13 @@ def check_class_b(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
             tolerances={"identity_tolerance": tol_id, "grid_n": grid_n},
         )
 
-    # f'' once on the 2N grid: its even nodes (2i)/(2N) are the N-grid
-    # nodes i/N bit for bit, so they feed the eta report as well
-    vals2 = second(np.arange(2 * grid_n) / (2 * grid_n))
+    # f'' once on the 2N grid, where sample refuses a non-finite value: its
+    # even nodes (2i)/(2N) are the N-grid nodes i/N bit for bit, so they
+    # feed the eta report as well
+    try:
+        vals2 = sample(second, 2 * grid_n).values
+    except ValueError as exc:
+        raise ValueError(f"f'' is not finite on the {2 * grid_n}-node grid: {exc}") from None
     pts, one_sided = _one_sided(second)
     eta_rep = _second_derivative_report(second, vals2[::2], one_sided)
     eta = eta_rep.eta
@@ -350,6 +345,8 @@ def search_c(h: FunctionSpec, grid_n: int = 10_000) -> tuple[float | None, Crite
     for bp in hpp.nonsmooth_points():
         if 0.0 <= bp <= 0.25:
             cands.append(np.array([hpp(max(bp - eps, 0.0)), hpp(min(bp + eps, 0.25))]))
+    if not all(np.all(np.isfinite(c)) for c in cands):
+        raise ValueError("h'' is not finite; the curvature bound eta is undefined")
     eta = float(max(np.max(c) for c in cands))
     if eta <= 0.0:
         raise ValueError("profile has nonpositive curvature bound; search undefined")

@@ -363,10 +363,6 @@ def spec_from_dict(d: dict) -> FunctionSpec:
         raise ValueError(f"node kind {kind!r} has a field of the wrong type: {exc}") from exc
 
 
-def spec_from_json(text: str) -> FunctionSpec:
-    return spec_from_dict(json.loads(text))
-
-
 @dataclass(frozen=True)
 class GridFunction:
     """Uniform sampling of a period-1 function; values[i] = f(i/N).

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import pytest
 
 import circleopt
 from circleopt.catalog import cosine, quadratic_extremal, tent
-from circleopt.torus import PiecewisePoly, Sum
+from circleopt.torus import Cosine, Negate, PiecewisePoly, Scale, Sum
 from circleopt.cli import build_parser, main
 from circleopt.sturmian import _orbit_table
 
@@ -174,6 +175,87 @@ class TestParser:
         assert exc.value.code == 2
         assert not (tmp_path / "bad").exists()
         assert eta_files(tmp_path / "again") == first
+
+
+# for each subcommand: arguments that run it quickly, and another value for
+# each optional flag; every optional flag of the parser must be listed
+RUN_DIR_FLAGS = {
+    "solve": (["--n", "64", "--spec"],
+              {"--n": "128", "--d": "4", "--tol": "1e-6", "--max-iter": "50",
+               "--orbit-period-cap": "4"}),
+    "eta": (["--n", "64", "--spec"], {"--n": "128", "--mode": "finite_difference"}),
+    "sturmian": (["--p", "1", "--q", "3"], {"--spec": None, "--max-q": "8"}),
+    "check": (["--criterion", "classB", "--n", "64", "--spec"],
+              {"--n": "128", "--a": "-0.1", "--b": "0.1", "--v": "0.5"}),
+    "scan": (["--omega-count", "2", "--n", "64", "--spec"],
+             {"--n": "128", "--omega-count": "3", "--max-q": "8", "--tol": "1e-6",
+              "--max-iter": "50"}),
+    "validate": (["--cases", "2"], {"--seed": "1", "--cases": "3"}),
+}
+
+
+def _optional_flags(command: str) -> set[str]:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.option_strings[0] for a in sub.choices[command]._actions
+            if a.option_strings and not a.required and a.dest not in ("help", "out")}
+
+
+class TestConfig:
+    @pytest.mark.parametrize("command", list(RUN_DIR_FLAGS))
+    def test_every_optional_flag_moves_the_run_directory(self, command, cos_spec, tmp_path, capsys):
+        base, variants = RUN_DIR_FLAGS[command]
+        assert set(variants) == _optional_flags(command)
+        base = [command] + base + ([cos_spec] if base[-1] == "--spec" else [])
+
+        def run_dir(argv, out):
+            main(argv + ["--out", str(tmp_path / out)])
+            return _only_run_dir(tmp_path / out).name
+
+        first = run_dir(base, "base")
+        assert run_dir(base, "again") == first
+        for flag, value in variants.items():
+            argv = base + [flag, cos_spec if value is None else value]
+            assert run_dir(argv, flag) != first, flag
+
+    def test_records_every_set_argument_but_out(self, cos_spec, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["check", "--criterion", "classB", "--spec", cos_spec, "--n", "64",
+                     "--out", str(out)]) == 0
+        config = json.loads((_only_run_dir(out) / "config.json").read_text())
+        assert config == {"subcommand": "check", "version": circleopt.__version__,
+                          "criterion": "classB", "spec": cos_spec, "n": 64,
+                          "a": None, "b": None, "v": None}
+
+
+# 1e305 (cos 2000 pi x - cos(2000 pi x + 0.1)): every sample is finite, but
+# f'' overflows to inf and NaN
+OVERFLOWING = Sum((Scale(1e305, Cosine(1000, 0.0)), Scale(-1e305, Cosine(1000, 0.1))))
+
+
+@pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["eta", "--mode", "second_derivative"], "f''"),
+        (["eta"], "f''"),
+        (["check", "--criterion", "classB"], "f''"),
+        (["check", "--criterion", "kappa"], "f''"),
+        (["check", "--criterion", "sturm", "--a", "-0.1", "--b", "0.1"], "f''"),
+        (["check", "--criterion", "classA", "--a", "-0.125", "--b", "0.125"], "f''"),
+        (["check", "--criterion", "search-c"], "h''"),
+    ],
+    ids=["eta-second-derivative", "eta-auto", "classB", "kappa", "sturm", "classA", "search-c"],
+)
+def test_overflowing_second_derivative_exits_3(argv, named, tmp_path, capsys):
+    f = OVERFLOWING
+    if argv[-1] == "search-c":
+        f = Sum((PiecewisePoly((0.0,), ((OVERFLOWING(0.0),),)), Negate(OVERFLOWING)))
+    spec = tmp_path / "overflow.json"
+    spec.write_text(f.to_json())
+    out = tmp_path / "out"
+    assert main(argv + ["--spec", str(spec), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {named} is not finite")
+    assert not out.exists()
 
 
 class TestEta:

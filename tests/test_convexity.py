@@ -7,8 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circleopt import (
+    Cosine,
     GridFunction,
     Scale,
+    Sum,
     Translate,
     convexity_defect,
     pointwise_defect,
@@ -26,11 +28,12 @@ from circleopt.catalog import (
     random_trig,
     tent,
 )
+from circleopt.cli import _delta_table
 from circleopt.convexity import (
     _candidate_shifts,
-    _delta_table,
     _finite_difference_report,
     _one_sided,
+    _second_derivative_report,
     _second_difference,
 )
 from circleopt.criteria import check_class_b
@@ -182,6 +185,22 @@ class TestConvexityDefect:
     def test_second_derivative_mode_rejects_kinks(self):
         with pytest.raises(ValueError):
             convexity_defect(tent(), "second_derivative")
+
+    @pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["auto", "second_derivative"])
+    def test_overflowing_second_derivative_is_refused(self, mode):
+        # finite samples (|f| <= 1e304) whose f'' overflows: once eta = 0.0
+        f = Sum((Scale(1e305, Cosine(1000, 0.0)), Scale(-1e305, Cosine(1000, 0.1))))
+        assert np.all(np.abs(sample(f, 4096).values) <= 1e304)
+        with pytest.raises(ValueError, match=r"^f'' is not finite \(nan\)"):
+            convexity_defect(f, mode, 4096)
+
+    def test_second_derivative_route_refuses_a_non_finite_one_sided_value(self):
+        second = quadratic_extremal().derivative().derivative()
+        vals = second(np.arange(64) / 64)
+        assert _second_derivative_report(second, vals, np.array([-2.0, 2.0])).eta == 2.0
+        with pytest.raises(ValueError, match=r"^f'' is not finite \(inf\)"):
+            _second_derivative_report(second, vals, np.array([-2.0, np.inf]))
 
     def test_delta_table_dominated_by_eta(self):
         rep = convexity_defect(cosine(), "second_derivative", 4096)

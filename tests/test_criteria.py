@@ -117,6 +117,35 @@ def test_window_checkers_take_eta_from_the_second_derivative_only(check):
         check(KINKED, 0.3, 0.45)
 
 
+# 1e305 (cos 2000 pi x - cos(2000 pi x + 0.1)): every sample is finite
+# (|f| <= 1e304), but f' and f'' overflow to inf and NaN.  Once the
+# second-derivative route read that f'' as eta = 0.0.
+OVERFLOWING = Sum((Scale(1e305, Cosine(1000, 0.0)), Scale(-1e305, Cosine(1000, 0.1))))
+# numpy warns as f' and f'' overflow; the tests here are about what follows
+OVERFLOW_WARNINGS = "ignore:(overflow|invalid value) encountered:RuntimeWarning"
+
+
+@pytest.mark.filterwarnings(OVERFLOW_WARNINGS)
+@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize(
+    "check",
+    [check_class_b, check_kappa, lambda f, n: check_theorem_sturm(f, -0.1, 0.1, n),
+     lambda f, n: check_class_a(f, -0.125, 0.125, 0.0, n)],
+    ids=["classB", "kappa", "sturm", "classA"],
+)
+def test_overflowing_second_derivative_is_refused(check, n):
+    assert np.all(np.abs(OVERFLOWING(np.arange(2 * n) / (2 * n))) <= 1e304)
+    with pytest.raises(ValueError, match=r"^f'' is not finite"):
+        check(OVERFLOWING, n)
+
+
+@pytest.mark.filterwarnings(OVERFLOW_WARNINGS)
+def test_overflowing_half_profile_is_refused():
+    h = Sum((constant(OVERFLOWING(0.0)), Negate(OVERFLOWING)))
+    with pytest.raises(ValueError, match=r"^h'' is not finite"):
+        search_c(h, 10_000)
+
+
 class TestTheoremSturm:
     def test_cosine_passes_on_tenth_window(self):
         rep = check_theorem_sturm(cosine(), -0.1, 0.1)
@@ -252,6 +281,25 @@ class TestClassB:
         # inside (-1/4, 1/4), and one point either side of each non-smooth point
         one_sided = [1] * 2 * len(second.nonsmooth_points())
         assert sorted(sizes) == sorted([2 * 1024] + one_sided)
+
+    def test_nan_at_an_odd_2n_grid_node_is_refused(self, monkeypatch):
+        # the N-grid eta report reads only the even 2N-grid nodes; a NaN at
+        # node 1 once left the concavity margin NaN and the status
+        # "inconclusive"
+        f = cosine()
+        second = f.derivative().derivative()
+        call = torus.FunctionSpec.__call__
+
+        def nan_at_node_1(self, x):
+            out = call(self, x)
+            if self == second and np.size(x) == 2 * 1024:
+                out = out.copy()
+                out[1] = np.nan
+            return out
+
+        monkeypatch.setattr(torus.FunctionSpec, "__call__", nan_at_node_1)
+        with pytest.raises(ValueError, match=r"^f'' is not finite on the 2048-node grid: .*node 1 is nan"):
+            check_class_b(f, 1024)
 
     @pytest.mark.parametrize("n", [512, 1024, 4096])
     @pytest.mark.parametrize(

@@ -132,11 +132,22 @@ def test_detects_a_private_import():
 # a new entry is a decision taken in one module leaking into another: add it
 # here on purpose, or move the decision to the module that applies it
 PRIVATE_IMPORTS = {
-    "transfer": {("torus", "_refine_into"), ("torus", "_weight_plan")},
+    "transfer": {
+        # each sweep fills f + g on the fine grid in place, allocating nothing
+        ("torus", "_refine_into"),
+        # and sizes that fill's product buffer once, before the sweeps
+        ("torus", "_weight_plan"),
+    },
+    # the branch bound reduces its orbit points mod 1, bitwise x % 1.0 but cheaper
     "sturmian": {("torus", "_mod1")},
+    # the second-derivative route reads f'' at N nodes without sampling f
     "convexity": {("torus", "_check_grid_size")},
-    "criteria": {("convexity", "_one_sided"), ("convexity", "_second_derivative_report")},
-    "cli": {("convexity", "_delta_table")},
+    "criteria": {
+        # class B reads the eta route's one-sided f'' values in its concavity scan
+        ("convexity", "_one_sided"),
+        # and builds eta from the 2N-grid f'' it already holds
+        ("convexity", "_second_derivative_report"),
+    },
 }
 
 

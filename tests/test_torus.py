@@ -18,7 +18,6 @@ from circleopt import (
     refine_linear,
     sample,
     spec_from_dict,
-    spec_from_json,
 )
 from circleopt import torus
 from circleopt.catalog import (
@@ -314,13 +313,13 @@ class TestNonFiniteSpecs:
     )
     def test_json_literals_rejected(self, text, field):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            spec_from_json(text)
+            spec_from_dict(json.loads(text))
 
 
 class TestSerialization:
     def test_round_trip(self):
         f = Sum((Scale(0.5, Translate(0.25, cosine())), quadratic_extremal()))
-        f2 = spec_from_json(f.to_json())
+        f2 = spec_from_dict(json.loads(f.to_json()))
         xs = np.linspace(0, 1, 101)
         np.testing.assert_allclose(f(xs), f2(xs), atol=0)
 
