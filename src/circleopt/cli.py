@@ -117,6 +117,8 @@ def cmd_solve(args) -> tuple[int, dict, dict]:
     # most (Lip f + (d+1) Lip g) / (2dN), Lip g being the interpolant's slope.
     lip_f, lip_g = sol.lipschitz_fine, sol.g.lipschitz_estimate()
     cross_tol = max(10.0 * sol.tol, 1e-9) + (lip_f + (args.d + 1) * lip_g) / (2 * args.d * args.n)
+    if not math.isfinite(cross_tol):
+        raise ValueError(f"orbit cross-check tolerance = {cross_tol} is not finite: the grids' slopes overflow")
     beta_ok = gap >= -cross_tol
     doc = sol.to_dict()
     doc["orbit_check"] = {

@@ -127,7 +127,9 @@ def _finite_difference_report(g: GridFunction, min_delta_nodes: int = 1) -> Conv
     """The finite-difference route's report: the max over delta = k/N
     (k >= min_delta_nodes) and grid x of delta^-2 * defect, with its
     witnesses, or +inf where the kink test fires.  Only the shifts of
-    ``_candidate_shifts`` are read; no other k can score higher."""
+    ``_candidate_shifts`` are read; no other k can score higher.  A second
+    difference or score that is not finite (samples near 1e304 overflow
+    delta^-2 * defect) is a ValueError, so +inf means a kink only."""
     n = g.n
     m = max(1, min_delta_nodes)
     if 2 * m > n // 2:
@@ -142,6 +144,10 @@ def _finite_difference_report(g: GridFunction, min_delta_nodes: int = 1) -> Conv
     # the last bit for some k, which would move eta and its witness
     inv_delta_sq = np.array([(n / k) ** 2 for k in ks])
     score = np.where(maxima > 0.0, maxima * inv_delta_sq, 0.0)
+    finite = np.isfinite(maxima) & np.isfinite(score)  # an overflow would read as a kink's +inf
+    if not finite.all():
+        raise ValueError(f"finite-difference score overflows at delta = {ks[int(np.argmin(finite))]}/{n}; "
+                         "the convexity defect is undefined")
     best = 0.0
     best_x = 0.0
     best_delta = m / n

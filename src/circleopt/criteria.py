@@ -100,6 +100,16 @@ def _check_window(a: float, b: float) -> None:
         raise ValueError(f"need a < b < a + 1/2, got a={a}, b={b}")
 
 
+def _window_margin(margin, lo, hi, n, slope, eta_term) -> tuple[float, float, float]:
+    """The worst raw margin over ``np.linspace(lo, hi, n + 1)``, its witness
+    and its error bound: the most it can fall between two points, ``slope``
+    (its Lipschitz bound in x) times half the spacing, plus eta's share."""
+    xs = np.linspace(lo, hi, n + 1)
+    vals = margin(xs)
+    i = int(np.argmin(vals))
+    return float(vals[i]), float(xs[i]), slope * ((hi - lo) / n) / 2.0 + eta_term
+
+
 def check_theorem_sturm(f: FunctionSpec, a: float, b: float, grid_n: int = 4096) -> CriterionReport:
     """Two-window test: positivity margin on [a,b], slope margin on [b, a+1/2].
 
@@ -118,31 +128,21 @@ def check_theorem_sturm(f: FunctionSpec, a: float, b: float, grid_n: int = 4096)
     eta = eta_rep.eta
     lip = lipschitz_estimate(f, grid_n)
 
-    xs1 = np.linspace(a, b, grid_n + 1)
-    z = xs1 + 0.5
-    branch = np.maximum(
-        pointwise_defect(f, z / 2.0, 0.25),
-        pointwise_defect(f, z / 2.0 + 0.5, 0.25),
-    )
-    lhs1 = f(xs1) - f(xs1 + 0.5) - 0.5 * branch
-    vals1 = lhs1 - eta / 96.0
-    i1 = int(np.argmin(vals1))
-    raw1 = float(vals1[i1])
-    # Lip of the left side in x: |f(x)| + |f(x+1/2)| + (1/2)*(4 Lip * 1/2)
-    bound1 = 3.0 * lip * ((b - a) / grid_n) / 2.0 + eta_rep.error_bound / 96.0
+    def r_positive(xs):
+        z = xs + 0.5
+        branch = np.maximum(pointwise_defect(f, z / 2.0, 0.25), pointwise_defect(f, z / 2.0 + 0.5, 0.25))
+        return f(xs) - f(xs + 0.5) - 0.5 * branch - eta / 96.0
 
-    xs2 = np.linspace(b, a + 0.5, grid_n + 1)
-    vals2 = -eta / 6.0 - (fp(xs2) - fp(xs2 + 0.5))
-    i2 = int(np.argmin(vals2))
-    raw2 = float(vals2[i2])
-    lip_fp = lipschitz_estimate(fp, grid_n)
-    bound2 = 2.0 * lip_fp * ((a + 0.5 - b) / grid_n) / 2.0 + eta_rep.error_bound / 6.0
+    # Lip of the left side in x: |f(x)| + |f(x+1/2)| + (1/2)*(4 Lip * 1/2)
+    raw1, x1, bound1 = _window_margin(r_positive, a, b, grid_n, 3.0 * lip, eta_rep.error_bound / 96.0)
+    raw2, x2, bound2 = _window_margin(lambda xs: -eta / 6.0 - (fp(xs) - fp(xs + 0.5)), b, a + 0.5, grid_n,
+                                      2.0 * lipschitz_estimate(fp, grid_n), eta_rep.error_bound / 6.0)
 
     return CriterionReport(
         "theorem-sturm",
         {"R_positive": raw1, "R_prime_negative": raw2},
         {"R_positive": bound1, "R_prime_negative": bound2},
-        witnesses={"R_positive": float(xs1[i1]), "R_prime_negative": float(xs2[i2])},
+        witnesses={"R_positive": x1, "R_prime_negative": x2},
         tolerances={"eta": eta, "eta_error": eta_rep.error_bound, "grid_n": grid_n},
         notes=("derivative route: symbolic",),
     )
@@ -176,24 +176,16 @@ def check_class_a(
     fine = np.arange(4 * grid_n) / (4 * grid_n)
     fmax = float(max([np.max(f(fine))] + [f(bp) for bp in f.nonsmooth_points()]))
     fmax_err = lip / (4 * grid_n) / 2.0
-    xs1 = np.linspace(a, b, grid_n + 1)
-    vals1 = 2.0 * f(xs1) - v - (fmax + fmax_err) - eta / 96.0
-    i1 = int(np.argmin(vals1))
-    raw1 = float(vals1[i1])
-    bound1 = 2.0 * lip * ((b - a) / grid_n) / 2.0 + eta_rep.error_bound / 96.0
-
-    xs2 = np.linspace(b, a + 0.5, grid_n + 1)
-    vals2 = -eta / 12.0 - fp(xs2)
-    i2 = int(np.argmin(vals2))
-    raw2 = float(vals2[i2])
-    lip_fp = lipschitz_estimate(fp, grid_n)
-    bound2 = lip_fp * ((a + 0.5 - b) / grid_n) / 2.0 + eta_rep.error_bound / 12.0
+    raw1, x1, bound1 = _window_margin(lambda xs: 2.0 * f(xs) - v - (fmax + fmax_err) - eta / 96.0,
+                                      a, b, grid_n, 2.0 * lip, eta_rep.error_bound / 96.0)
+    raw2, x2, bound2 = _window_margin(lambda xs: -eta / 12.0 - fp(xs), b, a + 0.5, grid_n,
+                                      lipschitz_estimate(fp, grid_n), eta_rep.error_bound / 12.0)
 
     return CriterionReport(
         "class-A",
         {"A0_identity": raw0, "A1_window_gap": raw1, "A2_slope": raw2},
         {"A0_identity": 0.0, "A1_window_gap": bound1, "A2_slope": bound2},
-        witnesses={"A1_window_gap": float(xs1[i1]), "A2_slope": float(xs2[i2])},
+        witnesses={"A1_window_gap": x1, "A2_slope": x2},
         tolerances={
             "eta": eta,
             "eta_error": eta_rep.error_bound,
@@ -340,14 +332,12 @@ def search_c(h: FunctionSpec, grid_n: int = 10_000) -> tuple[float | None, Crite
     hp = h.derivative()
     hpp = hp.derivative()
     xs = np.linspace(0.0, 0.25, grid_n + 1)
-    eps = 1e-9
-    cands = [hpp(xs)]
-    for bp in hpp.nonsmooth_points():
-        if 0.0 <= bp <= 0.25:
-            cands.append(np.array([hpp(max(bp - eps, 0.0)), hpp(min(bp + eps, 0.25))]))
-    if not all(np.all(np.isfinite(c)) for c in cands):
+    # h'' at the grid and, by the eta route's rule, beside its non-smooth points
+    pts, one_sided = _one_sided(hpp)
+    read = np.concatenate([hpp(xs), one_sided[pts <= 0.25]])
+    if not np.all(np.isfinite(read)):
         raise ValueError("h'' is not finite; the curvature bound eta is undefined")
-    eta = float(max(np.max(c) for c in cands))
+    eta = float(np.max(read))
     if eta <= 0.0:
         raise ValueError("profile has nonpositive curvature bound; search undefined")
 

@@ -101,15 +101,13 @@ def sturmian_measure(p: int, q: int) -> SturmianMeasure:
     _validate_rotation(p, q)
     m = 2**q - 1
     nums = _orbit_numerators(p, q)
-    pts = sorted(nums)
-    # minimal enclosing arc: complement of the largest cyclic gap (the
-    # wrap-around gap m + pts[0] - pts[-1] is the whole circle for q = 1)
-    gaps = [b - a for a, b in zip(pts, pts[1:])] + [m + pts[0] - pts[-1]]
-    gi = max(range(len(gaps)), key=lambda i: gaps[i])
-    width = m - gaps[gi]
+    # minimal enclosing arc: the orbit is {0} or lies in [c, c + 1/2], 0 <= c <= 1/2, so the
+    # wrap-around gap m - width >= m/2 >= width beats every inner gap (m is odd: no tie)
+    start = min(nums)
+    width = max(nums) - start
     if 2 * width > m:
         raise AssertionError(f"orbit of {p}/{q} does not fit a semicircle (width {width}/{m})")
-    return SturmianMeasure(p=p, q=q, numerators=tuple(nums), start=pts[(gi + 1) % len(pts)])
+    return SturmianMeasure(p=p, q=q, numerators=tuple(nums), start=start)
 
 
 def rotation_numbers(max_q: int):

@@ -228,7 +228,9 @@ class TestConfig:
 
 
 # 1e305 (cos 2000 pi x - cos(2000 pi x + 0.1)): every sample is finite, but
-# f'' overflows to inf and NaN
+# f'' overflows to inf and NaN, and so do the finite-difference scores and
+# the solve's orbit cross-check tolerance, which once read as a kink (eta =
+# inf) and as a tolerance that passes any gap
 OVERFLOWING = Sum((Scale(1e305, Cosine(1000, 0.0)), Scale(-1e305, Cosine(1000, 0.1))))
 
 
@@ -255,6 +257,24 @@ def test_overflowing_second_derivative_exits_3(argv, named, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + ["--spec", str(spec), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith(f"error: {named} is not finite")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["eta", "--mode", "finite_difference"], "finite-difference score overflows"),
+        (["solve"], "orbit cross-check tolerance = inf is not finite"),
+    ],
+    ids=["eta-finite-difference", "solve"],
+)
+def test_overflowing_score_or_tolerance_exits_3(argv, named, tmp_path, capsys):
+    spec = tmp_path / "overflow.json"
+    spec.write_text(OVERFLOWING.to_json())
+    out = tmp_path / "out"
+    assert main(argv + ["--spec", str(spec), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {named}")
     assert not out.exists()
 
 

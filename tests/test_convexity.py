@@ -195,6 +195,13 @@ class TestConvexityDefect:
         with pytest.raises(ValueError, match=r"^f'' is not finite \(nan\)"):
             convexity_defect(f, mode, 4096)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_difference_route_refuses_an_overflowing_score(self):
+        # maxima * (N/k)^2 overflows: once it read as eta = +inf, a kink
+        f = Sum((Scale(1e305, Cosine(1000, 0.0)), Scale(-1e305, Cosine(1000, 0.1))))
+        with pytest.raises(ValueError, match=r"^finite-difference score overflows at delta = 1/4096"):
+            convexity_defect(f, "finite_difference", 4096)
+
     def test_second_derivative_route_refuses_a_non_finite_one_sided_value(self):
         second = quadratic_extremal().derivative().derivative()
         vals = second(np.arange(64) / 64)

@@ -170,6 +170,17 @@ class TestTheoremSturm:
         with pytest.raises(ValueError, match="discontinuous"):
             check_theorem_sturm(tent(), -0.1, 0.1)
 
+    def test_thin_positivity_margin_is_inconclusive(self):
+        # raw R_positive 0.0706 against a bound of 0.0834, of which eta's
+        # share is 0.0403: only the Lipschitz term between nodes keeps this
+        # from a pass
+        rep = check_theorem_sturm(cosine(), -0.125, 0.168, 64)
+        raw, bound = rep.raw_margins["R_positive"], rep.error_bounds["R_positive"]
+        assert 0.0 < raw < bound
+        assert raw > rep.tolerances["eta_error"] / 96.0
+        assert rep.margins["R_prime_negative"] > 0.0
+        assert rep.status == "inconclusive"
+
     def test_rejects_jump_without_grid_fallback(self):
         # a 1e-6 step at x = 1/2: the slope condition has no symbolic
         # derivative to stand on, so the checker refuses rather than estimate
@@ -201,6 +212,25 @@ class TestClassA:
         f = Sum((cosine(), PiecewisePoly((0.0, 0.5), ((0.0,), (1e-6,)))))
         with pytest.raises(ValueError, match="discontinuous"):
             check_class_a(f, -0.125, 0.125, 0.0, 512)
+
+    def test_thin_slope_margin_nets_to_at_most_zero(self):
+        # raw A2_slope 0.0099 against a bound of 0.0514
+        rep = check_class_a(cosine(), -0.125, 0.088, cosine()(0.25), 512)
+        assert 0.0 < rep.raw_margins["A2_slope"] < rep.error_bounds["A2_slope"]
+        assert rep.margins["A2_slope"] <= 0.0
+        assert rep.status == "inconclusive"
+
+    def test_window_gap_reads_max_f_from_above(self):
+        # the grid misses the true max 1.0 of this translate (it reads
+        # 0.9999974), so the gap must not exceed its value at the witness
+        # computed with the true max
+        n = 256
+        omega = 0.37 / (4 * n)
+        g = Translate(omega, cosine())
+        rep = check_class_a(g, -0.125 + omega, 0.125, g(0.25 + omega), n)
+        assert rep.tolerances["max_f"] < 1.0
+        x, v, eta = rep.witnesses["A1_window_gap"], rep.tolerances["v"], rep.tolerances["eta"]
+        assert rep.raw_margins["A1_window_gap"] <= 2.0 * g(x) - v - 1.0 - eta / 96.0
 
     def test_implies_theorem_window(self):
         # the class-A hypotheses reduce to the two-window test with the

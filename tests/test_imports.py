@@ -143,7 +143,8 @@ PRIVATE_IMPORTS = {
     # the second-derivative route reads f'' at N nodes without sampling f
     "convexity": {("torus", "_check_grid_size")},
     "criteria": {
-        # class B reads the eta route's one-sided f'' values in its concavity scan
+        # class B's concavity scan and search_c's curvature bound read f'' (h'')
+        # beside its non-smooth points by the eta route's one-sided rule
         ("convexity", "_one_sided"),
         # and builds eta from the 2N-grid f'' it already holds
         ("convexity", "_second_derivative_report"),

@@ -1,0 +1,121 @@
+"""Check that the tests kill a committed list of one-line mutants of src/.
+
+    python tools/mutants.py
+
+Each entry of ``MUTANTS`` names a file under ``src/circleopt``, a text that
+occurs in it exactly once, the text that replaces it, and the test node ids
+that must fail once it is replaced.  For each entry the tool copies the
+``src`` beside this script to a temporary directory, applies the mutant
+there and runs pytest on the named tests with that copy first on
+``PYTHONPATH``.  A mutant is killed when pytest reports a failed test; it
+survives when the tests pass.  The survivors are printed, and the exit
+status is 1 on any.  A mutant whose text is not found once, or whose tests
+do not run (a collection error, no test collected), is an error, not a
+survivor.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PYTEST_FAILED = 1  # pytest's exit code when tests ran and some failed
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "R_positive bound without its Lipschitz term",
+        "criteria.py",
+        "grid_n, 3.0 * lip, eta_rep.error_bound / 96.0)",
+        "grid_n, 0.0, eta_rep.error_bound / 96.0)",
+        ("tests/test_criteria.py::TestTheoremSturm::test_thin_positivity_margin_is_inconclusive",),
+    ),
+    Mutant(
+        "A2_slope bound set to 0",
+        "criteria.py",
+        '"A2_slope": bound2}',
+        '"A2_slope": 0.0}',
+        ("tests/test_criteria.py::TestClassA::test_thin_slope_margin_nets_to_at_most_zero",),
+    ),
+    Mutant(
+        "fmax_err set to 0",
+        "criteria.py",
+        "fmax_err = lip / (4 * grid_n) / 2.0",
+        "fmax_err = 0.0",
+        ("tests/test_criteria.py::TestClassA::test_window_gap_reads_max_f_from_above",),
+    ),
+    Mutant(
+        "finite-difference route without its overflow refusal",
+        "convexity.py",
+        "    if not finite.all():",
+        "    if False:",
+        (
+            "tests/test_convexity.py::TestConvexityDefect::"
+            "test_finite_difference_route_refuses_an_overflowing_score",
+            "tests/test_cli.py::test_overflowing_score_or_tolerance_exits_3[eta-finite-difference]",
+        ),
+    ),
+    Mutant(
+        "solve without its cross-check tolerance refusal",
+        "cli.py",
+        "    if not math.isfinite(cross_tol):",
+        "    if False:",
+        ("tests/test_cli.py::test_overflowing_score_or_tolerance_exits_3[solve]",),
+    ),
+)
+
+
+def apply(mutant: Mutant, src: Path) -> None:
+    """Replace the mutant's text in its file under ``src``, in place."""
+    path = src / "circleopt" / mutant.file
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: {mutant.old!r} occurs {text.count(mutant.old)} times "
+                         f"in {mutant.file}, not once")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def killed(mutant: Mutant, src: Path) -> bool:
+    """Whether the mutant's tests fail on a mutated copy of ``src``."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp) / "src"
+        shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        apply(mutant, copy)
+        env = {**os.environ, "PYTHONPATH": str(copy), "PYTHONDONTWRITEBYTECODE": "1"}
+        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests]
+        proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+    if proc.returncode not in (0, PYTEST_FAILED):
+        raise RuntimeError(f"{mutant.name}: the tests did not run (pytest exit {proc.returncode}):\n"
+                           f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    return proc.returncode == PYTEST_FAILED
+
+
+def survivors(mutants, src: Path) -> list[Mutant]:
+    """The mutants whose tests pass, in list order."""
+    return [m for m in mutants if not killed(m, src)]
+
+
+def main() -> int:
+    alive = survivors(MUTANTS, ROOT / "src")
+    for m in alive:
+        print(f"survived: {m.name} ({m.file}: {m.old!r} -> {m.new!r})")
+    print(f"{len(MUTANTS)} mutants: " + (f"{len(alive)} survived" if alive else "all killed"))
+    return 1 if alive else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
