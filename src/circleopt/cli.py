@@ -169,8 +169,8 @@ def cmd_check(args) -> tuple[int, dict, dict]:
     elif args.criterion == "kappa":
         rep = check_kappa(f, args.n)
     else:  # search-c
-        _, rep = search_c(f, args.n)
-    worst = min(rep.margins.values()) if rep.margins else float("nan")
+        rep = search_c(f, args.n)
+    worst = min(rep.margins.values())
     print(f"{rep.criterion}: {rep.status} (worst net margin {worst!r})")
     # the window flags stay in config.json as null when unset
     extras = {"a": args.a, "b": args.b, "v": args.v}
@@ -185,9 +185,7 @@ def cmd_scan(args) -> tuple[int, dict, dict]:
                           tol=args.tol, max_iter=args.max_iter)
     n_pass = sum(1 for r in res.rows if r.converged and r.certificate.passed)
     print(f"{n_pass}/{len(res.rows)} certificates pass")
-    failed = any(r.certificate.status == "fail" or not r.converged for r in res.rows)
-    code = EXIT_PASS if res.all_pass else EXIT_FAIL if failed else EXIT_INCONCLUSIVE
-    return code, {}, {"scan.csv": res.to_csv(), "scan.json": _json_text(res.to_dict())}
+    return _STATUS_EXIT[res.status], {}, {"scan.csv": res.to_csv(), "scan.json": _json_text(res.to_dict())}
 
 
 def cmd_validate(args) -> tuple[int, dict, dict]:

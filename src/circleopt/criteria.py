@@ -55,7 +55,8 @@ class CriterionReport:
     The status follows from the margins: "fail" if any raw margin is <= 0
     (a witnessed violation at a node), "pass" if every net margin is
     positive, "inconclusive" otherwise.  ``witnesses`` holds the locations
-    achieving the worst slack.
+    achieving the worst slack.  A report without margins has no evidence
+    for a status: ValueError.
     """
 
     criterion: str
@@ -64,6 +65,10 @@ class CriterionReport:
     witnesses: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     notes: tuple = ()
+
+    def __post_init__(self):
+        if not self.raw_margins:
+            raise ValueError(f"report {self.criterion!r} has no margins to decide a status")
 
     @property
     def margins(self) -> dict:
@@ -317,15 +322,15 @@ def check_kappa(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
     )
 
 
-def search_c(h: FunctionSpec, grid_n: int = 10_000) -> tuple[float | None, CriterionReport]:
+def search_c(h: FunctionSpec, grid_n: int = 10_000) -> CriterionReport:
     """Search c in (0, 1/4) with h(1/4) - 2h(c) > eta/96 and h'(c) > eta/12.
 
     h is a half-profile on [0, 1/4]: C^1 with increasing Lipschitz
     derivative, h(0) = h'(0) = 0, and eta = esssup h'' over [0, 1/4].
     The scan is exhaustive over a grid of (0, 1/4); reported margins are
-    exact evaluations at the returned c, so no discretization bound is
-    needed on a success.  On failure the worst margins over the scan are
-    reported.  A grid_n < 2 leaves no interior point to scan: ValueError.
+    exact evaluations at the best grid point ``witnesses["c"]``, so no
+    discretization bound is needed; that c is a valid window end only when
+    the report passes.  A grid_n < 2 leaves no interior point: ValueError.
     """
     if grid_n < 2:
         raise ValueError(f"search_c needs grid_n >= 2 for an interior grid point, got {grid_n}")
@@ -360,14 +365,13 @@ def search_c(h: FunctionSpec, grid_n: int = 10_000) -> tuple[float | None, Crite
 
     raw = {"H1_window_gap": float(m1[i]), "H2_slope": float(m2[i])}
     raw.update(prec)
-    report = CriterionReport(
+    return CriterionReport(
         "lemma-sturm-search",
         raw,
         witnesses={"c": float(cs[i])},
         tolerances={"eta": eta, "kappa": KAPPA, "h_quarter": h4, "grid_n": grid_n},
         notes=() if found else ("no c with positive margins; hypothesis violated or grid too coarse",),
     )
-    return (float(cs[i]) if report.passed else None), report
 
 
 @dataclass(frozen=True)
@@ -388,13 +392,21 @@ class TranslateRow:
 
 @dataclass(frozen=True)
 class ScanResult:
+    """Scan rows, at least one, from which the scan's status follows."""
+
     rows: tuple[TranslateRow, ...]
     grid_n: int
     max_q: int
 
+    def __post_init__(self):
+        if not self.rows:
+            raise ValueError("a scan needs at least one row to decide a status")
+
     @property
-    def all_pass(self) -> bool:
-        return all(r.certificate.passed and r.converged for r in self.rows)
+    def status(self) -> str:
+        if any(not r.converged or r.certificate.status == "fail" for r in self.rows):
+            return "fail"
+        return "pass" if all(r.certificate.passed for r in self.rows) else "inconclusive"
 
     def to_csv(self) -> str:
         lines = ["omega,beta,rotation_p,rotation_q,certificate_pass,worst_margin"]
@@ -417,7 +429,7 @@ class ScanResult:
         return {
             "grid_n": self.grid_n,
             "max_q": self.max_q,
-            "all_pass": self.all_pass,
+            "all_pass": self.status == "pass",
             "rows": [
                 {
                     "omega": r.omega,

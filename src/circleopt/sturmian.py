@@ -205,12 +205,11 @@ def _circular_runs(mask: np.ndarray) -> list[tuple[int, int]]:
 class SturmianCertificate:
     """Machine-checkable report on the zero set of an antipodal difference.
 
-    status: "pass" (exactly two antipodal zero arcs, both narrow),
-    "inconclusive" (two antipodal arcs but wider than w_max: degenerate or
-    under-resolved at this N), "fail" (anything else).
+    The status follows from the arcs: "fail" unless they are one antipodal pair,
+    then "pass" if both are at most w_max wide, else "inconclusive"
+    (degenerate or under-resolved at this N).
     """
 
-    status: str
     zero_arcs: tuple[tuple[float, float, int], ...]  # (start_x, width, node_count)
     antipodal_pair: tuple[float, float] | None
     positivity_arc: tuple[float, float] | None  # (start_x, width) of maximal R > eps arc
@@ -218,6 +217,12 @@ class SturmianCertificate:
     epsilon_r: float
     w_max: float
     grid_n: int
+
+    @property
+    def status(self) -> str:
+        if self.antipodal_pair is None:
+            return "fail"
+        return "pass" if self.worst_margin >= 0.0 else "inconclusive"
 
     @property
     def passed(self) -> bool:
@@ -265,16 +270,12 @@ def sturmian_certificate(f: GridFunction, g: GridFunction) -> SturmianCertificat
         positivity = (s / n, (ln - 1) / n)
 
     worst = w_max - max((w for _, w, _ in arcs), default=1.0)
-    status, pair = "fail", None
-    if len(runs) == 2:
-        (s1, l1), (s2, l2) = runs
-        # guaranteed by exact antisymmetry; kept as a sanity gate
-        if abs((s2 - s1) % n - n // 2) <= 1 and abs(l1 - l2) <= 1:
-            status = "pass" if worst >= 0.0 else "inconclusive"
-            center1 = (s1 + (l1 - 1) / 2.0) / n % 1.0
-            pair = (center1, (center1 + 0.5) % 1.0)
+    pair = None
+    if len(runs) == 2:  # R(x + 1/2) = -R(x) exactly: each run is the other's antipode
+        (s1, l1), _ = runs
+        center1 = (s1 + (l1 - 1) / 2.0) / n % 1.0
+        pair = (center1, (center1 + 0.5) % 1.0)
     return SturmianCertificate(
-        status=status,
         zero_arcs=arcs,
         antipodal_pair=pair,
         positivity_arc=positivity,

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import cosine, random_trig
+from .catalog import constant, cosine, random_trig
 from .convexity import convexity_defect, pointwise_defect, uniform_defect
 from .sturmian import preimage_branch_bound, rotation_numbers, sturmian_measure
-from .torus import GridFunction, PiecewisePoly, Scale, Sum, lipschitz_estimate, sample
+from .torus import GridFunction, Scale, Sum, lipschitz_estimate, sample
 from .transfer import max_transfer, solve_calibrated
 
 
@@ -115,13 +115,9 @@ def suite_cone_laws(seed: int, cases: int) -> SuiteResult:
             t.check(rf.eta + rg.eta - r_sum.eta + tol_eta, "eta subadditivity")
         if math.isfinite(r_max.eta):
             t.check(max(rf.eta, rg.eta) - r_max.eta + tol_eta, "eta max law")
-        r_hom = convexity_defect(_affine(f, a, b), "second_derivative", grid_n)
+        r_hom = convexity_defect(Sum((Scale(a, f), constant(b))), "second_derivative", grid_n)
         t.check(tol_eta * max(1.0, a) - abs(r_hom.eta - a * rf.eta), "eta homogeneity")
     return t.result("cone-laws")
-
-
-def _affine(f, a: float, b: float):
-    return Sum((Scale(a, f), PiecewisePoly((0.0,), ((b,),))))
 
 
 def suite_transfer_laws(seed: int, cases: int) -> SuiteResult:

@@ -194,10 +194,10 @@ def test_criterion_6_cosine_like_end_to_end():
 def test_criterion_7_search_c_on_half_square():
     t0 = time.time()
     h = PiecewisePoly((0.0,), ((0.0, 0.0, 0.5),), wrap=False)
-    c, rep = search_c(h, 10_000)
+    rep = search_c(h, 10_000)
+    c = rep.witnesses["c"]
     ok = (
         rep.passed
-        and c is not None
         and 0.0 < c < 0.25
         and rep.raw_margins["H1_window_gap"] > 1e-4
         and rep.raw_margins["H2_slope"] > 1e-4

@@ -299,6 +299,15 @@ class TestEta:
         assert (doc["eta"], doc["witnesses"]["delta"]) == (2.0, 1 / 4096)
         assert "eta = 2.0  (finite_difference, lower_bound)" in capsys.readouterr().out
 
+    def test_kink_writes_inf(self, tmp_path, capsys):
+        # JSON has no infinity: the artifact spells the kink's eta "inf"
+        spec = tmp_path / "tent.json"
+        spec.write_text(json.dumps(tent().to_dict()))
+        out = tmp_path / "out"
+        argv = ["eta", "--spec", str(spec), "--mode", "finite_difference", "--n", "64"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert json.loads((_only_run_dir(out) / "convexity.json").read_text())["eta"] == "inf"
+
 
 class TestSturmian:
     def test_orbit_and_integral(self, cos_spec, tmp_path):
@@ -383,6 +392,28 @@ class TestScan:
         assert capsys.readouterr().out.splitlines()[0] == "0/2 certificates pass"
         rows = json.loads((_only_run_dir(out) / "scan.json").read_text())["rows"]
         assert [(r["converged"], r["iterations"]) for r in rows] == [(False, 3), (False, 3)]
+
+    def test_inconclusive_row_exits_2(self, tmp_path, capsys):
+        # both rows converge; the translate by 1/2 has zero arcs 4/N wider
+        # than w_max = 16/N, so its certificate and the scan are inconclusive
+        spec = tmp_path / "ripple.json"
+        spec.write_text(Sum((Cosine(1), Scale(0.02, Cosine(64)))).to_json())
+        out = tmp_path / "out"
+        code = main(["scan", "--spec", str(spec), "--n", "1024", "--omega-count", "2",
+                     "--max-q", "8", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().out.splitlines()[0] == "1/2 certificates pass"
+        doc = json.loads((_only_run_dir(out) / "scan.json").read_text())
+        assert doc["all_pass"] is False
+        assert [(r["converged"], r["certificate"]["status"]) for r in doc["rows"]] == [
+            (True, "pass"), (True, "inconclusive")]
+        assert doc["rows"][1]["certificate"]["worst_margin"] == pytest.approx(-4 / 1024)
+
+    def test_odd_grid_exits_3(self, cos_spec, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["scan", "--spec", cos_spec, "--n", "1023", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: scan needs an even N\n"
+        assert not out.exists()
 
 
 class TestErrors:

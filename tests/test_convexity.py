@@ -154,6 +154,13 @@ class TestConvexityDefect:
         assert rep.eta == pytest.approx(FOUR_PI_SQ, rel=0.01)
         assert rep.bound_direction == "lower_bound"
 
+    @pytest.mark.parametrize("n", [64, 4096])
+    def test_second_derivative_bound_covers_the_offset_peak(self, n):
+        # f'' = -4 pi^2 cos peaks half a spacing from every node: the nodes
+        # read eta short of 4 pi^2 (by 0.048 at N = 64), within error_bound
+        rep = convexity_defect(Translate(0.5 / n, Cosine(1)), "second_derivative", n)
+        assert 0.0 < FOUR_PI_SQ - rep.eta <= rep.error_bound
+
     def test_constant_is_convex(self):
         assert convexity_defect(constant(2.0), "auto").eta == 0.0
 

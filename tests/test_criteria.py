@@ -34,7 +34,7 @@ from circleopt.catalog import (
     tent,
 )
 from circleopt import convexity, criteria, torus
-from circleopt.sturmian import _circular_runs, sturmian_certificate
+from circleopt.sturmian import SturmianCertificate, _circular_runs, sturmian_certificate
 from circleopt.torus import GridFunction, PiecewisePoly
 
 FOUR_PI_SQ = 4.0 * math.pi**2
@@ -103,6 +103,11 @@ class TestCriterionReport:
     def test_status_and_margins_are_not_fields(self, given):
         with pytest.raises(TypeError):
             CriterionReport("test", {"a": -1.0}, **given)
+
+    def test_no_margins_is_refused(self):
+        # no margin would make every status vacuous: all() of nothing passes
+        with pytest.raises(ValueError, match="report 'x' has no margins"):
+            CriterionReport("x", {})
 
 
 # -(x - 1/2)^2: continuous, with one convex kink at x = 0 where f' jumps
@@ -402,6 +407,13 @@ class TestKappa:
         assert check_kappa(flattened_cosine(min(s_star + 1e-3, 1 / 27))).status == "fail"
         assert check_kappa(flattened_cosine(s_star - 1e-3)).passed
 
+    def test_ratio_within_its_bound_is_inconclusive(self):
+        # just below the crossing at s ~ 0.0026585804 the ratio clears kappa
+        # by less than its relative bound of 1e-6 (raw 9.7e-9, bound 2.5e-8)
+        rep = check_kappa(flattened_cosine(0.00265853), 4096)
+        assert 0.0 < rep.raw_margins["ratio_above_kappa"] <= rep.error_bounds["ratio_above_kappa"]
+        assert rep.status == "inconclusive"
+
     @pytest.mark.parametrize(
         "f", [constant(0.5), Scale(0.0, cosine())], ids=["constant", "zero-scaled-cosine"]
     )
@@ -426,23 +438,23 @@ class TestSearchC:
 
     def test_smallest_grid_scans_its_one_interior_point(self):
         h = PiecewisePoly((0.0,), ((0.0, 0.0, 0.5),), wrap=False)
-        _, rep = search_c(h, 2)
+        rep = search_c(h, 2)
         assert rep.witnesses == {"c": 0.125}
 
     def test_half_square_profile(self):
         h = PiecewisePoly((0.0,), ((0.0, 0.0, 0.5),), wrap=False)
-        c, rep = search_c(h, 10_000)
+        rep = search_c(h, 10_000)
         assert rep.passed
-        assert c is not None and 0 < c < 0.25
+        assert 0 < rep.witnesses["c"] < 0.25
         assert rep.raw_margins["H1_window_gap"] > 1e-4
         assert rep.raw_margins["H2_slope"] > 1e-4
 
     def test_cosine_profile(self):
         # h = 1 - cos(2 pi x): the profile of the cosine drop
         h = Sum((constant(1.0), Negate(cosine())))
-        c, rep = search_c(h, 10_000)
+        rep = search_c(h, 10_000)
         assert rep.passed
-        assert 0 < c < 0.25
+        assert 0 < rep.witnesses["c"] < 0.25
 
     def test_boundary_profile_fails(self):
         # quadratic-then-linear profile tuned so h(1/4) = kappa * eta exactly
@@ -454,8 +466,8 @@ class TestSearchC:
         )
         eta = 1.0
         assert h(0.25) == pytest.approx(KAPPA * eta, abs=1e-12)
-        cstar, rep = search_c(h, 10_000)
-        assert cstar is None
+        rep = search_c(h, 10_000)
+        assert not rep.passed
         assert rep.status in ("fail", "inconclusive")
 
     def test_kappa_pass_gives_class_a_window(self):
@@ -463,8 +475,9 @@ class TestSearchC:
         for f in (cosine(), quadratic_extremal(), cosine_extremal_blend(0.5)):
             assert check_kappa(f).passed
             h = Sum((constant(f(0.0)), Negate(f)))
-            c, rep = search_c(h, 10_000)
+            rep = search_c(h, 10_000)
             assert rep.passed
+            c = rep.witnesses["c"]
             a_rep = check_class_a(f, -c, c, f(0.25))
             assert a_rep.passed
             t_rep = check_theorem_sturm(f, -c, c)
@@ -474,7 +487,7 @@ class TestSearchC:
 class TestScanTranslates:
     def test_small_cosine_scan(self):
         res = scan_translates(cosine(), 8, grid_n=2048, max_q=16)
-        assert res.all_pass
+        assert res.status == "pass"
         assert res.rows[0].rotation_p == 0 and res.rows[0].rotation_q == 1
         assert res.rows[0].beta == pytest.approx(1.0, abs=1e-6)
         r_half = res.rows[4]
@@ -489,8 +502,37 @@ class TestScanTranslates:
 
     def test_rows_record_convergence(self):
         res = scan_translates(cosine(), 4, grid_n=1024, max_iter=2)
-        assert not res.all_pass
+        assert res.status == "fail"
         assert all(not r.converged for r in res.rows)
+
+    @staticmethod
+    def _row(converged, certificate_status):
+        pair, margin = {"pass": ((0.25, 0.75), 0.0), "inconclusive": ((0.25, 0.75), -0.5),
+                        "fail": (None, 0.0)}[certificate_status]
+        cert = SturmianCertificate(zero_arcs=(), antipodal_pair=pair, positivity_arc=None,
+                                   worst_margin=margin, epsilon_r=0.1, w_max=0.25, grid_n=64)
+        return criteria.TranslateRow(omega=0.0, beta=0.0, converged=converged, residual=0.0,
+                                     iterations=1, rotation_p=0, rotation_q=1, best_value=0.0,
+                                     beta_gap=0.0, certificate=cert)
+
+    @pytest.mark.parametrize(
+        "rows, status",
+        [
+            ([(True, "pass"), (True, "pass")], "pass"),
+            ([(True, "pass"), (True, "inconclusive")], "inconclusive"),
+            ([(True, "inconclusive"), (True, "fail")], "fail"),
+            ([(True, "pass"), (False, "pass")], "fail"),  # a certificate of an unconverged g
+            ([(False, "inconclusive")], "fail"),
+        ],
+    )
+    def test_status_follows_the_rows(self, rows, status):
+        res = criteria.ScanResult(rows=tuple(self._row(*r) for r in rows), grid_n=64, max_q=8)
+        assert res.status == status
+        assert res.to_dict()["all_pass"] is (status == "pass")
+
+    def test_no_rows_is_refused(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            criteria.ScanResult(rows=(), grid_n=64, max_q=8)
 
     def test_unchanged_under_numpy_remainder(self, monkeypatch):
         fast = scan_translates(cosine(), 4, grid_n=512)

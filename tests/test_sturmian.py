@@ -22,7 +22,7 @@ from circleopt import (
 )
 from circleopt import sturmian
 from circleopt.catalog import constant, cosine
-from circleopt.sturmian import _circular_runs, rotation_numbers
+from circleopt.sturmian import SturmianCertificate, _circular_runs, rotation_numbers
 
 
 class TestSturmianMeasure:
@@ -381,6 +381,40 @@ class TestCertificate:
         doc = cert.to_dict()
         assert doc["epsilon_r"] > 0
         assert doc["w_max"] == pytest.approx(16 / 256)
+
+    @pytest.mark.parametrize(
+        "pair, worst_margin, status",
+        [
+            (None, 1 / 64, "fail"),  # no antipodal pair, however narrow the arcs
+            (None, -1 / 64, "fail"),
+            ((0.25, 0.75), 0.0, "pass"),  # an arc exactly w_max wide
+            ((0.25, 0.75), -1 / 64, "inconclusive"),
+        ],
+    )
+    def test_status_follows_the_arcs(self, pair, worst_margin, status):
+        cert = SturmianCertificate(zero_arcs=(), antipodal_pair=pair, positivity_arc=None,
+                                   worst_margin=worst_margin, epsilon_r=0.1, w_max=0.25, grid_n=64)
+        assert (cert.status, cert.passed) == (status, status == "pass")
+        assert (cert.to_dict()["status"], cert.to_dict()["pass"]) == (status, cert.passed)
+
+    def test_status_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            SturmianCertificate(status="pass", zero_arcs=(), antipodal_pair=None, positivity_arc=None,
+                                worst_margin=-1.0, epsilon_r=0.1, w_max=0.25, grid_n=64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 64), st.integers(0, 2**32 - 1), st.integers(0, 3), st.floats(0.0, 4.0))
+@example(2, 0, 0, 0.0)
+@example(8, 1, 1, 100.0)  # every node in the band: one run over the whole circle
+def test_band_runs_are_each_others_antipode(half, seed, decimals, eps):
+    # R(x + 1/2) = -R(x) exactly, so the band |R| <= eps repeats every N/2
+    # nodes; rounded samples give exact zeros and ties at the band's edge
+    n = 2 * half
+    s = np.round(np.random.default_rng(seed).normal(size=n), decimals)
+    r = antipodal_difference(GridFunction(s), GridFunction(np.zeros(n)))
+    runs = _circular_runs(np.abs(r.values) <= eps)
+    assert runs == [(0, n)] or set(runs) == {((start + half) % n, length) for start, length in runs}
 
 
 class TestPreimageBranchBound:

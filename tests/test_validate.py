@@ -1,6 +1,7 @@
 import pytest
 
 from circleopt.validate import (
+    _Tally,
     run_all,
     suite_branch_bound,
     suite_cone_laws,
@@ -65,3 +66,15 @@ class TestRunAll:
     def test_no_cases_rejected(self):
         with pytest.raises(ValueError, match="cases must be >= 1"):
             run_all(seed=0, cases=0)
+
+
+class TestTally:
+    def test_negative_slacks_are_violations(self):
+        # a slack of exactly 0 is no violation; the first violation names the detail
+        t = _Tally()
+        for slack, desc in [(0.5, "ok"), (0.0, "on the edge"), (-0.25, "first"), (-1.0, "second")]:
+            t.check(slack, desc)
+        r = t.result("suite")
+        assert (r.cases, r.violations, r.worst_slack, r.detail) == (4, 2, -1.0, "first")
+        assert not r.passed
+        assert r.to_dict()["pass"] is False

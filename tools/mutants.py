@@ -59,6 +59,20 @@ MUTANTS = (
         ("tests/test_criteria.py::TestClassA::test_window_gap_reads_max_f_from_above",),
     ),
     Mutant(
+        "kappa ratio bound set to 0",
+        "criteria.py",
+        '{"ratio_above_kappa": abs(ratio) * 1e-6}',
+        '{"ratio_above_kappa": 0.0}',
+        ("tests/test_criteria.py::TestKappa::test_ratio_within_its_bound_is_inconclusive",),
+    ),
+    Mutant(
+        "second-derivative route's error_bound set to 0",
+        "convexity.py",
+        "error_bound=lip2 / grid_n,",
+        "error_bound=0.0,",
+        ("tests/test_convexity.py::TestConvexityDefect::test_second_derivative_bound_covers_the_offset_peak",),
+    ),
+    Mutant(
         "finite-difference route without its overflow refusal",
         "convexity.py",
         "    if not finite.all():",
