@@ -171,27 +171,30 @@ def _finite_difference_report(g: GridFunction, min_delta_nodes: int = 1) -> Conv
     )
 
 
-def _one_sided(second: FunctionSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The points 1e-9 either side of each non-smooth point of f'', in
-    order, and f'' at each of them."""
+def second_derivative_values(second: FunctionSpec, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f'' at ``xs``, the points 1e-9 either side of each non-smooth point
+    of f'' in order, and f'' at each of them.  A value that is not finite
+    (an overflow in a spec with finite samples would read as eta = 0 or
+    NaN) is a ValueError naming the first one and its x."""
     eps = 1e-9
-    xs = [(b + s) % 1.0 for b in second.nonsmooth_points() for s in (-eps, eps)]
-    return np.array(xs), np.array([second(x) for x in xs])
+    pts = np.array([(b + s) % 1.0 for b in second.nonsmooth_points() for s in (-eps, eps)])
+    vals = second(xs)
+    beside = np.array([second(x) for x in pts])
+    read = np.concatenate([vals, beside])
+    bad = np.flatnonzero(~np.isfinite(read))
+    if bad.size:
+        raise ValueError(f"f'' is not finite ({read[bad[0]]} at x = {np.concatenate([xs, pts])[bad[0]]})")
+    return vals, pts, beside
 
 
-def _second_derivative_report(
-    second: FunctionSpec, vals: np.ndarray, one_sided: np.ndarray
-) -> ConvexityReport:
-    """The second-derivative route's report from f'' at the N nodes i/N
-    (``vals``) and beside its non-smooth points (``one_sided``).  A
-    non-finite f'' (an overflow in a spec with finite samples) would read
-    as eta = 0 or NaN, so it is a ValueError."""
+def _second_derivative_report(second: FunctionSpec, vals, pts, beside) -> ConvexityReport:
+    """The second-derivative route's report from ``second_derivative_values``
+    at the N nodes i/N; its witness is where the least f'' was read, the
+    node on a tie."""
     grid_n = vals.size
-    read = np.concatenate([vals, one_sided])
-    if not np.all(np.isfinite(read)):
-        bad = read[~np.isfinite(read)][0]
-        raise ValueError(f"f'' is not finite ({bad}); the convexity defect is undefined")
-    eta = max(0.0, -float(np.min(read)))
+    read = np.concatenate([vals, beside])
+    i_min = int(np.argmin(read))
+    eta = max(0.0, -float(read[i_min]))
     # error bound: slope of f'' between its discontinuities times the
     # spacing (one-sided limits at the discontinuities are evaluated
     # directly, so jumps do not contribute error)
@@ -205,7 +208,7 @@ def _second_derivative_report(
     return ConvexityReport(
         eta=eta,
         method="second_derivative",
-        witness_x=int(np.argmin(vals)) / grid_n,
+        witness_x=i_min / grid_n if i_min < grid_n else float(pts[i_min - grid_n]),
         witness_delta=0.0,
         error_bound=lip2 / grid_n,
         grid_n=grid_n,
@@ -242,8 +245,8 @@ def convexity_defect(
                 raise
         else:
             _check_grid_size(grid_n)
-            vals = second(np.arange(grid_n) / grid_n)
-            return _second_derivative_report(second, vals, _one_sided(second)[1])
+            read = second_derivative_values(second, np.arange(grid_n) / grid_n)
+            return _second_derivative_report(second, *read)
     elif mode == "second_derivative":
         raise ValueError("second_derivative mode needs a symbolic spec with two derivatives")
 

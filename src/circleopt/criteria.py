@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convexity import (
-    _one_sided,
     _second_derivative_report,
     convexity_defect,
     pointwise_defect,
+    second_derivative_values,
 )
 from .sturmian import SturmianCertificate, best_sturmian, sturmian_certificate
 from .torus import FunctionSpec, GridFunction, Translate, lipschitz_estimate, sample
@@ -105,14 +105,15 @@ def _check_window(a: float, b: float) -> None:
         raise ValueError(f"need a < b < a + 1/2, got a={a}, b={b}")
 
 
-def _window_margin(margin, lo, hi, n, slope, eta_term) -> tuple[float, float, float]:
-    """The worst raw margin over ``np.linspace(lo, hi, n + 1)``, its witness
-    and its error bound: the most it can fall between two points, ``slope``
-    (its Lipschitz bound in x) times half the spacing, plus eta's share."""
+def _window_margin(margin, lo, hi, n, slope, eta_rep, share) -> tuple[float, float, float]:
+    """The worst raw margin, ``margin(x) - eta / share``, over
+    ``np.linspace(lo, hi, n + 1)``, its witness and its error bound: the
+    most it can fall between two points, ``slope`` (the Lipschitz bound of
+    ``margin`` in x) times half the spacing, plus eta's error bound / share."""
     xs = np.linspace(lo, hi, n + 1)
-    vals = margin(xs)
+    vals = margin(xs) - eta_rep.eta / share
     i = int(np.argmin(vals))
-    return float(vals[i]), float(xs[i]), slope * ((hi - lo) / n) / 2.0 + eta_term
+    return float(vals[i]), float(xs[i]), slope * ((hi - lo) / n) / 2.0 + eta_rep.error_bound / share
 
 
 def check_theorem_sturm(f: FunctionSpec, a: float, b: float, grid_n: int = 4096) -> CriterionReport:
@@ -130,25 +131,24 @@ def check_theorem_sturm(f: FunctionSpec, a: float, b: float, grid_n: int = 4096)
     _check_window(a, b)
     fp = f.derivative()
     eta_rep = convexity_defect(f, "second_derivative", grid_n)
-    eta = eta_rep.eta
     lip = lipschitz_estimate(f, grid_n)
 
     def r_positive(xs):
         z = xs + 0.5
         branch = np.maximum(pointwise_defect(f, z / 2.0, 0.25), pointwise_defect(f, z / 2.0 + 0.5, 0.25))
-        return f(xs) - f(xs + 0.5) - 0.5 * branch - eta / 96.0
+        return f(xs) - f(xs + 0.5) - 0.5 * branch
 
     # Lip of the left side in x: |f(x)| + |f(x+1/2)| + (1/2)*(4 Lip * 1/2)
-    raw1, x1, bound1 = _window_margin(r_positive, a, b, grid_n, 3.0 * lip, eta_rep.error_bound / 96.0)
-    raw2, x2, bound2 = _window_margin(lambda xs: -eta / 6.0 - (fp(xs) - fp(xs + 0.5)), b, a + 0.5, grid_n,
-                                      2.0 * lipschitz_estimate(fp, grid_n), eta_rep.error_bound / 6.0)
+    raw1, x1, bound1 = _window_margin(r_positive, a, b, grid_n, 3.0 * lip, eta_rep, 96.0)
+    raw2, x2, bound2 = _window_margin(lambda xs: fp(xs + 0.5) - fp(xs), b, a + 0.5, grid_n,
+                                      2.0 * lipschitz_estimate(fp, grid_n), eta_rep, 6.0)
 
     return CriterionReport(
         "theorem-sturm",
         {"R_positive": raw1, "R_prime_negative": raw2},
         {"R_positive": bound1, "R_prime_negative": bound2},
         witnesses={"R_positive": x1, "R_prime_negative": x2},
-        tolerances={"eta": eta, "eta_error": eta_rep.error_bound, "grid_n": grid_n},
+        tolerances={"eta": eta_rep.eta, "eta_error": eta_rep.error_bound, "grid_n": grid_n},
         notes=("derivative route: symbolic",),
     )
 
@@ -167,7 +167,6 @@ def check_class_a(
     _check_window(a, b)
     fp = f.derivative()
     eta_rep = convexity_defect(f, "second_derivative", grid_n)
-    eta = eta_rep.eta
     fg = sample(f, grid_n)
     lip = fg.lipschitz_estimate()
     rng = fg.value_range()
@@ -181,10 +180,10 @@ def check_class_a(
     fine = np.arange(4 * grid_n) / (4 * grid_n)
     fmax = float(max([np.max(f(fine))] + [f(bp) for bp in f.nonsmooth_points()]))
     fmax_err = lip / (4 * grid_n) / 2.0
-    raw1, x1, bound1 = _window_margin(lambda xs: 2.0 * f(xs) - v - (fmax + fmax_err) - eta / 96.0,
-                                      a, b, grid_n, 2.0 * lip, eta_rep.error_bound / 96.0)
-    raw2, x2, bound2 = _window_margin(lambda xs: -eta / 12.0 - fp(xs), b, a + 0.5, grid_n,
-                                      lipschitz_estimate(fp, grid_n), eta_rep.error_bound / 12.0)
+    raw1, x1, bound1 = _window_margin(lambda xs: 2.0 * f(xs) - v - (fmax + fmax_err),
+                                      a, b, grid_n, 2.0 * lip, eta_rep, 96.0)
+    raw2, x2, bound2 = _window_margin(lambda xs: -fp(xs), b, a + 0.5, grid_n,
+                                      lipschitz_estimate(fp, grid_n), eta_rep, 12.0)
 
     return CriterionReport(
         "class-A",
@@ -192,7 +191,7 @@ def check_class_a(
         {"A0_identity": 0.0, "A1_window_gap": bound1, "A2_slope": bound2},
         witnesses={"A1_window_gap": x1, "A2_slope": x2},
         tolerances={
-            "eta": eta,
+            "eta": eta_rep.eta,
             "eta_error": eta_rep.error_bound,
             "a0_tolerance": tol_a0,
             "max_f": fmax,
@@ -208,10 +207,10 @@ def check_class_a(
 def check_class_b(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
     """Even antisymmetric concave family membership.
 
-    Verifies at nodes: f(x) + f(x+1/2) constant, f(-x) = f(x), finite
-    convexity defect; concavity on (-1/4, 1/4) at the 2N-grid nodes and
-    beside the non-smooth points of f''; and validates the identity
-    eta = max f'' = -min f'' together with f'(0) = 0.
+    Verifies at nodes: f(x) + f(x+1/2) constant, f(-x) = f(x); concavity
+    on (-1/4, 1/4) at the 2N-grid nodes and beside the non-smooth points of
+    f''; and validates the identity eta = max f'' = -min f'' together with
+    f'(0) = 0.
     """
     fg = sample(f, grid_n)
     tol_id = 1e-10 * max(1.0, fg.value_range())
@@ -232,17 +231,11 @@ def check_class_b(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
             tolerances={"identity_tolerance": tol_id, "grid_n": grid_n},
         )
 
-    # f'' once on the 2N grid, where sample refuses a non-finite value: its
-    # even nodes (2i)/(2N) are the N-grid nodes i/N bit for bit, so they
-    # feed the eta report as well
-    try:
-        vals2 = sample(second, 2 * grid_n).values
-    except ValueError as exc:
-        raise ValueError(f"f'' is not finite on the {2 * grid_n}-node grid: {exc}") from None
-    pts, one_sided = _one_sided(second)
-    eta_rep = _second_derivative_report(second, vals2[::2], one_sided)
-    eta = eta_rep.eta
-    raw_finite = 1.0 if eta_rep.is_finite else -1.0
+    # f'' once on the 2N grid and beside its non-smooth points: the even
+    # nodes (2i)/(2N) are the N-grid nodes i/N bit for bit, so they feed the
+    # eta report as well
+    vals2, pts, one_sided = second_derivative_values(second, np.arange(2 * grid_n) / (2 * grid_n))
+    eta = _second_derivative_report(second, vals2[::2], pts, one_sided).eta
 
     # concavity strictly inside (-1/4, 1/4): at the 2N-grid nodes i/(2N)
     # for |i| <= k, then beside each non-smooth point of f'' there, so that
@@ -270,7 +263,6 @@ def check_class_b(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
     raw = {
         "antisymmetry": raw_anti,
         "evenness": raw_even,
-        "eta_finite": raw_finite,
         "concavity": raw_cc,
         "second_derivative_symmetry": raw_sym,
         "eta_identity": raw_eta,
@@ -338,11 +330,8 @@ def search_c(h: FunctionSpec, grid_n: int = 10_000) -> CriterionReport:
     hpp = hp.derivative()
     xs = np.linspace(0.0, 0.25, grid_n + 1)
     # h'' at the grid and, by the eta route's rule, beside its non-smooth points
-    pts, one_sided = _one_sided(hpp)
-    read = np.concatenate([hpp(xs), one_sided[pts <= 0.25]])
-    if not np.all(np.isfinite(read)):
-        raise ValueError("h'' is not finite; the curvature bound eta is undefined")
-    eta = float(np.max(read))
+    vals, pts, beside = second_derivative_values(hpp, xs)
+    eta = float(np.max(np.concatenate([vals, beside[pts <= 0.25]])))
     if eta <= 0.0:
         raise ValueError("profile has nonpositive curvature bound; search undefined")
 

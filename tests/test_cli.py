@@ -244,7 +244,7 @@ OVERFLOWING = Sum((Scale(1e305, Cosine(1000, 0.0)), Scale(-1e305, Cosine(1000, 0
         (["check", "--criterion", "kappa"], "f''"),
         (["check", "--criterion", "sturm", "--a", "-0.1", "--b", "0.1"], "f''"),
         (["check", "--criterion", "classA", "--a", "-0.125", "--b", "0.125"], "f''"),
-        (["check", "--criterion", "search-c"], "h''"),
+        (["check", "--criterion", "search-c"], "f''"),
     ],
     ids=["eta-second-derivative", "eta-auto", "classB", "kappa", "sturm", "classA", "search-c"],
 )

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from circleopt import (
     Cosine,
+    FunctionSpec,
     GridFunction,
     Scale,
     Sum,
@@ -15,6 +17,7 @@ from circleopt import (
     convexity_defect,
     pointwise_defect,
     sample,
+    spec_from_dict,
     uniform_defect,
 )
 from circleopt import convexity
@@ -32,13 +35,26 @@ from circleopt.cli import _delta_table
 from circleopt.convexity import (
     _candidate_shifts,
     _finite_difference_report,
-    _one_sided,
-    _second_derivative_report,
     _second_difference,
+    second_derivative_values,
 )
 from circleopt.criteria import check_class_b
 
 FOUR_PI_SQ = 4.0 * math.pi**2
+
+
+class _InfiniteBeside(FunctionSpec):
+    """-2 except within 1e-6 of ``b``, its one non-smooth point, where it
+    is +inf."""
+
+    def __init__(self, b):
+        self.b = b
+
+    def _eval(self, r):
+        return np.where(np.abs(r - self.b) < 1e-6, np.inf, -2.0)
+
+    def nonsmooth_points(self):
+        return (self.b,)
 
 
 class TestPointwiseDefect:
@@ -161,6 +177,25 @@ class TestConvexityDefect:
         rep = convexity_defect(Translate(0.5 / n, Cosine(1)), "second_derivative", n)
         assert 0.0 < FOUR_PI_SQ - rep.eta <= rep.error_bound
 
+    @pytest.mark.parametrize("n", [64, 256, 4096])
+    def test_witness_is_where_a_one_sided_eta_was_read(self, n):
+        # f'' = -10x on [0, b), b = 0.3 + 1/128 between nodes; the cubic on
+        # [b, 1) keeps f and f' continuous at b and at 1 = 0.  eta is
+        # f''(b - 1e-9), so the witness is that point, not the nearest node
+        b = 0.3 + 1 / 128
+        f = spec_from_dict({
+            "kind": "piecewise_poly", "breakpoints": [0.0, b],
+            "coefficients": [[0.0, 0.0, 0.0, -1.6666666666666667],
+                             [0.2931340343062656, -1.8681714724442462, 2.856940841969695, -1.2819034038317147]],
+        })
+        rep = convexity_defect(f, "second_derivative", n)
+        assert rep.eta == 10.0 * (b - 1e-9)
+        assert rep.witness_x == (b - 1e-9) % 1.0
+
+    def test_witness_ties_keep_the_node(self):
+        # f'' = -2 at the nodes and beside the breakpoints alike
+        assert convexity_defect(quadratic_extremal(), "second_derivative", 64).witness_x == 0.0
+
     def test_constant_is_convex(self):
         assert convexity_defect(constant(2.0), "auto").eta == 0.0
 
@@ -199,7 +234,7 @@ class TestConvexityDefect:
         # finite samples (|f| <= 1e304) whose f'' overflows: once eta = 0.0
         f = Sum((Scale(1e305, Cosine(1000, 0.0)), Scale(-1e305, Cosine(1000, 0.1))))
         assert np.all(np.abs(sample(f, 4096).values) <= 1e304)
-        with pytest.raises(ValueError, match=r"^f'' is not finite \(nan\)"):
+        with pytest.raises(ValueError, match=r"^f'' is not finite \(nan at x = 0\.0\)$"):
             convexity_defect(f, mode, 4096)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -210,11 +245,13 @@ class TestConvexityDefect:
             convexity_defect(f, "finite_difference", 4096)
 
     def test_second_derivative_route_refuses_a_non_finite_one_sided_value(self):
-        second = quadratic_extremal().derivative().derivative()
-        vals = second(np.arange(64) / 64)
-        assert _second_derivative_report(second, vals, np.array([-2.0, 2.0])).eta == 2.0
-        with pytest.raises(ValueError, match=r"^f'' is not finite \(inf\)"):
-            _second_derivative_report(second, vals, np.array([-2.0, np.inf]))
+        # f'' finite at every node and infinite only 1e-9 either side of 0.3
+        second = _InfiniteBeside(0.3)
+        xs = np.arange(64) / 64
+        assert np.all(np.isfinite(second(xs)))
+        x = re.escape(str((0.3 - 1e-9) % 1.0))
+        with pytest.raises(ValueError, match=rf"^f'' is not finite \(inf at x = {x}\)$"):
+            second_derivative_values(second, xs)
 
     def test_delta_table_dominated_by_eta(self):
         rep = convexity_defect(cosine(), "second_derivative", 4096)
@@ -322,7 +359,10 @@ def _loop_one_sided(second):
 )
 def test_one_sided_matches_loop(f):
     second = f.derivative().derivative()
-    for got, ref in zip(_one_sided(second), _loop_one_sided(second)):
+    xs = np.arange(64) / 64
+    vals, *one_sided = second_derivative_values(second, xs)
+    assert vals.tobytes() == second(xs).tobytes()
+    for got, ref in zip(one_sided, _loop_one_sided(second)):
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
 

@@ -142,13 +142,8 @@ PRIVATE_IMPORTS = {
     "sturmian": {("torus", "_mod1")},
     # the second-derivative route reads f'' at N nodes without sampling f
     "convexity": {("torus", "_check_grid_size")},
-    "criteria": {
-        # class B's concavity scan and search_c's curvature bound read f'' (h'')
-        # beside its non-smooth points by the eta route's one-sided rule
-        ("convexity", "_one_sided"),
-        # and builds eta from the 2N-grid f'' it already holds
-        ("convexity", "_second_derivative_report"),
-    },
+    # class B builds eta from the 2N-grid f'' it already holds
+    "criteria": {("convexity", "_second_derivative_report")},
 }
 
 

@@ -40,9 +40,16 @@ MUTANTS = (
     Mutant(
         "R_positive bound without its Lipschitz term",
         "criteria.py",
-        "grid_n, 3.0 * lip, eta_rep.error_bound / 96.0)",
-        "grid_n, 0.0, eta_rep.error_bound / 96.0)",
+        "grid_n, 3.0 * lip, eta_rep, 96.0)",
+        "grid_n, 0.0, eta_rep, 96.0)",
         ("tests/test_criteria.py::TestTheoremSturm::test_thin_positivity_margin_is_inconclusive",),
+    ),
+    Mutant(
+        "window margin bound without eta's error bound",
+        "criteria.py",
+        " + eta_rep.error_bound / share",
+        "",
+        ("tests/test_criteria.py::TestTheoremSturm::test_slope_margin_within_eta_share_nets_to_at_most_zero",),
     ),
     Mutant(
         "A2_slope bound set to 0",
@@ -73,6 +80,33 @@ MUTANTS = (
         ("tests/test_convexity.py::TestConvexityDefect::test_second_derivative_bound_covers_the_offset_peak",),
     ),
     Mutant(
+        "f'' reader without its non-finite refusal",
+        "convexity.py",
+        "    if bad.size:",
+        "    if False:",
+        (
+            "tests/test_convexity.py::TestConvexityDefect::test_overflowing_second_derivative_is_refused[auto]",
+            "tests/test_convexity.py::TestConvexityDefect::"
+            "test_second_derivative_route_refuses_a_non_finite_one_sided_value",
+            "tests/test_criteria.py::test_overflowing_half_profile_is_refused",
+            "tests/test_cli.py::test_overflowing_second_derivative_exits_3[classB]",
+        ),
+    ),
+    Mutant(
+        "min_delta_nodes without its kink-test room refusal",
+        "convexity.py",
+        "if 2 * m > n // 2:",
+        "if False:",
+        ("tests/test_convexity.py::TestConvexityDefect::test_min_delta_nodes_without_room_for_the_kink_test[20]",),
+    ),
+    Mutant(
+        "kink test reads the second shift's score",
+        "convexity.py",
+        "score[0] > 1.6 * s2m",
+        "score[1] > 1.6 * s2m",
+        ("tests/test_convexity.py::TestConvexityDefect::test_kink_flags_infinite",),
+    ),
+    Mutant(
         "finite-difference route without its overflow refusal",
         "convexity.py",
         "    if not finite.all():",
@@ -89,6 +123,49 @@ MUTANTS = (
         "    if not math.isfinite(cross_tol):",
         "    if False:",
         ("tests/test_cli.py::test_overflowing_score_or_tolerance_exits_3[solve]",),
+    ),
+    Mutant(
+        "mirrored scan start without its roll",
+        "criteria.py",
+        "np.roll(g.values[::-1], 1)",
+        "g.values[::-1]",
+        ("tests/test_criteria.py::TestScanTranslates::test_certificates_equal_the_composed_oracle[cosine]",),
+    ),
+    Mutant(
+        "orbit table keeps non-minimal rotations of a period",
+        "transfer.py",
+        "minimal &= x > ks",
+        "minimal &= x >= ks",
+        ("tests/test_transfer.py::TestBetaLowerBound::test_exact_periods_no_duplicates",),
+    ),
+    Mutant(
+        "orbit points divided in C order",
+        "transfer.py",
+        "np.asfortranarray(points) / m",
+        "points / m",
+        ("tests/test_transfer.py::TestOrbitTableArrays::test_matches_the_object_built_table[cosine-2-16]",),
+    ),
+    Mutant(
+        "warm start keeps -0.0",
+        "transfer.py",
+        "np.add(g, 0.0, out=g)",
+        "pass",
+        ("tests/test_transfer.py::TestSweepMatchesBroadcastReference::"
+         "test_signed_zero_start_moves_only_a_one_sweep_zero_beta",),
+    ),
+    Mutant(
+        "best Sturmian without its tie tolerance",
+        "sturmian.py",
+        "val > best_val + 1e-12 * (1.0 + abs(best_val))",
+        "val > best_val",
+        ("tests/test_sturmian.py::TestBestSturmian::test_constant_ties_break_to_smallest_denominator",),
+    ),
+    Mutant(
+        "Sturmian integral summed, then divided",
+        "sturmian.py",
+        ".reshape(count, q).mean(axis=1)",
+        ".reshape(count, q).sum(axis=1) / q",
+        ("tests/test_sturmian.py::TestBestSturmian::test_cosine_dirac",),
     ),
 )
 
