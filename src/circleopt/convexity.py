@@ -108,10 +108,6 @@ class ConvexityReport:
     def bound_direction(self) -> str:
         return "exact_within_tolerance" if self.method == "second_derivative" else "lower_bound"
 
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.eta)
-
     def to_dict(self):
         return {
             "eta": self.eta,

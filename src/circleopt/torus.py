@@ -431,9 +431,35 @@ def _check_grid_size(n: int) -> None:
         raise ValueError(f"grid size must be at least 4, got {n}")
 
 
+# power-of-two n -> (the inner spec of the last translate sampled on n
+# nodes, its node values)
+_LAST_INNER: dict[int, tuple[FunctionSpec, np.ndarray]] = {}
+
+
+def _inner_node_values(inner: FunctionSpec, n: int) -> np.ndarray:
+    """inner at the n nodes i/n, evaluated once for consecutive calls with
+    the same spec object.  Remembered by identity, not equality:
+    Scale(0.0, f) == Scale(-0.0, f), yet their samples differ in the sign
+    of zero."""
+    last = _LAST_INNER.get(n)
+    if last is not None and last[0] is inner:
+        return last[1]
+    values = inner(np.arange(n) / n)
+    values.setflags(write=False)
+    _LAST_INNER[n] = (inner, values)
+    return values
+
+
 def sample(f, n: int) -> GridFunction:
-    """Sample a spec (or any vectorized callable) at n uniform nodes; exact at every node."""
+    """Sample a spec (or any vectorized callable) at n uniform nodes; exact at every node.
+
+    For Translate(omega, h) with n a power of two and omega*n an integer k,
+    the nodes i/n - omega are exactly the nodes (i - k)/n, so the samples
+    are h's node values rolled by k, bit for bit the direct evaluation.
+    """
     _check_grid_size(n)
+    if isinstance(f, Translate) and n & (n - 1) == 0 and (f.omega * n).is_integer():
+        return GridFunction(np.roll(_inner_node_values(f.inner, n), int(f.omega * n)))
     return GridFunction(f(np.arange(n) / n))
 
 

@@ -222,7 +222,6 @@ class TestConvexityDefect:
         rep = convexity_defect(tent(), "auto", 1024)
         assert rep.method == "finite_difference"
         assert math.isinf(rep.eta)
-        assert not rep.is_finite
 
     def test_second_derivative_mode_rejects_kinks(self):
         with pytest.raises(ValueError):

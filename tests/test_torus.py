@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from circleopt import (
     AntisymmetricExtension,
     Cosine,
+    FunctionSpec,
     GridFunction,
     Negate,
     PiecewisePoly,
@@ -415,6 +416,49 @@ def spec_trees(draw, depth=2):
     if kind == 4:
         return Negate(inner)
     return Sum((inner, draw(spec_trees(depth - 1))))
+
+
+class _Recording(FunctionSpec):
+    """inner, recording every array of points it is evaluated at."""
+
+    def __init__(self, inner):
+        self.inner, self.points = inner, []
+
+    def _eval(self, r):
+        self.points.append(r.copy())
+        return self.inner._eval(r)
+
+
+class TestTranslateSamplesByRoll:
+    @settings(max_examples=150, deadline=None)
+    @given(spec_trees(), st.integers(2, 13), st.data())
+    def test_roll_is_the_direct_evaluation_bitwise(self, f, j, data):
+        n = 2**j
+        t = Translate(data.draw(st.integers(0, n - 1)) / n, f)
+        assert sample(t, n).values.tobytes() == t(np.arange(n) / n).tobytes()
+
+    @pytest.mark.parametrize("n, rolled", [(64, True), (4096, True), (96, False), (100, False)])
+    def test_only_power_of_two_grids_roll(self, n, rolled):
+        # omega * n = n / 4 is an integer on all four grids
+        spy = _Recording(cosine())
+        t = Translate(0.25, spy)
+        assert sample(t, n).values.tobytes() == t(np.arange(n) / n).tobytes()
+        nodes = np.arange(n) / n
+        assert spy.points[0].tobytes() == (nodes if rolled else _mod1(nodes - 0.25)).tobytes()
+
+    def test_one_inner_evaluation_per_grid_across_translates(self):
+        spy = _Recording(cosine())
+        for j in range(8):
+            for n in (64, 128):
+                sample(Translate(j / 8, spy), n)
+        assert [p.size for p in spy.points] == [64, 128]
+
+    def test_equal_specs_with_signed_zeros_do_not_share_samples(self):
+        plus, minus = Scale(0.0, Cosine(1)), Scale(-0.0, Cosine(1))
+        assert plus == minus
+        got = [sample(Translate(0.25, h), 64).values for h in (plus, minus)]
+        assert got[1].tobytes() == Translate(0.25, minus)(np.arange(64) / 64).tobytes()
+        assert got[0].tobytes() != got[1].tobytes()
 
 
 def _with_derivatives(f):

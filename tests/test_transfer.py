@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import tracemalloc
 from fractions import Fraction
 
@@ -336,8 +338,40 @@ class TestSolveCalibrated:
         assert np.max(diff) - np.min(diff) < 10 * sol1.tol
 
 
-def _reference_solve(f, d, n, max_iter=100_000, g0=None):
-    """Allocating broadcast form of the sweep, the bitwise reference for the solver."""
+def _reference_extrapolate(g, u):
+    """g - sum_j Gamma_j u_j: the minimal polynomial extrapolate of the
+    iterates that led to g by the updates u (oldest first); g itself when
+    the normal equations are singular or the correction is not finite."""
+    k = len(u) - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.array([[np.sum(a * b) for b in u] for a in u])
+        a, b = gram[:k, :k].copy(), -gram[:k, k]
+        for col in range(k):  # no pivoting: a Gram matrix is positive semi-definite
+            if not a[col, col] > 0.0:
+                return g
+            for r in range(col + 1, k):
+                m = a[r, col] / a[col, col]
+                a[r, col + 1 :] -= m * a[col, col + 1 :]
+                b[r] -= m * b[col]
+        c = np.ones(k + 1)
+        for i in reversed(range(k)):
+            c[i] = b[i]
+            for j in range(i + 1, k):
+                c[i] -= a[i, j] * c[j]
+            c[i] /= a[i, i]
+        total = np.cumsum(c)[-1]
+        if total == 0.0:
+            return g
+        correction = functools.reduce(operator.add, np.cumsum(c / total)[:, None] * u)
+        return g - correction if np.isfinite(correction).all() else g
+
+
+def _reference_solve(f, d, n, max_iter=100_000, g0=None, extrapolate=True):
+    """Allocating broadcast form of the sweep, the bitwise reference for the solver.
+
+    After sweeps 14, 29, ... g moves to the extrapolate of the last 5
+    updates, until the step at one of them is not below the step at the
+    one before."""
     f_coarse = sample(f, n)
     ff = sample(f, d * n).values
     rng = f_coarse.value_range()
@@ -345,16 +379,25 @@ def _reference_solve(f, d, n, max_iter=100_000, g0=None):
     w = np.arange(d) / d
     g = g0.values - np.max(g0.values) if g0 is not None else np.zeros(n)
     beta, step, converged = 0.0, np.inf, False
+    updates, before = [], math.inf
     for iterations in range(1, max_iter + 1):
         refined = (g[:, None] * (1.0 - w) + np.roll(g, -1)[:, None] * w).ravel()
         image = (ff + refined).reshape(d, n).max(axis=0)
         beta = float(np.max(image))
         raw = image - beta
         step = float(np.max(np.abs(raw - g)))
-        g = g + 0.5 * (raw - g)
+        update = 0.5 * (raw - g)
+        g = g + update
         if step < tol:
             converged = True
             break
+        updates = (updates + [update])[-5:]
+        if extrapolate and iterations % 15 == 14:
+            if step >= before:
+                extrapolate = False
+            else:
+                before = step
+                g = _reference_extrapolate(g, np.array(updates))
     g = g - np.max(g)
     residual = calibration_residual(f_coarse, GridFunction(g), beta, d)
     return g, beta, residual, iterations, converged, step
@@ -460,6 +503,79 @@ class TestSweepMatchesBroadcastReference:
         n = 96 * d
         sol = solve_calibrated(f, d=d, grid_n=n, max_iter=max_iter)
         _assert_same_solution(sol, _reference_solve(f, d, n, max_iter=max_iter))
+
+
+# its slowest error mode is a complex pair of modulus cos(pi/8)
+_ROTATING = Translate(10 / 64, cosine())
+
+
+class TestExtrapolation:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]), max_iter=st.integers(1, 13))
+    def test_solve_stopped_before_sweep_14_is_the_plain_iteration(self, seed, d, max_iter):
+        f = random_trig(np.random.default_rng(seed))
+        n = 96 * d
+        sol = solve_calibrated(f, d=d, grid_n=n, max_iter=max_iter)
+        _assert_same_solution(sol, _reference_solve(f, d, n, max_iter=max_iter, extrapolate=False))
+
+    def test_one_extrapolation_lands_near_the_fixed_point_of_an_affine_map(self):
+        # x -> x* + A(x - x*), A a rotation by pi/8 of modulus cos(pi/8) on
+        # one plane and two faster real modes: 5 updates see all 4 modes
+        n = 256
+        xs = np.arange(n) / n
+        modes = np.array([np.cos(2 * np.pi * xs), np.sin(2 * np.pi * xs),
+                          np.cos(4 * np.pi * xs), np.sin(4 * np.pi * xs)])
+        t = np.pi / 8
+        a = np.zeros((4, 4))
+        a[:2, :2] = math.cos(t) * np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        a[2, 2], a[3, 3] = 0.3, -0.2
+        fixed = 0.1 * np.sin(6 * np.pi * xs) - 1.0
+        z = np.array([1.0, 0.5, -0.7, 0.4])
+        iterates = [fixed + z @ modes]
+        for _ in range(5):
+            z = a @ z
+            iterates.append(fixed + z @ modes)
+        u = np.diff(np.array(iterates), axis=0)
+        g = iterates[-1].copy()
+        transfer._extrapolate(g, u, np.empty(n), np.empty(n))
+        start = np.max(np.abs(iterates[0] - fixed))
+        assert np.max(np.abs(iterates[-1] - fixed)) > 0.4 * start
+        assert np.max(np.abs(g - fixed)) < 1e-9 * start
+
+    def test_extrapolation_cuts_the_sweeps_of_a_rotating_mode(self):
+        sol = solve_calibrated(_ROTATING, d=2, grid_n=4096)
+        plain = _reference_solve(_ROTATING, 2, 4096, extrapolate=False)
+        assert sol.converged and plain[4]
+        assert sol.iterations <= 0.5 * plain[3]
+        assert sol.residual <= plain[2]
+
+    def test_non_finite_correction_is_not_applied(self, monkeypatch):
+        monkeypatch.setattr(transfer, "_mpe_weights", lambda gram: [math.inf] * len(gram))
+        sol = solve_calibrated(_ROTATING, d=2, grid_n=512)
+        assert sol.converged
+        _assert_same_solution(sol, _reference_solve(_ROTATING, 2, 512, extrapolate=False))
+
+    def test_overflowing_gram_matrix_is_singular(self):
+        # updates near 1e299 square to +inf: no extrapolation, no warning
+        f = Scale(1e300, _ROTATING)
+        sol = solve_calibrated(f, d=2, grid_n=512)
+        assert sol.converged
+        _assert_same_solution(sol, _reference_solve(f, 2, 512, extrapolate=False))
+
+    def test_safeguard_stops_extrapolating_once_the_step_grows(self, monkeypatch):
+        # an extrapolation that kicks g far off: the step at the next
+        # extrapolation point is larger, so none follows, and the averaged
+        # sweeps still converge
+        kicks = []
+
+        def kick(g, u, acc, tmp):
+            kicks.append(None)
+            g += 100.0 * np.cos(2 * np.pi * np.arange(g.size) / g.size)
+
+        monkeypatch.setattr(transfer, "_extrapolate", kick)
+        sol = solve_calibrated(_ROTATING, d=2, grid_n=512, max_iter=2000)
+        assert sol.converged
+        assert len(kicks) == 1
 
 
 class TestSweepAllocatesNothing:

@@ -154,6 +154,34 @@ MUTANTS = (
          "test_signed_zero_start_moves_only_a_one_sweep_zero_beta",),
     ),
     Mutant(
+        "extrapolation without its safeguard",
+        "transfer.py",
+        "if step >= before:",
+        "if False:",
+        ("tests/test_transfer.py::TestExtrapolation::test_safeguard_stops_extrapolating_once_the_step_grows",),
+    ),
+    Mutant(
+        "extrapolation applies a non-finite correction",
+        "transfer.py",
+        "if math.isfinite(float(np.abs(acc, out=tmp).max())):",
+        "if True:",
+        ("tests/test_transfer.py::TestExtrapolation::test_non_finite_correction_is_not_applied",),
+    ),
+    Mutant(
+        "translate samples rolled the wrong way",
+        "torus.py",
+        "_inner_node_values(f.inner, n), int(f.omega * n))",
+        "_inner_node_values(f.inner, n), -int(f.omega * n))",
+        ("tests/test_torus.py::TestTranslateSamplesByRoll::test_only_power_of_two_grids_roll[64-True]",),
+    ),
+    Mutant(
+        "translate samples remembered by equality",
+        "torus.py",
+        "last[0] is inner",
+        "last[0] == inner",
+        ("tests/test_torus.py::TestTranslateSamplesByRoll::test_equal_specs_with_signed_zeros_do_not_share_samples",),
+    ),
+    Mutant(
         "best Sturmian without its tie tolerance",
         "sturmian.py",
         "val > best_val + 1e-12 * (1.0 + abs(best_val))",
@@ -161,11 +189,11 @@ MUTANTS = (
         ("tests/test_sturmian.py::TestBestSturmian::test_constant_ties_break_to_smallest_denominator",),
     ),
     Mutant(
-        "Sturmian integral summed, then divided",
+        "Sturmian integrals averaged across orbits",
         "sturmian.py",
         ".reshape(count, q).mean(axis=1)",
-        ".reshape(count, q).sum(axis=1) / q",
-        ("tests/test_sturmian.py::TestBestSturmian::test_cosine_dirac",),
+        ".reshape(q, count).T.mean(axis=1)",
+        ("tests/test_sturmian.py::TestOrbitTable::test_matches_per_orbit_loop[8]",),
     ),
 )
 

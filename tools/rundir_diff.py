@@ -1,6 +1,6 @@
 """Compare the CLI run directories of two source trees, job by job.
 
-    python tools/rundir_diff.py PARENT_SRC CHANGE_SRC --seed N [--workload W ...]
+    python tools/rundir_diff.py PARENT_SRC CHANGE_SRC --seed N [--workload W ...] [--verdicts]
 
 Writes the inputs of the benchmark workloads (``benchmarks/workloads.py``
 at FULL size; every workload unless ``--workload`` names some) once, then
@@ -9,6 +9,13 @@ tree, with that tree's ``src`` first on ``sys.path``.  The exit code,
 stdout, stderr and every file of each job's run directory must be equal.
 The first differences are printed; the exit status is 1 on any difference
 and 0 when every job is identical.
+
+With ``--verdicts``, for a change that moves numbers on purpose, only the
+verdicts must be equal: the exit code, the run directory's file names,
+and in its JSON files every status, converged flag, ``orbit_check.ok``,
+``all_pass``, each scan row's certificate status and rotation, and each
+validate suite's violations.  The largest |delta beta| over the solves
+and scan rows and each tree's largest residual are printed as well.
 
 The inputs are written by the circleopt this process imports; the command
 line puts PARENT_SRC first on ``sys.path`` for that.
@@ -88,8 +95,9 @@ def _first_line_diff(a: bytes, b: bytes) -> str:
     return f"{len(la)} lines != {len(lb)} lines"
 
 
-def compare(parent_src, change_src, seed: int, names=None, size: str = "FULL") -> tuple[int, list[str]]:
-    """Run the workloads' jobs under both trees: (number of jobs, differences)."""
+def run_both(parent_src, change_src, seed: int, names=None, size: str = "FULL"):
+    """Run the workloads' jobs under both trees: per job, its label and, for
+    each tree, its result (exit code, stdout, stderr) and run-directory files."""
     names = list(names or _workloads().WORKLOADS)
     with tempfile.TemporaryDirectory(prefix="rundir-diff-") as tmp:
         tmp = Path(tmp)
@@ -115,18 +123,78 @@ def compare(parent_src, change_src, seed: int, names=None, size: str = "FULL") -
                     proc.wait()
 
         results = [json.loads((side / "results.json").read_text()) for side in sides]
-        diffs = []
+        runs = []
         for i, ((label, _), a, b) in enumerate(zip(jobs, *results)):
-            for key in ("code", "stdout", "stderr"):
-                if a[key] != b[key]:
-                    diffs.append(f"{label}: {key} {a[key]!r} != {b[key]!r}")
             fa, fb = (_files(side / f"job-{i:03d}") for side in sides)
-            for name in sorted(fa.keys() | fb.keys()):
-                if name not in fa or name not in fb:
-                    diffs.append(f"{label}: {name} only under {'parent' if name in fa else 'change'}")
-                elif fa[name] != fb[name]:
-                    diffs.append(f"{label}: {name} differs, {_first_line_diff(fa[name], fb[name])}")
-        return len(jobs), diffs
+            runs.append((label, (a, fa), (b, fb)))
+        return runs
+
+
+def compare(parent_src, change_src, seed: int, names=None, size: str = "FULL") -> tuple[int, list[str]]:
+    """Run the workloads' jobs under both trees: (number of jobs, differences)."""
+    runs = run_both(parent_src, change_src, seed, names, size)
+    diffs = []
+    for label, (a, fa), (b, fb) in runs:
+        for key in ("code", "stdout", "stderr"):
+            if a[key] != b[key]:
+                diffs.append(f"{label}: {key} {a[key]!r} != {b[key]!r}")
+        for name in sorted(fa.keys() | fb.keys()):
+            if name not in fa or name not in fb:
+                diffs.append(f"{label}: {name} only under {'parent' if name in fa else 'change'}")
+            elif fa[name] != fb[name]:
+                diffs.append(f"{label}: {name} differs, {_first_line_diff(fa[name], fb[name])}")
+    return len(runs), diffs
+
+
+def verdicts(code, files: dict[str, bytes]) -> tuple[dict, dict, list[float]]:
+    """One job's verdicts, betas and residuals, read from its exit code and
+    run-directory files; verdicts and betas are keyed by where they sit.
+    A non-finite number, written as a string, is read back as a float."""
+    found: dict = {"code": code, "files": sorted(files)}
+    betas: dict[str, float] = {}
+    residuals: list[float] = []
+    for name, data in files.items():
+        kind = Path(name).name
+        if kind not in ("solution.json", "scan.json", "criterion.json", "validate.json"):
+            continue
+        doc = json.loads(data)
+        if kind == "solution.json":
+            found[f"{name} converged"] = doc["converged"]
+            found[f"{name} orbit_check.ok"] = doc["orbit_check"]["ok"]
+            betas[name] = float(doc["beta"])
+            residuals.append(float(doc["residual"]))
+        elif kind == "scan.json":
+            found[f"{name} all_pass"] = doc["all_pass"]
+            for i, row in enumerate(doc["rows"]):
+                key = f"{name} row {i}"
+                found[f"{key} converged"] = row["converged"]
+                found[f"{key} certificate"] = row["certificate"]["status"]
+                found[f"{key} rotation"] = row["rotation"]
+                betas[key] = float(row["beta"])
+                residuals.append(float(row["residual"]))
+        elif kind == "criterion.json":
+            found[f"{name} status"] = doc["status"]
+        else:
+            for suite in doc:
+                found[f"{name} {suite['name']} violations"] = suite["violations"]
+    return found, betas, residuals
+
+
+def compare_verdicts(parent_src, change_src, seed: int, names=None, size: str = "FULL"):
+    """Run the workloads' jobs under both trees: (number of jobs, verdict
+    differences, largest |delta beta|, each tree's largest residual)."""
+    runs = run_both(parent_src, change_src, seed, names, size)
+    diffs, max_dbeta, max_residual = [], 0.0, [0.0, 0.0]
+    for label, *sides in runs:
+        (va, ba, ra), (vb, bb, rb) = (verdicts(r["code"], files) for r, files in sides)
+        for key in sorted(va.keys() | vb.keys()):
+            if va.get(key) != vb.get(key):
+                diffs.append(f"{label}: {key} {va.get(key)!r} != {vb.get(key)!r}")
+        for key in ba.keys() & bb.keys():
+            max_dbeta = max(max_dbeta, abs(ba[key] - bb[key]))
+        for k, res in enumerate((ra, rb)):
+            max_residual[k] = max([max_residual[k], *res])
+    return len(runs), diffs, max_dbeta, tuple(max_residual)
 
 
 def main(argv=None) -> int:
@@ -139,14 +207,25 @@ def main(argv=None) -> int:
     ap.add_argument("change_src", type=Path)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--workload", action="append", choices=("scan", "solve", "validate", "certify"))
+    ap.add_argument("--verdicts", action="store_true",
+                    help="compare verdicts only, and report the largest |delta beta| and residuals")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.parent_src.resolve()))
-    count, diffs = compare(args.parent_src, args.change_src, args.seed, args.workload)
+    if args.verdicts:
+        count, diffs, max_dbeta, (res_parent, res_change) = compare_verdicts(
+            args.parent_src, args.change_src, args.seed, args.workload)
+    else:
+        count, diffs = compare(args.parent_src, args.change_src, args.seed, args.workload)
     for line in diffs[:SHOWN]:
         print(line)
     if len(diffs) > SHOWN:
         print(f"... {len(diffs) - SHOWN} more")
-    print(f"{count} jobs: " + (f"{len(diffs)} differences" if diffs else "identical"))
+    if args.verdicts:
+        print(f"largest |delta beta| {max_dbeta:.3g}; largest residual {res_parent:.3g} (parent), "
+              f"{res_change:.3g} (change)")
+        print(f"{count} jobs: " + (f"{len(diffs)} verdict differences" if diffs else "same verdicts"))
+    else:
+        print(f"{count} jobs: " + (f"{len(diffs)} differences" if diffs else "identical"))
     return 1 if diffs else 0
 
 
