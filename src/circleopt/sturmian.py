@@ -67,9 +67,9 @@ class SturmianMeasure:
         return lo, lo + Fraction(1, 2)
 
     def integrate(self, f) -> float:
-        """(1/q) * sum of f over the orbit."""
+        """(1/q) * sum of f over the orbit; a ValueError if it is not finite."""
         pts = np.array([n / self.modulus for n in self.numerators])
-        return float(np.mean(f(pts)))
+        return _finite_integral(self.p, self.q, float(np.mean(f(pts))))
 
     def to_dict(self):
         return {
@@ -78,6 +78,12 @@ class SturmianMeasure:
             "orbit": [str(x) for x in self.orbit],
             "semicircle": [str(x) for x in self.semicircle],
         }
+
+
+def _finite_integral(p: int, q: int, value: float) -> float:
+    if not isfinite(value):
+        raise ValueError(f"Sturmian integral over {p}/{q} = {value} is not finite")
+    return value
 
 
 def _orbit_numerators(p: int, q: int) -> list[int]:
@@ -154,7 +160,8 @@ def best_sturmian(f, max_q: int = 32) -> tuple[SturmianMeasure, float]:
     mean over its orbit's q points, equal to ``sturmian_measure(p,
     q).integrate(f)``.  Near-ties (relative 1e-12, the noise floor of
     averaging) keep the first, i.e. smallest-denominator, measure; the
-    result is deterministic.
+    result is deterministic.  An integral that is not finite is a
+    ValueError naming its p/q.
     """
     if max_q < 1:
         raise ValueError("max_q must be >= 1")
@@ -169,6 +176,7 @@ def best_sturmian(f, max_q: int = 32) -> tuple[SturmianMeasure, float]:
     best = 0
     best_val = integrals[0]
     for i, val in enumerate(integrals):
+        _finite_integral(*rotations[i], val)
         if val > best_val + 1e-12 * (1.0 + abs(best_val)):
             best, best_val = i, val
     return sturmian_measure(*rotations[best]), best_val

@@ -305,36 +305,15 @@ class PeriodicOrbit:
         return Fraction(self.numerator, self.modulus)
 
 
-class _Orbits(Sequence):
-    """A table's orbits as PeriodicOrbit objects, each built when accessed."""
-
-    def __init__(self, table: "PeriodicOrbitTable"):
-        self._table = table
-
-    def __len__(self) -> int:
-        return self._table.periods.size
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        t = self._table
-        period = int(t.periods[i])
-        return PeriodicOrbit(
-            period=period,
-            numerator=int(t.numerators[i]),
-            modulus=t.d**period - 1,
-            average=float(t.averages[i]),
-        )
-
-
 @dataclass(frozen=True, eq=False)
-class PeriodicOrbitTable:
+class PeriodicOrbitTable(Sequence):
     """All periodic orbits up to a period cap, with the best average.
 
     Held as three read-only arrays in enumeration order (period, then
     minimal numerator): ``periods``, ``numerators`` (the minimal point is
-    numerator / (d^period - 1)) and ``averages``.  ``orbits`` and ``best``
-    build PeriodicOrbit objects on access only.
+    numerator / (d^period - 1)) and ``averages``.  The table is the
+    sequence of its orbits, each PeriodicOrbit built on access; ``len``
+    builds none.
     """
 
     d: int
@@ -344,13 +323,27 @@ class PeriodicOrbitTable:
     averages: np.ndarray
     best_index: int
 
+    def __len__(self) -> int:
+        return self.periods.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        period = int(self.periods[i])
+        return PeriodicOrbit(
+            period=period,
+            numerator=int(self.numerators[i]),
+            modulus=self.d**period - 1,
+            average=float(self.averages[i]),
+        )
+
     @property
     def orbits(self) -> Sequence[PeriodicOrbit]:
-        return _Orbits(self)
+        return self
 
     @property
     def best(self) -> PeriodicOrbit:
-        return self.orbits[self.best_index]
+        return self[self.best_index]
 
 
 _ORBIT_BUDGET = 2**24  # largest d^P enumerated: P <= 24 for d = 2
@@ -383,28 +376,24 @@ def beta_lower_bound(f, d: int = 2, max_period: int | None = None) -> PeriodicOr
     periods, numerators, averages = [], [], []
     for p in range(1, max_period + 1):
         m = d**p - 1
-        for lo in range(0, max(m, 1), _ORBIT_CHUNK):
-            ks = np.arange(lo, min(lo + _ORBIT_CHUNK, m), dtype=np.int64)
-            # k starts an orbit of exact period p, at its minimal point, iff
-            # every later point k * d^j (j < p) of its orbit is larger
-            minimal = np.ones(ks.size, dtype=bool)
-            x = ks
+        for lo in range(0, m, _ORBIT_CHUNK):
+            # k starts an orbit of exact period p, at its minimal point, iff every
+            # later point k * d^j (j < p) is larger: drop k at its first that is not
+            reps = np.arange(lo, min(lo + _ORBIT_CHUNK, m), dtype=np.int64)
+            x = reps
             for _ in range(1, p):
                 x = x * d % m
-                minimal &= x > ks
-            reps = ks[minimal]
+                keep = x > reps
+                reps, x = reps[keep], x[keep]
             if reps.size == 0:
                 continue
-            points = np.empty((p, reps.size), dtype=np.int64)
-            points[0] = reps
+            points = np.empty((reps.size, p), dtype=np.int64)
+            points[:, 0] = reps
             for j in range(1, p):
-                points[j] = points[j - 1] * d % m
+                points[:, j] = points[:, j - 1] * d % m
             periods.append(np.full(reps.size, p, dtype=np.int64))
             numerators.append(reps)
-            # column-major, each orbit's points contiguous: the layout sets
-            # mean's summation order, and with it the averages' last bits
-            points = np.asfortranarray(points) / m
-            averages.append(np.asarray(f(points), dtype=float).mean(axis=0))
+            averages.append(np.asarray(f(points / m), dtype=float).mean(axis=1))
     arrays = [np.concatenate(a) for a in (periods, numerators, averages)]
     for a in arrays:
         a.setflags(write=False)

@@ -4,12 +4,15 @@ The spec-grammar refusals are reached through ``spec_from_dict``, since
 they guard input that comes from outside the program.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from circleopt import (
     GridFunction,
     antipodal_difference,
+    best_sturmian,
     beta_lower_bound,
     calibration_residual,
     convexity_defect,
@@ -22,6 +25,7 @@ from circleopt import (
     spec_from_dict,
 )
 from circleopt.catalog import constant, cosine, cosine_extremal_blend
+from circleopt.cli import main
 
 G64 = sample(cosine(), 64)
 G128 = sample(cosine(), 128)
@@ -74,3 +78,29 @@ def _poly(breakpoints, coefficients):
 def test_refused_with_a_named_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# two cosines of amplitude 1e308 whose sum overflows to +inf near x = 0
+OVERFLOWING_SUM = {
+    "kind": "sum",
+    "terms": [
+        {"kind": "scale", "factor": 1e308, "inner": {"kind": "cos", "freq": 1, "phase": phase}}
+        for phase in (0.0, 0.1)
+    ],
+}
+
+
+@pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
+def test_best_sturmian_refuses_an_integral_that_is_not_finite():
+    with pytest.raises(ValueError, match=r"^Sturmian integral over 0/1 = inf is not finite$"):
+        best_sturmian(spec_from_dict(OVERFLOWING_SUM), 4)
+
+
+@pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
+def test_sturmian_command_refuses_an_integral_that_is_not_finite(tmp_path, capsys):
+    spec = tmp_path / "overflow.json"
+    spec.write_text(json.dumps(OVERFLOWING_SUM))
+    out = tmp_path / "out"
+    assert main(["sturmian", "--p", "0", "--q", "1", "--spec", str(spec), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: Sturmian integral over 0/1 = inf is not finite\n"
+    assert not out.exists()

@@ -198,6 +198,28 @@ class TestOrbitTableArrays:
         assert list(tab.orbits) == orbits
         assert tab.orbits[-3:] == tuple(orbits[-3:])
 
+    @pytest.mark.parametrize("d, max_period", [(2, 10), (3, 6)])
+    def test_chunk_boundaries_change_no_bit(self, monkeypatch, d, max_period):
+        # blocks of 7 starts split every period past the first few, and
+        # leave some blocks without a minimal start
+        f = _TABLE_SPECS["random_trig"]
+        whole = beta_lower_bound(f, d, max_period)
+        monkeypatch.setattr(transfer, "_ORBIT_CHUNK", 7)
+        chunked = beta_lower_bound(f, d, max_period)
+        for name in ("periods", "numerators", "averages"):
+            assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes(), name
+
+    def test_len_builds_no_orbit(self, monkeypatch):
+        tab = beta_lower_bound(cosine(), 2, 16)
+
+        def refuse(**kwargs):
+            raise AssertionError("an orbit was built")
+
+        monkeypatch.setattr(transfer, "PeriodicOrbit", refuse)
+        assert len(tab) == len(tab.orbits) == 8799
+        with pytest.raises(AssertionError, match="an orbit was built"):
+            tab.best
+
     def test_arrays_are_read_only(self):
         tab = beta_lower_bound(cosine(), 2, 6)
         for a in (tab.periods, tab.numerators, tab.averages):

@@ -134,15 +134,15 @@ MUTANTS = (
     Mutant(
         "orbit table keeps non-minimal rotations of a period",
         "transfer.py",
-        "minimal &= x > ks",
-        "minimal &= x >= ks",
+        "keep = x > reps",
+        "keep = x >= reps",
         ("tests/test_transfer.py::TestBetaLowerBound::test_exact_periods_no_duplicates",),
     ),
     Mutant(
-        "orbit points divided in C order",
+        "orbit points laid out in Fortran order",
         "transfer.py",
-        "np.asfortranarray(points) / m",
-        "points / m",
+        "f(points / m)",
+        "f(np.asfortranarray(points / m))",
         ("tests/test_transfer.py::TestOrbitTableArrays::test_matches_the_object_built_table[cosine-2-16]",),
     ),
     Mutant(
