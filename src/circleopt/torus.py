@@ -30,7 +30,8 @@ _NODE_SNAP = 1e-9
 
 _JOIN_TOL = 1e-9  # relative continuity tolerance at piecewise junctions
 
-_CSV_BLOCK = 4096  # rows of GridFunction.to_csv formatted per % call
+_CSV_BLOCK = 4096  # rows of GridFunction.to_csv formatted per pass of array arithmetic
+_CSV_SEPARATORS = np.array([ord(",") << 56, ord("\n") << 56], np.uint64)  # byte 23 of the x and value fields
 
 
 def _mod1(x: np.ndarray) -> np.ndarray:
@@ -363,6 +364,144 @@ def spec_from_dict(d: dict) -> FunctionSpec:
         raise ValueError(f"node kind {kind!r} has a field of the wrong type: {exc}") from exc
 
 
+# Powers of ten 10**0..10**22, each an exact float.
+_POW10 = np.array([float(10**k) for k in range(23)])
+
+
+@functools.lru_cache(maxsize=None)
+def _g12_tables():
+    """The lookup tables of ``_format_g12``, built by array arithmetic on
+    its first call, so that a process that writes no g.csv never builds them.
+
+    * ``digits[c]``: the three ASCII digits of c = 0..999 in bytes 0..2 of
+      a little-endian word.
+    * ``significant[j, c]``: 3j + 3 less the trailing zeros of c (0 for
+      c = 0).  A 12-digit mantissa read as four 3-digit chunks keeps, once
+      its trailing zeros are stripped, the max of these over its chunks.
+    * ``low``, ``high`` (two words) and ``row`` (three words), by
+      (e + 11) * 13 + sig for the decimal exponent e = -11..12 and the
+      sig = 0..12 digits kept (0 for a zero, which prints one digit "0").
+
+    A field is 24 bytes: the sign (byte 0), the "0.0.." before a
+    fixed-point value below 1 (bytes 1..5), the body (bytes 6..18) and the
+    exponent "e-05" (bytes 19..22); byte 23 is left for a separator, and
+    every byte not used is NUL.  ``%g`` prints fixed point for -4 <= e < 12,
+    with the point after digit e, and otherwise exponent form with the
+    point after digit 0; it strips trailing zeros, but not those of an
+    integer part, and the point with them.  The body is the 12 digits
+    masked by ``low`` (those shown up to the point), or-ed with the digits
+    moved up one byte and masked by ``high`` (those shown after it);
+    ``row`` holds the point in the byte between, with the prefix and the
+    exponent.
+    """
+    c = np.arange(1000)
+    word = np.dtype("<u8")
+    digits = ((c // 100 + 48) | (c // 10 % 10 + 48) << 8 | (c % 10 + 48) << 16).astype(word)
+    places = 3 * np.arange(1, 5)[:, None] - (c % 10 == 0) - (c % 100 == 0)
+    significant = np.where(c == 0, 0, places).astype(np.uint8)
+
+    e = np.repeat(np.arange(-11, 13), 13)[:, None]
+    sig = np.tile(np.arange(13), 24)[:, None]
+    fixed = (-4 <= e) & (e < 12)
+    point = np.where(fixed, e, 0)  # the point follows this digit; < 0: it is in the prefix
+    keep = np.maximum(sig, point + 1)
+    dot = np.where((point >= 0) & (keep > point + 1), point + 1, 99)  # body byte of the point
+    j = np.arange(16)
+    low = np.where(j < np.minimum(dot, keep), 255, 0).astype(np.uint8).view(word)
+    high = np.where((dot < j) & (j <= keep), 255, 0).astype(np.uint8).view(word)
+
+    row = np.zeros((e.size, 24), np.uint8)
+    row[:, 6:22] = np.where(j == dot, ord("."), 0)
+    prefix = np.frombuffer(b"0.000", np.uint8)
+    row[:, 1:6] = np.where(fixed & (e < 0) & (np.arange(1, 6) <= 1 - e), prefix, 0)
+    mag = np.abs(e)
+    suffix = np.concatenate([np.full_like(e, ord("e")), np.where(e < 0, ord("-"), ord("+")),
+                             48 + mag // 10, 48 + mag % 10], axis=1)
+    row[:, 19:23] = np.where(fixed, 0, suffix)
+    tables = digits, significant, low, high, row.view(word)
+    for table in tables:
+        table.setflags(write=False)  # shared by every call
+    return tables
+
+
+def _format_g12(v: np.ndarray) -> np.ndarray:
+    """``"%.12g" % x`` for each x of a 1-d float array, as an (m, 3) array
+    of little-endian words whose 24 bytes a row are the text padded with
+    NUL (see ``_g12_tables`` for the layout).
+
+    For 1e-11 <= |x| < 1e12, by array arithmetic: e = floor(log10 |x|)
+    corrected once, so that t = |x| * 10**(11 - e) lies in [1e11, 1e12]
+    (log10 is off by at most one, and a t that rounds across 1e11 or 1e12
+    gives the same 12 digits on either side).  10**(11 - e) is exact, so t
+    is the true product rounded once, and the mantissa is t rounded to an
+    integer, half to even.  A float t half-way between two integers may
+    stand for a true product just above or below it: Dekker's error-free
+    product gives that rounding error exactly, and only an exact tie goes
+    to even.  A mantissa of 1e12 carries into the next decade.  Zeros take
+    the same path; the rest (subnormals, huge values) take Python's own
+    ``%.12g``.
+    """
+    digits3, significant, low_masks, high_masks, rows = _g12_tables()
+    a = np.abs(v)
+    fast = (a >= 1e-11) & (a < 1e12)
+    zero = a == 0.0
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a))
+    np.clip(e, -11, 11, out=e)  # log10 near 1e-11 or 1e12 may round past them
+    e = e.astype(np.intp)
+    t = a * _POW10[11 - e]
+    e += t >= 1e12
+    e -= t < 1e11
+    p = _POW10[11 - e]
+    np.multiply(a, p, out=t)
+    mant = np.rint(t)
+    ties = np.flatnonzero(np.abs(mant - t) == 0.5)
+    # at the ties only: Veltkamp's split of a and p into 26-bit halves
+    # gives err = a * p - t exactly
+    a, p, t = a[ties], p[ties], t[ties]
+    a_hi = a * 134217729.0
+    a_hi -= a_hi - a
+    p_hi = p * 134217729.0
+    p_hi -= p_hi - p
+    a_lo, p_lo = a - a_hi, p - p_hi
+    err = ((a_hi * p_hi - t) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    mant[ties] = np.where(err == 0.0, mant[ties], t + np.sign(err) * 0.5)
+    carry = mant == 1e12
+    mant[carry] = 1e11
+    e += carry
+    mant[zero] = 0.0
+    e[zero] = 0
+
+    # four 3-digit chunks by exact float floors (every quotient is below 2**53)
+    hi = np.floor(mant / 1e6)
+    lo = mant - hi * 1e6
+    chunks = np.empty((4, v.size), np.intp)
+    chunks[0] = np.floor(hi / 1e3)
+    chunks[1] = hi - chunks[0] * 1e3
+    chunks[2] = np.floor(lo / 1e3)
+    chunks[3] = lo - chunks[2] * 1e3
+    sig = significant[0][chunks[0]]
+    for j in range(1, 4):
+        np.maximum(sig, significant[j][chunks[j]], out=sig)
+    d0, d1, d2, d3 = (digits3[c] for c in chunks)
+    digits0 = d0 | d1 << 24 | d2 << 48  # digit bytes 0..7
+    digits1 = d2 >> 16 | d3 << 8  # digit bytes 8..11
+
+    layout = (e + 11) * 13 + sig
+    low = np.take(low_masks, layout, axis=0)
+    high = np.take(high_masks, layout, axis=0)
+    body0 = (digits0 & low[:, 0]) | (digits0 << 8 & high[:, 0])
+    body1 = (digits1 & low[:, 1]) | ((digits1 << 8 | digits0 >> 56) & high[:, 1])
+    out = np.take(rows, layout, axis=0)
+    out[:, 0] |= (v.view(np.uint64) >> 63) * ord("-") | body0 << 48
+    out[:, 1] |= body0 >> 16 | body1 << 48
+    out[:, 2] |= body1 >> 16
+    text = out.view(np.uint8).reshape(v.size, 24)
+    for i in np.flatnonzero(~(fast | zero)):
+        text[i, :23] = np.frombuffer(("%.12g" % v[i]).encode().ljust(23, b"\0"), np.uint8)
+    return out
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Uniform sampling of a period-1 function; values[i] = f(i/N).
@@ -411,18 +550,22 @@ class GridFunction:
     def to_csv(self) -> str:
         """Rows ``x,value`` with x = i/N, both ``%.12g``.
 
-        Formatted a block of rows per ``%`` call from an interleaved
-        (x, value) array; np.arange(n) / n is bitwise i / n, so the text is
-        that of one ``%`` per row.
+        Formatted ``_CSV_BLOCK`` rows at a time by ``_format_g12`` from an
+        interleaved (x, value) array, with ',' and '\\n' in each field's last
+        byte and the NUL padding dropped.  np.arange(lo, hi) / n is bitwise
+        i / n, so the text is byte for byte that of one
+        ``"%.12g,%.12g\\n" % (i / n, v)`` per row.
         """
         n = self.n
-        pairs = np.empty((n, 2))
-        pairs[:, 0] = np.arange(n) / n
-        pairs[:, 1] = self.values
         parts = ["x,value\n"]
         for lo in range(0, n, _CSV_BLOCK):
-            block = pairs[lo : lo + _CSV_BLOCK]
-            parts.append("%.12g,%.12g\n" * len(block) % tuple(block.ravel().tolist()))
+            hi = min(lo + _CSV_BLOCK, n)
+            pairs = np.empty((hi - lo, 2))
+            pairs[:, 0] = np.arange(lo, hi) / n
+            pairs[:, 1] = self.values[lo:hi]
+            words = _format_g12(pairs.ravel()).reshape(hi - lo, 2, 3)
+            words[:, :, 2] |= _CSV_SEPARATORS
+            parts.append(words.tobytes().translate(None, b"\0").decode("ascii"))
         return "".join(parts)
 
 

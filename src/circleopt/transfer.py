@@ -51,12 +51,20 @@ import numpy as np
 from .torus import FunctionSpec, GridFunction, _refine_into, _weight_plan, sample
 
 
-def max_transfer(f: GridFunction, d: int) -> GridFunction:
-    """Exact max over preimage branches; output grid size is N/d."""
+def _check_branches(d: int, n: int) -> None:
+    """Refuse a branch count that M_d cannot apply to an n-node grid: d must
+    be at least 2, divide n and leave a grid of at least 2 nodes."""
     if d < 2:
         raise ValueError(f"branch count d must be >= 2, got {d}")
-    if f.n % d != 0:
-        raise ValueError(f"d={d} does not divide the grid size {f.n}")
+    if n % d != 0:
+        raise ValueError(f"d={d} does not divide the grid size {n}")
+    if n // d < 2:
+        raise ValueError(f"d={d} needs a grid size N >= 2d = {2 * d}, got N={n}")
+
+
+def max_transfer(f: GridFunction, d: int) -> GridFunction:
+    """Exact max over preimage branches; output grid size is N/d."""
+    _check_branches(d, f.n)
     m = f.n // d
     return GridFunction(f.values.reshape(d, m).max(axis=0))
 
@@ -182,8 +190,9 @@ def solve_calibrated(
     kept in one (5, N) buffer (see the module docstring); iteration
     stops when the sup-norm distance between the two falls below tol
     (default 1e-9 * range(f)); non-convergence is reported, never silently
-    accepted.  A given tol must be finite and positive and max_iter at
-    least 1 (ValueError otherwise, before any sweep).
+    accepted.  A given tol must be finite and positive, max_iter at least
+    1, and d at least 2 dividing grid_n with grid_n >= 2d (ValueError
+    otherwise, before the d*N samples or any sweep).
 
     A sweep allocates nothing: it fills buffers allocated once per solve
     with ``refine_linear``'s fill plus f, then takes the max over
@@ -198,12 +207,9 @@ def solve_calibrated(
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if d < 2:
-        raise ValueError(f"branch count d must be >= 2, got {d}")
     n = grid_n
-    if n % d != 0:
-        raise ValueError(f"d={d} does not divide the grid size {n}")
     f_coarse = sample(f, n)
+    _check_branches(d, n)
     f_fine = sample(f, d * n)
     if tol is None:
         rng = f_coarse.value_range()

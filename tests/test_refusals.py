@@ -61,8 +61,11 @@ def _poly(breakpoints, coefficients):
         (lambda: GridFunction(np.zeros(1)), r"^GridFunction needs a 1-d array of at least 2 values$"),
         (lambda: refine_linear(G64, 0), r"^refinement factor must be >= 1$"),
         (lambda: max_transfer(G64, 1), r"^branch count d must be >= 2, got 1$"),
+        (lambda: max_transfer(G64, 64), r"^d=64 needs a grid size N >= 2d = 128, got N=64$"),
         (lambda: calibration_residual(G64, G128, 0.0, 2), r"^grid sizes disagree: 64 vs 128$"),
         (lambda: solve_calibrated(cosine(), d=1, grid_n=64), r"^branch count d must be >= 2, got 1$"),
+        (lambda: solve_calibrated(cosine(), d=4096, grid_n=4096),
+         r"^d=4096 needs a grid size N >= 2d = 8192, got N=4096$"),
         (lambda: solve_calibrated(cosine(), grid_n=64, g0=G128), r"^g0 grid size 128 != 64$"),
         (lambda: beta_lower_bound(cosine(), 2, max_period=0), r"^max_period must be >= 1$"),
     ],
@@ -71,7 +74,8 @@ def _poly(breakpoints, coefficients):
         "antipodal-grid-sizes", "branch-depth", "breakpoints-empty", "breakpoints-start",
         "breakpoints-order", "breakpoints-range", "coefficient-count", "coefficients-empty",
         "sum-empty", "node-without-kind", "node-not-an-object", "grid-2d", "grid-one-value",
-        "refine-factor", "transfer-branches", "residual-grid-sizes", "solve-branches",
+        "refine-factor", "transfer-branches", "transfer-one-node", "residual-grid-sizes", "solve-branches",
+        "solve-one-node",
         "warm-start-grid-size", "orbit-period",
     ],
 )
@@ -103,4 +107,13 @@ def test_sturmian_command_refuses_an_integral_that_is_not_finite(tmp_path, capsy
     out = tmp_path / "out"
     assert main(["sturmian", "--p", "0", "--q", "1", "--spec", str(spec), "--out", str(out)]) == 3
     assert capsys.readouterr().err == "error: Sturmian integral over 0/1 = inf is not finite\n"
+    assert not out.exists()
+
+
+def test_solve_command_refuses_a_grid_of_fewer_than_2d_nodes(tmp_path, capsys):
+    spec = tmp_path / "cos.json"
+    spec.write_text(cosine().to_json())
+    out = tmp_path / "out"
+    assert main(["solve", "--spec", str(spec), "--n", "4096", "--d", "4096", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: d=4096 needs a grid size N >= 2d = 8192, got N=4096\n"
     assert not out.exists()

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -357,22 +359,118 @@ class TestSerialization:
         else:
             tiny = np.finfo(float).smallest_subnormal
             g = GridFunction([0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-310, -2.5e-320, 1.0])
-        lines = ["x,value"]
-        for i, v in enumerate(g.values):
-            lines.append(f"{format(i / g.n, '.12g')},{format(v, '.12g')}")
-        assert g.to_csv() == "\n".join(lines) + "\n"
+        _assert_csv_matches_reference(g.values)
 
-
-    @pytest.mark.parametrize("n", [4, 4095, 4096, 4097, 65536, 3**10])
+    @pytest.mark.parametrize("n", [4, torus._CSV_BLOCK - 1, torus._CSV_BLOCK, torus._CSV_BLOCK + 1, 65536, 3**10])
     def test_grid_csv_blocks_match_one_format_per_row(self, n):
-        # block edges at 4096 rows: one short, exact, one over, several blocks
+        # block edges: one short, exact, one over, several blocks
         rng = np.random.default_rng(n)
         v = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n)
         v[: min(n, 6)] = [-0.0, 1e-300, 5e-324, 1e300, -1e300, 0.0][: min(n, 6)]
         v[-1] = -2.5e-320
-        g = GridFunction(v)
-        rows = "".join("%.12g,%.12g\n" % (i / n, x) for i, x in enumerate(g.values))
-        assert g.to_csv() == "x,value\n" + rows
+        _assert_csv_matches_reference(v)
+
+
+def _csv_reference(values) -> str:
+    """g.csv as one ``%`` per row."""
+    n = len(values)
+    return "x,value\n" + "".join("%.12g,%.12g\n" % (i / n, v) for i, v in enumerate(values))
+
+
+def _assert_csv_matches_reference(values) -> None:
+    """to_csv equals ``_csv_reference``; a failure names the first row that
+    differs, not a diff of the whole text."""
+    got = GridFunction(values).to_csv().split("\n")
+    want = _csv_reference(values).split("\n")
+    assert next(((g, w) for g, w in zip(got, want) if g != w), None) is None
+    assert len(got) == len(want)
+
+
+def _decimal_ties(parity: int, count: int = 64) -> np.ndarray:
+    """Doubles (D + 1/2) * 10**k for k = -12..3 and 12-digit integers D of
+    the given parity: exact ties of the 13th significant digit.
+
+    With 2D + 1 = m * 5**-k for k < 0 (m odd), the tie is m * 2**(k - 1);
+    for k >= 0 it is (2D + 1) * 10**k / 2.  Both are exact doubles.
+    """
+    rng = np.random.default_rng(parity)
+    out = []
+    for k in range(-12, 4):
+        five = 5 ** max(-k, 0)
+        found = 0
+        while found < count:
+            m = int(rng.integers(2 * 10**11 // five + 1, 2 * 10**12 // five)) | 1
+            if (m * five - 1) // 2 % 2 == parity:
+                out.append(math.ldexp(m, k - 1) if k < 0 else math.ldexp(m * 10**k, -1))
+                found += 1
+    return np.array(out)
+
+
+class TestGridCsvText:
+    """``to_csv`` against one ``%`` per row, on the values where exact
+    %.12g rounding is hard: ties of the 13th digit, their neighbours,
+    carries into the next decade and the values Python formats itself."""
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_any_finite_floats(self, values):
+        _assert_csv_matches_reference(values)
+
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+    def test_exact_ties_round_half_to_even(self, parity):
+        v = _decimal_ties(parity)
+        digits = [("%.12e" % x).split("e")[0].replace(".", "") for x in v]  # the 12 digits of D, then 5
+        assert {d[-1] for d in digits} == {"5"} and {int(d[-2]) % 2 for d in digits} == {parity}
+        _assert_csv_matches_reference(np.concatenate([v, -v]))
+
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+    @pytest.mark.parametrize("direction", [np.inf, -np.inf], ids=["above", "below"])
+    def test_tie_neighbours_round_to_their_side(self, parity, direction):
+        _assert_csv_matches_reference(np.nextafter(_decimal_ties(parity), direction))
+
+    def test_products_rounded_onto_a_tie_round_by_the_exact_product(self):
+        # (F + 1/2) / 10**q times 10**q mostly rounds to the tie F + 1/2,
+        # while the exact product lies above or below it
+        rng = np.random.default_rng(11)
+        q = rng.integers(1, 23, 2000)
+        v = (rng.integers(10**11, 10**12, 2000) + 0.5) / 10.0**q
+        t = v * 10.0**q
+        assert np.count_nonzero(t - np.floor(t) == 0.5) > 1500
+        _assert_csv_matches_reference(v)
+
+    def test_decade_carries(self):
+        lines = GridFunction([9.9999999999995e-05, 999999999999.5, -999999999999.5, 9.99999999999951]).to_csv()
+        assert lines.splitlines()[1:] == ["0,0.0001", "0.25,1e+12", "0.5,-1e+12", "0.75,10"]
+
+    def test_zeros_and_values_outside_the_arithmetic_range(self):
+        tiny = np.finfo(float).smallest_subnormal
+        v = [-0.0, 0.0, tiny, -3 * tiny, 1e-310, 1e-300, -1e300, 1e300, 1.7976931348623157e308,
+             -1.7976931348623157e308, 9.99999999999e-12, 1e-11, 3.3e-15, 1e-20, 999999999999.0, 1e12]
+        _assert_csv_matches_reference(v)
+        assert GridFunction(v).to_csv().splitlines()[1:3] == ["0,-0", "0.0625,0"]
+
+    @pytest.mark.parametrize("n", [2**j for j in range(1, 18)] + [3**j for j in range(1, 11)])
+    def test_x_column(self, n):
+        _assert_csv_matches_reference(np.zeros(n))
+
+    def test_memory_peak_and_no_warning(self):
+        # the formatter by % blocks that this one replaced peaked at about
+        # 5.1 MB at this N; the 2 MB text and its parts take about 4 of it,
+        # so the block temporaries must stay small
+        n = 65536
+        v = np.cos(TWO_PI * np.arange(n) / n) * 0.3
+        v[::97] = np.resize([1e308, -1.7976931348623157e308, 5e-324], v[::97].size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the split of a and 10**p must not see 1e308
+            _assert_csv_matches_reference(v)
+            g = GridFunction(v)
+            tracemalloc.start()
+            try:
+                g.to_csv()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 5.0e6
 
 
 @st.composite

@@ -182,6 +182,34 @@ MUTANTS = (
         ("tests/test_torus.py::TestTranslateSamplesByRoll::test_equal_specs_with_signed_zeros_do_not_share_samples",),
     ),
     Mutant(
+        "g.csv tie decided without the two-product error term",
+        "torus.py",
+        "np.where(err == 0.0, mant[ties], t + np.sign(err) * 0.5)",
+        "mant[ties]",
+        ("tests/test_torus.py::TestGridCsvText::test_products_rounded_onto_a_tie_round_by_the_exact_product",),
+    ),
+    Mutant(
+        "g.csv tie rounded half up instead of to even",
+        "torus.py",
+        "mant = np.rint(t)",
+        "mant = np.floor(t + 0.5)",
+        ("tests/test_torus.py::TestGridCsvText::test_exact_ties_round_half_to_even[even]",),
+    ),
+    Mutant(
+        "g.csv without the carry into the next decade",
+        "torus.py",
+        "carry = mant == 1e12",
+        "carry = mant > 1e12",
+        ("tests/test_torus.py::TestGridCsvText::test_decade_carries",),
+    ),
+    Mutant(
+        "g.csv arithmetic range widened to 1e-30",
+        "torus.py",
+        "fast = (a >= 1e-11) & (a < 1e12)",
+        "fast = (a >= 1e-30) & (a < 1e12)",
+        ("tests/test_torus.py::TestGridCsvText::test_zeros_and_values_outside_the_arithmetic_range",),
+    ),
+    Mutant(
         "best Sturmian without its tie tolerance",
         "sturmian.py",
         "val > best_val + 1e-12 * (1.0 + abs(best_val))",
