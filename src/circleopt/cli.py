@@ -8,7 +8,7 @@ those entries -- echoed to config.json, into <out>/run-<confighash>/, so
 identical configurations produce byte-identical outputs.  A command that
 raises creates no run directory; one that returns gets one, whatever its
 exit code.  Exit codes: 0 pass/success, 1 criterion fail,
-2 inconclusive, 3 usage or convergence error.
+2 inconclusive, 3 usage (argparse's included) or convergence error.
 """
 
 from __future__ import annotations
@@ -104,8 +104,6 @@ def _delta_table(g: GridFunction) -> list[dict]:
 
 def cmd_solve(args) -> tuple[int, dict, dict]:
     f = _load_spec(args.spec)
-    if args.d < 2 or args.n % args.d != 0:
-        raise ValueError(f"d={args.d} must be >= 2 and divide N={args.n}")
     # built first so that a cap over the enumeration budget fails before the solve
     table = beta_lower_bound(f, d=args.d, max_period=args.orbit_period_cap)
     sol = solve_calibrated(f, d=args.d, grid_n=args.n, tol=args.tol, max_iter=args.max_iter)
@@ -179,8 +177,6 @@ def cmd_check(args) -> tuple[int, dict, dict]:
 
 def cmd_scan(args) -> tuple[int, dict, dict]:
     f = _load_spec(args.spec)
-    if args.n % 2 != 0:
-        raise ValueError("scan needs an even N")
     res = scan_translates(f, args.omega_count, grid_n=args.n, max_q=args.max_q,
                           tol=args.tol, max_iter=args.max_iter)
     n_pass = sum(1 for r in res.rows if r.converged and r.certificate.passed)
@@ -260,7 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error exits 2, which here means inconclusive
+        return EXIT_ERROR if exc.code else EXIT_PASS
     try:
         code, extras, files = args.func(args)
     except ValueError as exc:

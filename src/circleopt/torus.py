@@ -305,9 +305,9 @@ class AntisymmetricExtension(FunctionSpec):
             )
 
     def _eval(self, r):
-        lo = self.half._eval(r)
-        hi = 2.0 * self.v - self.half._eval(_mod1(r - 0.5))
-        return np.where(r < 0.5, lo, hi)
+        upper = r >= 0.5  # folded exactly onto r - 1/2: h is read once, and only these reflect
+        out = self.half._eval(np.where(upper, r - 0.5, r))
+        return np.subtract(2.0 * self.v, out, out=out, where=upper)
 
     def derivative(self):
         # f' = h' on [0,1/2), -h'(x-1/2) on [1/2,1): the same extension with v=0.

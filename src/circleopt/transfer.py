@@ -362,10 +362,10 @@ def beta_lower_bound(f, d: int = 2, max_period: int | None = None) -> PeriodicOr
     The best Birkhoff average over the table is a lower bound for the
     maximal ergodic average beta(f).  Orbits are deduplicated by their
     minimal representative; only exact periods are listed.  Enumeration is
-    chunked so memory stays bounded up to the budget of 2^24 points.  The
-    best orbit is the first with the largest (average, -period).  The
-    default max_period is the largest P >= 1 with d^P <= 2^16 (16 for
-    d = 2, 10 for d = 3); d must be an int >= 2.
+    chunked so memory stays bounded up to the budget of 2^24 points.  A
+    non-finite average is refused, naming its orbit; the best orbit is the
+    first with the largest average.  The default max_period is the largest
+    P >= 1 with d^P <= 2^16 (16 for d = 2, 10 for d = 3); d is an int >= 2.
     """
     if not isinstance(d, int) or d < 2:
         raise ValueError(f"branch count d must be an int >= 2, got {d!r}")
@@ -399,20 +399,20 @@ def beta_lower_bound(f, d: int = 2, max_period: int | None = None) -> PeriodicOr
                 points[:, j] = points[:, j - 1] * d % m
             periods.append(np.full(reps.size, p, dtype=np.int64))
             numerators.append(reps)
-            averages.append(np.asarray(f(points / m), dtype=float).mean(axis=1))
+            avg = np.asarray(f(points / m), dtype=float).mean(axis=1)
+            bad = np.flatnonzero(~np.isfinite(avg))
+            if bad.size:
+                raise ValueError(f"orbit {reps[bad[0]]}/{m} of period {p} has a non-finite average {avg[bad[0]]}")
+            averages.append(avg)
     arrays = [np.concatenate(a) for a in (periods, numerators, averages)]
     for a in arrays:
         a.setflags(write=False)
     periods_arr, numerators_arr, averages_arr = arrays
-    # the first index with the largest (average, -period), compared as
-    # Python compares tuples: periods ascend with the index, so that is the
-    # first largest average; a NaN compares false, so it wins only at index 0
-    best = 0 if math.isnan(averages_arr[0]) else int(np.nanargmax(averages_arr))
     return PeriodicOrbitTable(
         d=d,
         max_period=max_period,
         periods=periods_arr,
         numerators=numerators_arr,
         averages=averages_arr,
-        best_index=best,
+        best_index=int(np.argmax(averages_arr)),
     )

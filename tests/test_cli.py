@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import circleopt
+from circleopt import transfer
 from circleopt.catalog import cosine, quadratic_extremal, tent
 from circleopt.torus import Cosine, Negate, PiecewisePoly, Scale, Sum
 from circleopt.cli import build_parser, main
@@ -170,11 +171,37 @@ class TestParser:
 
         build_parser.cache_clear()
         first = eta_files(tmp_path / "out")
-        with pytest.raises(SystemExit) as exc:
-            main(["eta", "--spec", cos_spec, "--mode", "bogus", "--out", str(tmp_path / "bad")])
-        assert exc.value.code == 2
+        assert main(["eta", "--spec", cos_spec, "--mode", "bogus", "--out", str(tmp_path / "bad")]) == 3
         assert not (tmp_path / "bad").exists()
         assert eta_files(tmp_path / "again") == first
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["eta", "--mode", "exact", "--spec", "SPEC"], "argument --mode: invalid choice: 'exact'"),
+            (["check", "--criterion", "kappa", "--n", "abc", "--spec", "SPEC"], "invalid int value: 'abc'"),
+            (["scan", "--n", "64"], "the following arguments are required: --spec"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["unknown-mode", "non-integer-n", "missing-spec", "missing-subcommand"],
+    )
+    def test_usage_error_exits_3_without_run_dir(self, argv, named, cos_spec, tmp_path, monkeypatch, capsys):
+        # argparse exits 2, which this CLI means as "inconclusive"
+        monkeypatch.chdir(tmp_path)
+        assert main([cos_spec if a == "SPEC" else a for a in argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: circleopt") and named in err
+        assert not list(tmp_path.rglob("run-*"))
+
+    @pytest.mark.parametrize(
+        "flag, printed",
+        [("--version", f"circleopt {circleopt.__version__}\n"), ("--help", "usage: circleopt [-h]")],
+    )
+    def test_version_and_help_exit_0(self, flag, printed, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([flag]) == 0
+        assert capsys.readouterr().out.startswith(printed)
+        assert not list(tmp_path.iterdir())
 
 
 # for each subcommand: arguments that run it quickly, and another value for
@@ -412,7 +439,7 @@ class TestScan:
     def test_odd_grid_exits_3(self, cos_spec, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["scan", "--spec", cos_spec, "--n", "1023", "--out", str(out)]) == 3
-        assert capsys.readouterr().err == "error: scan needs an even N\n"
+        assert capsys.readouterr().err == "error: d=2 does not divide the grid size 1023\n"
         assert not out.exists()
 
 
@@ -556,6 +583,26 @@ class TestFailedRunsLeaveNoRunDirectory:
         assert main(argv + ["--spec", cos_spec, "--max-q", "1000", "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith(
             "error: max_q = 1000 exceeds the Sturmian orbit-table budget of 4194304 points")
+        assert not list(out.glob("run-*"))
+
+    @pytest.mark.parametrize(
+        "flags, owner, message",
+        [
+            (["--n", "4097", "--d", "2"], lambda: transfer._check_branches(2, 4097),
+             "d=2 does not divide the grid size 4097"),
+            (["--d", "1"], lambda: transfer.beta_lower_bound(cosine(), d=1),
+             "branch count d must be an int >= 2, got 1"),
+        ],
+        ids=["grid-not-divisible", "one-branch"],
+    )
+    def test_solve_branch_rule_has_one_owner(self, flags, owner, message, cos_spec, tmp_path, capsys):
+        # the message is the library's, word for word: the CLI keeps no copy of the rule
+        with pytest.raises(ValueError) as exc:
+            owner()
+        assert str(exc.value) == message
+        out = tmp_path / "out"
+        assert main(["solve", "--spec", cos_spec, *flags, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(out.glob("run-*"))
 
     def test_validate_without_cases(self, tmp_path, capsys):

@@ -559,6 +559,46 @@ class TestTranslateSamplesByRoll:
         assert got[0].tobytes() != got[1].tobytes()
 
 
+def _joined(h):
+    """h as the half-profile of an AntisymmetricExtension, at the level v
+    that joins it: v = (h(0) + h(1/2)) / 2, so h(1/2) need not be 2v - h(0)
+    to the bit."""
+    return AntisymmetricExtension(h, (h(0.0) + h(0.5)) / 2.0)
+
+
+class TestAntisymmetricEvaluation:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([quadratic_extremal(), quadratic_extremal().derivative(),
+                                   quadratic_extremal().derivative().derivative()]),
+                  spec_trees().map(_joined)),
+        st.lists(st.floats(0.0, 1.0), max_size=64),
+    )
+    def test_one_evaluation_is_the_two_evaluation_select_bitwise(self, f, rs):
+        r = np.array(rs + [0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1.0])
+        # the former _eval: h over all of r and over (r - 1/2) mod 1, then a select
+        with np.errstate(all="ignore"):
+            lo = f.half._eval(r)
+            hi = 2.0 * f.v - f.half._eval(_mod1(r - 0.5))
+        assert f._eval(r).tobytes() == np.where(r < 0.5, lo, hi).tobytes()
+
+    def test_half_profile_is_read_once_on_its_own_interval(self):
+        spy = _Recording(quadratic_extremal().half)
+        f = AntisymmetricExtension(spy, -1.0 / 16.0)
+        spy.points.clear()  # the constructor reads h(0) and h(1/2)
+        f(np.linspace(0.0, 1.0, 1001))
+        assert len(spy.points) == 1
+        assert spy.points[0].size == 1001
+        assert spy.points[0].min() >= 0.0 and spy.points[0].max() <= 0.5
+
+    def test_one_half_is_the_reflection_of_zero(self):
+        # h(1/2) = 1e-12 joins h(0) = 0 at v = 0 within the join tolerance
+        # only, so f(1/2) = 2v - f(0) = 0 tells the reflection from h(1/2)
+        f = AntisymmetricExtension(PiecewisePoly((0.0,), ((0.0, 2e-12),), wrap=False), 0.0)
+        assert f.half(0.5) == 1e-12
+        assert f(0.5) == f(0.0) == 0.0
+
+
 def _with_derivatives(f):
     """f and its first two symbolic derivatives, as far as they exist."""
     out = [f]

@@ -232,16 +232,16 @@ class TestOrbitTableArrays:
         assert np.all(tab.averages == 0.5)
         assert tab.best_index == 0 and tab.best.period == 1
 
-    def test_nan_averages_follow_the_tuple_rule(self):
-        # inf - inf on [1/2, 1): every orbit but the fixed point 0 averages
-        # NaN, which never compares larger, so the fixed point stays best
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["nan", "-inf"])
+    def test_first_non_finite_average_is_refused_by_its_orbit(self, sign):
+        # inf - inf (or -inf alone) on [1/2, 1): the fixed point 0 averages
+        # 1.0, and the first orbit to touch [1/2, 1) is {1/3, 2/3}
         inf_step = Scale(1e300, Scale(1e300, PiecewisePoly((0.0, 0.5), ((0.0,), (1.0,)))))
-        f = Sum((cosine(), inf_step, Negate(inf_step)))
-        with np.errstate(all="ignore"):
-            tab = beta_lower_bound(f, 2, 8)
-            orbits, best = _object_table(f, 2, 8)
-        assert np.isnan(tab.averages[1:]).all()
-        assert tab.best_index == best == 0 and tab.best.average == 1.0
+        f = Sum((cosine(), Scale(sign, inf_step), Negate(inf_step)))
+        average = "nan" if sign > 0 else "-inf"
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match=rf"^orbit 1/3 of period 2 has a non-finite average {average}$"):
+            beta_lower_bound(f, 2, 8)
 
     def test_constant_averages_tie_only_to_rounding(self):
         # 0.7 * p / p is not always 0.7: the best is the first orbit whose

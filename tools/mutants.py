@@ -125,6 +125,13 @@ MUTANTS = (
         ("tests/test_cli.py::test_overflowing_score_or_tolerance_exits_3[solve]",),
     ),
     Mutant(
+        "usage error exits with argparse's code",
+        "cli.py",
+        "return EXIT_ERROR if exc.code else EXIT_PASS",
+        "return exc.code",
+        ("tests/test_cli.py::TestParser::test_usage_error_exits_3_without_run_dir[unknown-mode]",),
+    ),
+    Mutant(
         "mirrored scan start without its roll",
         "criteria.py",
         "np.roll(g.values[::-1], 1)",
@@ -144,6 +151,13 @@ MUTANTS = (
         "f(points / m)",
         "f(np.asfortranarray(points / m))",
         ("tests/test_transfer.py::TestOrbitTableArrays::test_matches_the_object_built_table[cosine-2-16]",),
+    ),
+    Mutant(
+        "orbit table without its non-finite refusal",
+        "transfer.py",
+        "            if bad.size:",
+        "            if False:",
+        ("tests/test_transfer.py::TestOrbitTableArrays::test_first_non_finite_average_is_refused_by_its_orbit[nan]",),
     ),
     Mutant(
         "warm start keeps -0.0",
@@ -208,6 +222,13 @@ MUTANTS = (
         "fast = (a >= 1e-11) & (a < 1e12)",
         "fast = (a >= 1e-30) & (a < 1e12)",
         ("tests/test_torus.py::TestGridCsvText::test_zeros_and_values_outside_the_arithmetic_range",),
+    ),
+    Mutant(
+        "antisymmetric extension folds only r > 1/2",
+        "torus.py",
+        "upper = r >= 0.5",
+        "upper = r > 0.5",
+        ("tests/test_torus.py::TestAntisymmetricEvaluation::test_one_half_is_the_reflection_of_zero",),
     ),
     Mutant(
         "best Sturmian without its tie tolerance",
