@@ -36,7 +36,7 @@ def sturmian_word(p: int, q: int) -> tuple[int, ...]:
 
 
 def _validate_rotation(p: int, q: int):
-    if q < 1 or p < 0 or (p >= q and (p, q) != (0, 1)):
+    if q < 1 or p < 0 or p >= q:
         raise ValueError(f"rotation number must satisfy 0 <= p < q, got {p}/{q}")
     if gcd(p, q) != 1:
         raise ValueError(f"rotation number {p}/{q} is not in lowest terms")
@@ -158,27 +158,27 @@ def best_sturmian(f, max_q: int = 32) -> tuple[SturmianMeasure, float]:
 
     f is evaluated once on the cached orbit table; each integral is the
     mean over its orbit's q points, equal to ``sturmian_measure(p,
-    q).integrate(f)``.  Near-ties (relative 1e-12, the noise floor of
-    averaging) keep the first, i.e. smallest-denominator, measure; the
-    result is deterministic.  An integral that is not finite is a
-    ValueError naming its p/q.
+    q).integrate(f)``.  The first integral that is not finite is a
+    ValueError naming its p/q.  Near-ties (relative 1e-12, the noise floor
+    of averaging) keep the first, i.e. smallest-denominator, measure; the
+    rule moves only to strict records of the running maximum, as
+    b + 1e-12 * (1 + |b|) grows with b, so only those are visited.
     """
     if max_q < 1:
         raise ValueError("max_q must be >= 1")
     rotations, points, blocks = _orbit_table(max_q)
     vals = np.asarray(f(points), dtype=float)
-    integrals = []
-    start = 0
-    for q, count in blocks:
-        stop = start + q * count
-        integrals.extend(vals[start:stop].reshape(count, q).mean(axis=1).tolist())
-        start = stop
-    best = 0
-    best_val = integrals[0]
-    for i, val in enumerate(integrals):
-        _finite_integral(*rotations[i], val)
-        if val > best_val + 1e-12 * (1.0 + abs(best_val)):
-            best, best_val = i, val
+    bounds = np.cumsum([0] + [q * count for q, count in blocks])
+    integrals = np.concatenate([vals[lo:hi].reshape(count, q).mean(axis=1)
+                                for lo, hi, (q, count) in zip(bounds, bounds[1:], blocks)])
+    bad = np.flatnonzero(~np.isfinite(integrals))
+    if bad.size:
+        _finite_integral(*rotations[bad[0]], integrals[bad[0]])
+    running = np.maximum.accumulate(integrals)
+    best, best_val = 0, float(integrals[0])
+    for i in np.flatnonzero(running[1:] > running[:-1]) + 1:
+        if integrals[i] > best_val + 1e-12 * (1.0 + abs(best_val)):
+            best, best_val = i, float(integrals[i])
     return sturmian_measure(*rotations[best]), best_val
 
 

@@ -4,8 +4,8 @@ Two representations are used throughout:
 
 * ``FunctionSpec`` -- an immutable symbolic expression tree with exact
   evaluation and exact derivatives.  Node kinds: cosines, piecewise
-  polynomials, sums, scalings, translations, negations and antisymmetric
-  extensions of a half-profile.
+  polynomials, sums, scalings, translations and antisymmetric extensions
+  of a half-profile; ``Negate(f)`` is ``Scale(-1.0, f)``.
 * ``GridFunction`` -- a uniform N-point sampling ``values[i] = f(i/N)``
   with periodic linear interpolation between nodes.
 
@@ -237,6 +237,11 @@ class Scale(FunctionSpec):
         return {"kind": "scale", "factor": self.factor, "inner": self.inner.to_dict()}
 
 
+def Negate(inner: FunctionSpec) -> Scale:
+    """-inner, as Scale(-1.0, inner): -1.0 * x is -x bit for bit, both zeros included."""
+    return Scale(-1.0, inner)
+
+
 @dataclass(frozen=True)
 class Translate(FunctionSpec):
     """Translate(omega, f)(x) = f(x - omega)."""
@@ -262,23 +267,6 @@ class Translate(FunctionSpec):
 
     def to_dict(self):
         return {"kind": "translate", "omega": self.omega, "inner": self.inner.to_dict()}
-
-
-@dataclass(frozen=True)
-class Negate(FunctionSpec):
-    inner: FunctionSpec
-
-    def _eval(self, r):
-        return -self.inner._eval(r)
-
-    def derivative(self):
-        return Negate(self.inner.derivative())
-
-    def nonsmooth_points(self):
-        return self.inner.nonsmooth_points()
-
-    def to_dict(self):
-        return {"kind": "negate", "inner": self.inner.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -327,6 +315,7 @@ class AntisymmetricExtension(FunctionSpec):
         return {"kind": "antisym_ext", "v": self.v, "half": self.half.to_dict()}
 
 
+# "negate" is read as Scale(-1.0, inner); no node writes it
 _KINDS = ("cos", "piecewise_poly", "sum", "scale", "translate", "negate", "antisym_ext")
 
 

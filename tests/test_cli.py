@@ -445,7 +445,7 @@ class TestScan:
 
 class TestErrors:
     def test_library_value_error_exits_3(self, cos_spec, tmp_path, capsys):
-        # grid size 2 passes the CLI's own checks and is rejected by sample()
+        # the CLI checks no grid rule of its own: sample(f, 2) refuses grid size 2
         code = main(["scan", "--spec", cos_spec, "--omega-count", "1", "--n", "2",
                      "--out", str(tmp_path)])
         assert code == 3

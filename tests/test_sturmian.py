@@ -8,7 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circleopt import (
+    Cosine,
     GridFunction,
+    Scale,
+    Sum,
     Translate,
     antipodal_difference,
     best_sturmian,
@@ -21,7 +24,7 @@ from circleopt import (
     uniform_defect,
 )
 from circleopt import sturmian
-from circleopt.catalog import constant, cosine
+from circleopt.catalog import constant, cosine, quadratic_extremal, random_trig, tent
 from circleopt.sturmian import SturmianCertificate, _circular_runs, rotation_numbers
 
 
@@ -51,6 +54,10 @@ class TestSturmianMeasure:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             sturmian_measure(3, 2)
+
+    def test_rejects_p_equal_to_q(self):
+        with pytest.raises(ValueError, match=r"^rotation number must satisfy 0 <= p < q, got 1/1$"):
+            sturmian_measure(1, 1)
 
     def test_orbit_closure_exact(self):
         for p, q in [(1, 5), (2, 5), (3, 7), (5, 12), (8, 21)]:
@@ -156,6 +163,89 @@ class TestBestSturmian:
             assert neg_best == pytest.approx(-family_min, abs=1e-12)
             _, shifted_best = best_sturmian(Translate(0.5, f), 16)
             assert neg_best == pytest.approx(shifted_best - 2 * v, abs=1e-12)
+
+
+def _loop_best_sturmian(f, max_q):
+    """best_sturmian as a Python loop over every integral: each is refused
+    on its own if not finite, then the near-tie rule is applied to it."""
+    rotations, points, blocks = sturmian._orbit_table(max_q)
+    vals = np.asarray(f(points), dtype=float)
+    integrals, start = [], 0
+    for q, count in blocks:
+        stop = start + q * count
+        integrals.extend(vals[start:stop].reshape(count, q).mean(axis=1).tolist())
+        start = stop
+    best, best_val = 0, integrals[0]
+    for i, val in enumerate(integrals):
+        if not math.isfinite(val):
+            p, q = rotations[i]
+            raise ValueError(f"Sturmian integral over {p}/{q} = {val} is not finite")
+        if val > best_val + 1e-12 * (1.0 + abs(best_val)):
+            best, best_val = i, val
+    return rotations[best], best_val
+
+
+def _outcome(search, f, max_q):
+    """(rotation, bits of the value) of a search, or its refusal's message."""
+    try:
+        rotation, val = search(f, max_q)
+    except ValueError as exc:
+        return str(exc)
+    return rotation, np.float64(val).tobytes()
+
+
+def _best(f, max_q):
+    mu, val = best_sturmian(f, max_q)
+    return (mu.p, mu.q), val
+
+
+_STURMIAN_LEAVES = [cosine(), Cosine(3, 0.4), constant(0.4), quadratic_extremal(), tent()]
+
+
+@st.composite
+def _sturmian_specs(draw, depth=2):
+    """Spec trees over catalog leaves and random draws, and near-ties: a
+    level c plus eps * cos(2 pi k x + phase) with |eps| far below the rule's
+    1e-12 * (1 + |c|), so many integrals lie within the tie tolerance."""
+    kind = draw(st.integers(0, 5 if depth else 2))
+    if kind == 0:
+        return draw(st.sampled_from(_STURMIAN_LEAVES))
+    if kind == 1:
+        return random_trig(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    if kind == 2:
+        c = draw(st.floats(-1e3, 1e3))
+        eps = draw(st.floats(-3e-12, 3e-12)) * (1.0 + abs(c))
+        return Sum((constant(c), Scale(eps, Cosine(draw(st.integers(1, 4)), draw(st.floats(0.0, 6.3))))))
+    inner = draw(_sturmian_specs(depth - 1))
+    if kind == 3:
+        return Scale(draw(st.sampled_from([-1.0, 0.5, 3.0])), inner)
+    if kind == 4:
+        return Translate(draw(st.floats(0.0, 1.0)), inner)
+    return Sum((inner, draw(_sturmian_specs(depth - 1))))
+
+
+# 1 - 1e-13 cos(2 pi x): 1/2 has the largest integral, 1 + 5e-14, yet lies
+# within the tie tolerance of 0/1's 1 - 1e-13, so the rule keeps 0/1
+_NEAR_TIE = Sum((constant(1.0), Scale(-1e-13, cosine())))
+
+
+class TestBestSturmianRecords:
+    @settings(max_examples=150, deadline=None)
+    @given(_sturmian_specs(), st.sampled_from([1, 2, 5, 16, 32]))
+    @example(_NEAR_TIE, 32)
+    @example(constant(0.4), 32)
+    @example(Sum((constant(0.0), Scale(1e308, Cosine(1, 0.0)), Scale(1e308, Cosine(1, 0.1)))), 8)
+    @pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
+    def test_equals_the_loop_over_every_integral(self, f, max_q):
+        assert _outcome(_best, f, max_q) == _outcome(_loop_best_sturmian, f, max_q)
+
+    def test_near_tie_keeps_the_fixed_point_over_the_largest_integral(self):
+        rotations = rotation_numbers(32)
+        mu, val = best_sturmian(_NEAR_TIE, 32)
+        assert (mu.p, mu.q) == (0, 1)
+        assert val == _NEAR_TIE(0.0)
+        integrals = [sturmian_measure(p, q).integrate(_NEAR_TIE) for p, q in rotations]
+        assert rotations[int(np.argmax(integrals))] == (1, 2)
 
 
 def _per_orbit_best(measures, f):

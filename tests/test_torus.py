@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -625,6 +626,35 @@ class TestScalarEvaluation:
                     got = g(arg)
                     assert type(got) is float
                     assert _bits(got) == _bits(ref[0])
+
+
+# inners whose values include +0.0 and -0.0, which the negation swaps
+_SIGNED_ZERO_INNERS = [Scale(0.0, cosine()), Scale(-0.0, cosine()), constant(0.0), constant(-0.0)]
+
+
+class TestNegateNode:
+    """A stored "negate" node is read as Scale(-1.0, inner), and no node writes one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(spec_trees(), st.sampled_from(_SIGNED_ZERO_INNERS)),
+           st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=16))
+    @example(cosine(), [])
+    @example(Scale(0.0, cosine()), [0.0, 0.5])
+    @example(constant(-0.0), [0.3])
+    def test_evaluates_as_the_negation_bitwise(self, inner, xs):
+        node = spec_from_dict(json.loads(json.dumps({"kind": "negate", "inner": inner.to_dict()})))
+        assert node.to_dict() == {"kind": "scale", "factor": -1.0, "inner": inner.to_dict()}
+        x = np.concatenate([np.array(xs + _SCALAR_EDGES), np.arange(64) / 64])
+        assert np.array_equal(_bits(node(x)), _bits(-inner(x)))
+        assert node.nonsmooth_points() == inner.nonsmooth_points()
+        try:
+            d_inner = inner.derivative()
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                node.derivative()
+        else:
+            assert np.array_equal(_bits(node.derivative()(x)), _bits(-d_inner(x)))
+            assert node.derivative().nonsmooth_points() == d_inner.nonsmooth_points()
 
 
 class TestProperties:

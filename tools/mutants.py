@@ -233,8 +233,8 @@ MUTANTS = (
     Mutant(
         "best Sturmian without its tie tolerance",
         "sturmian.py",
-        "val > best_val + 1e-12 * (1.0 + abs(best_val))",
-        "val > best_val",
+        "integrals[i] > best_val + 1e-12 * (1.0 + abs(best_val))",
+        "integrals[i] > best_val",
         ("tests/test_sturmian.py::TestBestSturmian::test_constant_ties_break_to_smallest_denominator",),
     ),
     Mutant(
@@ -243,6 +243,27 @@ MUTANTS = (
         ".reshape(count, q).mean(axis=1)",
         ".reshape(q, count).T.mean(axis=1)",
         ("tests/test_sturmian.py::TestOrbitTable::test_matches_per_orbit_loop[8]",),
+    ),
+    Mutant(
+        "best Sturmian without its non-finite refusal",
+        "sturmian.py",
+        "    if bad.size:",
+        "    if False:",
+        ("tests/test_refusals.py::test_best_sturmian_refuses_an_integral_that_is_not_finite",),
+    ),
+    Mutant(
+        "rotation number p = q accepted",
+        "sturmian.py",
+        "p >= q",
+        "p > q",
+        ("tests/test_sturmian.py::TestSturmianMeasure::test_rejects_p_equal_to_q",),
+    ),
+    Mutant(
+        "negation built as a scale by +1",
+        "torus.py",
+        "return Scale(-1.0, inner)",
+        "return Scale(1.0, inner)",
+        ("tests/test_torus.py::TestNegateNode::test_evaluates_as_the_negation_bitwise",),
     ),
 )
 
