@@ -34,7 +34,7 @@ from .criteria import (
     search_c,
 )
 from .sturmian import best_sturmian, sturmian_measure
-from .torus import GridFunction, sample, spec_from_dict
+from .torus import GridFunction, lipschitz_estimate, sample, spec_from_dict
 from .transfer import beta_lower_bound, solve_calibrated
 from .validate import run_all
 
@@ -112,11 +112,11 @@ def cmd_solve(args) -> tuple[int, dict, dict]:
     # interpolant of g.  At the d*N fine nodes that sup is the solver's
     # image - g <= beta + 2*step, which 10*tol covers; a point between fine
     # nodes lies within 1/(2dN) of one, so the sup exceeds the node max by at
-    # most (Lip f + (d+1) Lip g) / (2dN), Lip g being the interpolant's slope.
-    lip_f, lip_g = sol.lipschitz_fine, sol.g.lipschitz_estimate()
+    # most (Lip f + (d+1) Lip g) / (2dN), Lip f off f's tree, Lip g the interpolant's.
+    lip_f, lip_g = lipschitz_estimate(f), sol.g.lipschitz_estimate()
     cross_tol = max(10.0 * sol.tol, 1e-9) + (lip_f + (args.d + 1) * lip_g) / (2 * args.d * args.n)
     if not math.isfinite(cross_tol):
-        raise ValueError(f"orbit cross-check tolerance = {cross_tol} is not finite: the grids' slopes overflow")
+        raise ValueError(f"orbit cross-check tolerance = {cross_tol} is not finite: the slopes of f and g overflow")
     beta_ok = gap >= -cross_tol
     doc = sol.to_dict()
     doc["orbit_check"] = {

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import FunctionSpec, GridFunction, _check_grid_size, sample
+from .torus import FunctionSpec, GridFunction, _check_grid_size, lipschitz_estimate, sample
 
 
 def _second_difference(vv: np.ndarray, k: int) -> np.ndarray:
@@ -191,22 +191,14 @@ def _second_derivative_report(second: FunctionSpec, vals, pts, beside) -> Convex
     read = np.concatenate([vals, beside])
     i_min = int(np.argmin(read))
     eta = max(0.0, -float(read[i_min]))
-    # error bound: slope of f'' between its discontinuities times the
-    # spacing (one-sided limits at the discontinuities are evaluated
-    # directly, so jumps do not contribute error)
-    diffs = np.abs(np.diff(np.concatenate([vals, vals[:1]])))
-    keep = np.ones(grid_n, dtype=bool)
-    for b in second.nonsmooth_points():
-        i = int(math.floor((b % 1.0) * grid_n))
-        keep[i % grid_n] = False
-        keep[(i - 1) % grid_n] = False
-    lip2 = float(np.max(diffs[keep])) * grid_n if keep.any() else 0.0
+    # error bound: x lies within half a spacing + 1e-9 of a point read on its side of every
+    # non-smooth point of f'', so f''(x) >= that read - Lip f'' * the distance; jumps add nothing
     return ConvexityReport(
         eta=eta,
         method="second_derivative",
         witness_x=i_min / grid_n if i_min < grid_n else float(pts[i_min - grid_n]),
         witness_delta=0.0,
-        error_bound=lip2 / grid_n,
+        error_bound=lipschitz_estimate(second) * (1.0 / (2 * grid_n) + 1e-9),
         grid_n=grid_n,
     )
 

@@ -131,7 +131,7 @@ def check_theorem_sturm(f: FunctionSpec, a: float, b: float, grid_n: int = 4096)
     _check_window(a, b)
     fp = f.derivative()
     eta_rep = convexity_defect(f, "second_derivative", grid_n)
-    lip = lipschitz_estimate(f, grid_n)
+    lip = lipschitz_estimate(f)
 
     def r_positive(xs):
         z = xs + 0.5
@@ -141,7 +141,7 @@ def check_theorem_sturm(f: FunctionSpec, a: float, b: float, grid_n: int = 4096)
     # Lip of the left side in x: |f(x)| + |f(x+1/2)| + (1/2)*(4 Lip * 1/2)
     raw1, x1, bound1 = _window_margin(r_positive, a, b, grid_n, 3.0 * lip, eta_rep, 96.0)
     raw2, x2, bound2 = _window_margin(lambda xs: fp(xs + 0.5) - fp(xs), b, a + 0.5, grid_n,
-                                      2.0 * lipschitz_estimate(fp, grid_n), eta_rep, 6.0)
+                                      2.0 * lipschitz_estimate(fp), eta_rep, 6.0)
 
     return CriterionReport(
         "theorem-sturm",
@@ -168,7 +168,7 @@ def check_class_a(
     fp = f.derivative()
     eta_rep = convexity_defect(f, "second_derivative", grid_n)
     fg = sample(f, grid_n)
-    lip = fg.lipschitz_estimate()
+    lip = lipschitz_estimate(f)
     rng = fg.value_range()
 
     xs = np.arange(grid_n) / grid_n
@@ -183,7 +183,7 @@ def check_class_a(
     raw1, x1, bound1 = _window_margin(lambda xs: 2.0 * f(xs) - v - (fmax + fmax_err),
                                       a, b, grid_n, 2.0 * lip, eta_rep, 96.0)
     raw2, x2, bound2 = _window_margin(lambda xs: -fp(xs), b, a + 0.5, grid_n,
-                                      lipschitz_estimate(fp, grid_n), eta_rep, 12.0)
+                                      lipschitz_estimate(fp), eta_rep, 12.0)
 
     return CriterionReport(
         "class-A",
@@ -258,7 +258,7 @@ def check_class_b(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
     raw_sym = tol_eta - abs(smax + smin)
     raw_eta = tol_eta - abs(eta - smax)
 
-    raw_d0 = 1e-8 * max(1.0, fg.lipschitz_estimate()) - abs(fp(0.0))
+    raw_d0 = 1e-8 * max(1.0, lipschitz_estimate(f)) - abs(fp(0.0))
 
     raw = {
         "antisymmetry": raw_anti,
@@ -319,10 +319,11 @@ def search_c(h: FunctionSpec, grid_n: int = 10_000) -> CriterionReport:
 
     h is a half-profile on [0, 1/4]: C^1 with increasing Lipschitz
     derivative, h(0) = h'(0) = 0, and eta = esssup h'' over [0, 1/4].
-    The scan is exhaustive over a grid of (0, 1/4); reported margins are
-    exact evaluations at the best grid point ``witnesses["c"]``, so no
-    discretization bound is needed; that c is a valid window end only when
-    the report passes.  A grid_n < 2 leaves no interior point: ValueError.
+    The scan is exhaustive over a grid of (0, 1/4); h and h' are exact at
+    the best grid point ``witnesses["c"]``, and h'' between the points read
+    exceeds eta by at most Lip h'' * (half a spacing + 1e-9), whose shares
+    bound H1, H2 and drop_above_kappa.  That c is a valid window end only
+    when the report passes.  A grid_n < 2 leaves no interior point: ValueError.
     """
     if grid_n < 2:
         raise ValueError(f"search_c needs grid_n >= 2 for an interior grid point, got {grid_n}")
@@ -334,6 +335,7 @@ def search_c(h: FunctionSpec, grid_n: int = 10_000) -> CriterionReport:
     eta = float(np.max(np.concatenate([vals, beside[pts <= 0.25]])))
     if eta <= 0.0:
         raise ValueError("profile has nonpositive curvature bound; search undefined")
+    radius = lipschitz_estimate(hpp) * (0.125 / grid_n + 1e-9)
 
     h0 = h(0.0)
     hp0 = hp(0.0)
@@ -357,6 +359,7 @@ def search_c(h: FunctionSpec, grid_n: int = 10_000) -> CriterionReport:
     return CriterionReport(
         "lemma-sturm-search",
         raw,
+        {"H1_window_gap": radius / 96.0, "H2_slope": radius / 12.0, "drop_above_kappa": KAPPA * radius},
         witnesses={"c": float(cs[i])},
         tolerances={"eta": eta, "kappa": KAPPA, "h_quarter": h4, "grid_n": grid_n},
         notes=() if found else ("no c with positive margins; hypothesis violated or grid too coarse",),

@@ -658,6 +658,21 @@ def refine_linear(g: GridFunction, factor: int) -> GridFunction:
     return GridFunction(out)
 
 
-def lipschitz_estimate(f, n: int = 4096) -> float:
-    """Empirical Lipschitz estimate of a spec or callable sampled at n nodes."""
-    return sample(f, n).lipschitz_estimate()
+def lipschitz_estimate(f: FunctionSpec) -> float:
+    """An upper bound on |f'| between the non-smooth points of a spec, read off its
+    tree; a piece lies in [0, hi], hi its right end, so sum k |c_k| hi**(k - 1) bounds it."""
+    if isinstance(f, Cosine):
+        return TWO_PI * f.freq
+    if isinstance(f, Sum):
+        return sum(lipschitz_estimate(t) for t in f.terms)
+    if isinstance(f, Scale):
+        return abs(f.factor) * lipschitz_estimate(f.inner)
+    if isinstance(f, Translate):
+        return lipschitz_estimate(f.inner)
+    if isinstance(f, AntisymmetricExtension):
+        return lipschitz_estimate(f.half)
+    if isinstance(f, PiecewisePoly):
+        ends = f.breakpoints[1:] + (1.0,)
+        return max(sum(k * abs(c) * hi ** (k - 1) for k, c in enumerate(piece))
+                   for piece, hi in zip(f.coefficients, ends))
+    raise TypeError(f"no slope bound for a {type(f).__name__}")

@@ -80,13 +80,10 @@ def calibration_residual(f: GridFunction, g: GridFunction, beta: float, d: int) 
 @dataclass(frozen=True)
 class SubactionSolution:
     """Calibrated sub-action g (normalized to max g = 0) with diagnostics;
-    f holds the N-grid samples of the observable the residual was measured
-    against; lipschitz_fine is the empirical Lipschitz constant of the
-    d*N-grid samples the sweeps read (``lipschitz_estimate(f, d*N)``)."""
+    f holds the N-grid samples of the observable the residual was measured against."""
 
     g: GridFunction
     f: GridFunction
-    lipschitz_fine: float
     beta: float
     residual: float
     iterations: int
@@ -215,7 +212,6 @@ def solve_calibrated(
         rng = f_coarse.value_range()
         tol = 1e-9 * rng if rng > 0.0 else 1e-12
 
-    lipschitz_fine = f_fine.lipschitz_estimate()
     # the fine samples by residue: ff[k][i] = f at fine node i*d + k
     ff = f_fine.values.reshape(n, d).T.copy()
     del f_fine  # the sweeps read ff only
@@ -282,7 +278,6 @@ def solve_calibrated(
     return SubactionSolution(
         g=g_fn,
         f=f_coarse,
-        lipschitz_fine=lipschitz_fine,
         beta=beta,
         residual=residual,
         iterations=iterations,

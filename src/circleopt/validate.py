@@ -197,7 +197,7 @@ def suite_branch_bound(seed: int, cases: int) -> SuiteResult:
     f = cosine()
     sol = solve_calibrated(f, d=2, grid_n=grid_n)
     g = sol.g
-    tol = 10.0 * (lipschitz_estimate(f, grid_n) + g.lipschitz_estimate()) / grid_n
+    tol = 10.0 * (lipschitz_estimate(f) + g.lipschitz_estimate()) / grid_n
     t = _Tally()
     for _ in range(cases):
         x = float(rng.uniform(0, 1))

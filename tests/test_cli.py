@@ -11,7 +11,8 @@ import pytest
 import circleopt
 from circleopt import transfer
 from circleopt.catalog import cosine, quadratic_extremal, tent
-from circleopt.torus import Cosine, Negate, PiecewisePoly, Scale, Sum
+from circleopt.torus import Cosine, Negate, PiecewisePoly, Scale, Sum, spec_from_dict
+from circleopt.transfer import solve_calibrated
 from circleopt.cli import build_parser, main
 from circleopt.sturmian import _orbit_table
 
@@ -127,6 +128,20 @@ class TestSolve:
         check = json.loads((_only_run_dir(out) / "solution.json").read_text())["orbit_check"]
         assert check["ok"] is True
         assert check["tolerance"] < 1e-2
+
+    @pytest.mark.parametrize("d, n", [(2, 256), (3, 243)])
+    def test_orbit_check_reads_lip_f_off_the_tree(self, d, n, tmp_path):
+        # Lip f is TRIG0's sum of |a| 2 pi k, not a slope of its samples
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(TRIG0))
+        out = tmp_path / "out"
+        assert main(["solve", "--spec", str(path), "--d", str(d), "--n", str(n),
+                     "--orbit-period-cap", "8", "--out", str(out)]) == 0
+        doc = json.loads((_only_run_dir(out) / "solution.json").read_text())
+        g = solve_calibrated(spec_from_dict(TRIG0), d=d, grid_n=n).g
+        lip_f = sum(abs(t["factor"]) * 2.0 * math.pi * t["inner"]["freq"] for t in TRIG0["terms"])
+        slack = (lip_f + (d + 1) * g.lipschitz_estimate()) / (2 * d * n)
+        assert doc["orbit_check"]["tolerance"] == pytest.approx(max(10.0 * doc["tol"], 1e-9) + slack, rel=1e-12)
 
     @pytest.mark.parametrize(
         "argv",

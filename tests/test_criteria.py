@@ -176,10 +176,10 @@ class TestTheoremSturm:
             check_theorem_sturm(tent(), -0.1, 0.1)
 
     def test_thin_positivity_margin_is_inconclusive(self):
-        # raw R_positive 0.0706 against a bound of 0.0834, of which eta's
-        # share is 0.0403: only the Lipschitz term between nodes keeps this
+        # raw R_positive 0.0432 against a bound of 0.0636, of which eta's
+        # share is 0.0202: only the Lipschitz term between nodes keeps this
         # from a pass
-        rep = check_theorem_sturm(cosine(), -0.125, 0.168, 64)
+        rep = check_theorem_sturm(cosine(), -0.125, 0.17, 64)
         raw, bound = rep.raw_margins["R_positive"], rep.error_bounds["R_positive"]
         assert 0.0 < raw < bound
         assert raw > rep.tolerances["eta_error"] / 96.0
@@ -187,8 +187,8 @@ class TestTheoremSturm:
         assert rep.status == "inconclusive"
 
     def test_slope_margin_within_eta_share_nets_to_at_most_zero(self):
-        # raw R_prime_negative 0.1537 lies above its Lipschitz term 0.0985
-        # and below its bound 0.7435: eta's error bound / 6 must enter it.
+        # raw R_prime_negative 0.1537 lies above its Lipschitz term 0.0987
+        # and below its bound 0.4217: eta's error bound / 6 must enter it.
         # The status fails on R_positive, so the net margin is what shows
         rep = check_theorem_sturm(cosine(), -0.25, 0.09, 64)
         raw, bound = rep.raw_margins["R_prime_negative"], rep.error_bounds["R_prime_negative"]
@@ -228,7 +228,7 @@ class TestClassA:
             check_class_a(f, -0.125, 0.125, 0.0, 512)
 
     def test_thin_slope_margin_nets_to_at_most_zero(self):
-        # raw A2_slope 0.0099 against a bound of 0.0514
+        # raw A2_slope 0.0099 against a bound of 0.0313
         rep = check_class_a(cosine(), -0.125, 0.088, cosine()(0.25), 512)
         assert 0.0 < rep.raw_margins["A2_slope"] < rep.error_bounds["A2_slope"]
         assert rep.margins["A2_slope"] <= 0.0
@@ -464,6 +464,14 @@ class TestSearchC:
         rep = search_c(h, 10_000)
         assert rep.passed
         assert 0 < rep.witnesses["c"] < 0.25
+
+    def test_eta_radius_enters_by_its_shares(self):
+        # h'' = 4 pi^2 cos(2 pi x) moves at most (2 pi)^3 per unit, and every x
+        # of [0, 1/4] lies within half a spacing 1/8N of a grid point
+        rep = search_c(Sum((constant(1.0), Negate(cosine()))), 1000)
+        r = (2.0 * math.pi) ** 3 * (0.125 / 1000 + 1e-9)
+        assert rep.error_bounds == pytest.approx(
+            {"H1_window_gap": r / 96, "H2_slope": r / 12, "drop_above_kappa": KAPPA * r}, rel=1e-12)
 
     def test_boundary_profile_fails(self):
         # quadratic-then-linear profile tuned so h(1/4) = kappa * eta exactly

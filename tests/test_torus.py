@@ -19,6 +19,8 @@ from circleopt import (
     Scale,
     Sum,
     Translate,
+    convexity_defect,
+    lipschitz_estimate,
     refine_linear,
     sample,
     spec_from_dict,
@@ -655,6 +657,61 @@ class TestNegateNode:
         else:
             assert np.array_equal(_bits(node.derivative()(x)), _bits(-d_inner(x)))
             assert node.derivative().nonsmooth_points() == d_inner.nonsmooth_points()
+
+
+def _second_or_none(f):
+    try:
+        return f.derivative().derivative()
+    except ValueError:
+        return None
+
+
+class TestLipschitzEstimate:
+    """lipschitz_estimate(f) bounds |f'| between the non-smooth points, read off the tree."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec_trees())
+    @example(Sum((constant(0.7), Scale(1e-10, cosine()))))
+    def test_bounds_the_slope_and_every_grid_slope(self, f):
+        bound = lipschitz_estimate(f)
+        dense = np.arange(2**16) / 2**16
+        assert np.max(np.abs(f.derivative()(dense))) <= bound * (1.0 + 1e-12)
+        for n in (64, 4096):
+            g = sample(f, n)
+            # a grid slope carries the rounding of its two samples, n times over
+            assert g.lipschitz_estimate() <= bound + 1e-12 * max(bound, n * np.max(np.abs(g.values)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.01, 0.99), min_size=0, max_size=3, unique=True),
+           st.lists(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=5), min_size=4, max_size=4))
+    @example([0.5], [[0.0, 0.0, 1.0], [0.0], [0.0], [0.0]])
+    def test_is_the_slope_at_each_piece_end_for_nonnegative_coefficients(self, inner, coefs):
+        # p' is increasing on [0, 1] when no coefficient is negative, so
+        # its sup over the piece [b_i, b_{i+1}) is p'(b_{i+1}): the bound is attained
+        breakpoints = (0.0,) + tuple(sorted(inner))
+        f = PiecewisePoly(breakpoints, tuple(tuple(c) for c in coefs[:len(breakpoints)]), wrap=False)
+        ends = breakpoints[1:] + (1.0,)
+        poly = np.polynomial.polynomial
+        sup = max(poly.polyval(hi, poly.polyder(c)) for c, hi in zip(f.coefficients, ends))
+        assert lipschitz_estimate(f) == pytest.approx(sup, rel=1e-12, abs=1e-300)
+
+    def test_reads_each_node_kind(self):
+        half = PiecewisePoly((0.0, 0.25), ((0.0, 0.0, -1.0), (0.125, -1.0, 1.0)), wrap=False)
+        assert lipschitz_estimate(Cosine(3, 0.4)) == TWO_PI * 3
+        assert lipschitz_estimate(half) == max(2.0 * 0.25, 1.0 + 2.0)  # right ends 1/4 and 1
+        f = Sum((Scale(-0.5, Cosine(2)), Translate(0.3, AntisymmetricExtension(half, -1.0 / 16.0))))
+        assert lipschitz_estimate(f) == 0.5 * TWO_PI * 2 + 3.0
+
+    def test_a_spec_outside_the_node_kinds_has_no_bound(self):
+        with pytest.raises(TypeError, match="no slope bound for a _Recording"):
+            lipschitz_estimate(_Recording(cosine()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec_trees().filter(lambda f: _second_or_none(f) is not None), st.sampled_from([64, 256]))
+    def test_eta_interval_holds_the_least_second_derivative_on_a_finer_mesh(self, f, n):
+        rep = convexity_defect(f, "second_derivative", n)
+        mesh = np.arange(1024 * n) / (1024 * n)
+        assert -float(np.min(_second_or_none(f)(mesh))) <= rep.eta + rep.error_bound
 
 
 class TestProperties:

@@ -20,7 +20,6 @@ from circleopt import (
     beta_lower_bound,
     calibration_residual,
     convexity_defect,
-    lipschitz_estimate,
     max_transfer,
     sample,
     solve_calibrated,
@@ -265,12 +264,6 @@ class TestSolveCalibrated:
         sol = solve_calibrated(f, d=2, grid_n=256)
         assert sol.f.values.tobytes() == sample(f, 256).values.tobytes()
         assert sol.residual == calibration_residual(sol.f, sol.g, sol.beta, 2)
-
-    @pytest.mark.parametrize("d, n", [(2, 256), (3, 243)])
-    def test_solution_carries_the_fine_grid_slope(self, d, n):
-        f = random_trig(np.random.default_rng(4))
-        sol = solve_calibrated(f, d=d, grid_n=n, max_iter=3)
-        assert _bits(sol.lipschitz_fine) == _bits(lipschitz_estimate(f, d * n))
 
     def test_cosine_beta_and_residual(self):
         sol = solve_calibrated(cosine(), d=2, grid_n=4096)

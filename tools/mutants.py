@@ -75,9 +75,24 @@ MUTANTS = (
     Mutant(
         "second-derivative route's error_bound set to 0",
         "convexity.py",
-        "error_bound=lip2 / grid_n,",
+        "error_bound=lipschitz_estimate(second) * (1.0 / (2 * grid_n) + 1e-9),",
         "error_bound=0.0,",
         ("tests/test_convexity.py::TestConvexityDefect::test_second_derivative_bound_covers_the_offset_peak",),
+    ),
+    Mutant(
+        "search_c's eta radius set to 0",
+        "criteria.py",
+        "radius = lipschitz_estimate(hpp) * (0.125 / grid_n + 1e-9)",
+        "radius = 0.0",
+        ("tests/test_corpus.py::test_entry_b_search_c_does_not_pass",),
+    ),
+    Mutant(
+        "piece slope bound without hi ** (k - 1)",
+        "torus.py",
+        "k * abs(c) * hi ** (k - 1)",
+        "k * abs(c)",
+        ("tests/test_torus.py::TestLipschitzEstimate::"
+         "test_is_the_slope_at_each_piece_end_for_nonnegative_coefficients",),
     ),
     Mutant(
         "f'' reader without its non-finite refusal",
