@@ -20,6 +20,7 @@ from .torus import (
     refine_linear,
     sample,
     spec_from_dict,
+    symmetries,
 )
 from .convexity import (
     ConvexityReport,

@@ -18,6 +18,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -659,8 +660,11 @@ def refine_linear(g: GridFunction, factor: int) -> GridFunction:
 
 
 def lipschitz_estimate(f: FunctionSpec) -> float:
-    """An upper bound on |f'| between the non-smooth points of a spec, read off its
-    tree; a piece lies in [0, hi], hi its right end, so sum k |c_k| hi**(k - 1) bounds it."""
+    """An upper bound on |f'| between the non-smooth points of a spec, read off its tree: a piece p gives
+    sum_k k |a_k| r**(k - 1), p(m + u) = sum_k a_k u**k about its midpoint m, r its half-width."""
+    end = 1.0
+    if isinstance(f, AntisymmetricExtension) and isinstance(f.half, PiecewisePoly):
+        f, end = f.half, 0.5
     if isinstance(f, Cosine):
         return TWO_PI * f.freq
     if isinstance(f, Sum):
@@ -671,8 +675,37 @@ def lipschitz_estimate(f: FunctionSpec) -> float:
         return lipschitz_estimate(f.inner)
     if isinstance(f, AntisymmetricExtension):
         return lipschitz_estimate(f.half)
-    if isinstance(f, PiecewisePoly):
-        ends = f.breakpoints[1:] + (1.0,)
-        return max(sum(k * abs(c) * hi ** (k - 1) for k, c in enumerate(piece))
-                   for piece, hi in zip(f.coefficients, ends))
+    if isinstance(f, PiecewisePoly):  # exact for pieces of degree <= 2; an extension's half ends at 1/2
+        bound, his = 0.0, [min(b, end) for b in f.breakpoints[1:]] + [end]
+        for lo, hi, p in zip(f.breakpoints, his, f.coefficients):
+            m, r = (lo + hi) / 2.0, (hi - lo) / 2.0
+            a = [sum(math.comb(i, k) * c * m ** (i - k) for i, c in enumerate(p[k:], k)) for k in range(len(p))]
+            bound = max(bound, sum(k * abs(a[k]) * r ** (k - 1) for k in range(1, len(a))) if lo < hi else 0.0)
+        return bound
     raise TypeError(f"no slope bound for a {type(f).__name__}")
+
+
+def _mirrors(h: PiecewisePoly, v: float) -> bool:
+    """h(x) + h(1/2 - x) = 2v on [0, 1/2] in rationals: its ends mirror, each pair sums to 2v at deg + 1 points."""
+    half, polyval = Fraction(1, 2), np.polynomial.polynomial.polyval
+    ends = [Fraction(b) for b in h.breakpoints if b < 0.5] + [half]
+    pieces = [list(map(Fraction, p)) for p in h.coefficients[: len(ends) - 1]]
+    return [half - e for e in reversed(ends)] == ends and all(
+        polyval(x, p) + polyval(half - x, q) == 2 * Fraction(v)
+        for p, q in zip(pieces, reversed(pieces)) for x in range(max(len(p), len(q))))
+
+
+def symmetries(f: FunctionSpec) -> tuple[bool, bool]:
+    """(antisymmetric, even): True only where the tree shows f(x) + f(x + 1/2) constant, or f(-x) = f(x)."""
+    if isinstance(f, Cosine):
+        return f.freq % 2 == 1, f.phase == 0.0
+    if isinstance(f, PiecewisePoly):  # a constant only
+        return (len({p[0] for p in f.coefficients}) == 1 and not any(c for p in f.coefficients for c in p[1:]),) * 2
+    if isinstance(f, Sum):
+        return tuple(all(s) for s in zip(*(symmetries(t) for t in f.terms)))
+    if isinstance(f, (Scale, Translate)):  # a translate is even only where it does not move
+        anti, even = symmetries(f.inner)
+        return anti, even and (isinstance(f, Scale) or f.omega == 0.0)
+    if isinstance(f, AntisymmetricExtension):
+        return True, isinstance(f.half, PiecewisePoly) and _mirrors(f.half, f.v)
+    raise TypeError(f"no symmetries for a {type(f).__name__}")

@@ -129,13 +129,9 @@ class TestEntryA:
         rep = convexity_defect(SPEC_A, "second_derivative", N_A)
         assert rep.eta <= _true_eta_a() <= rep.eta + rep.error_bound
 
-    @_open("class B passes: evenness and antisymmetry are read at the nodes only, "
-           "where the added odd term vanishes (off them it deviates by 2.7e-7 and 5.3e-7)")
     def test_class_b_does_not_pass(self):
         assert check_class_b(SPEC_A, N_A).status != "pass"
 
-    @_open("kappa passes with ratio 0.02533 from the node eta 39.478; "
-           "the true ratio is 0.00329, below kappa = 0.02480")
     def test_kappa_does_not_pass(self):
         assert check_kappa(SPEC_A, N_A).status != "pass"
 

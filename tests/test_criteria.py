@@ -222,6 +222,12 @@ class TestClassA:
         with pytest.raises(ValueError, match="a < b < a"):
             check_class_a(cosine(), 0.0, 0.6)
 
+    @pytest.mark.parametrize("f, shown", [(cosine(), True), (Cosine(2), False)], ids=["odd", "even-frequency"])
+    def test_identity_bound_is_zero_only_where_the_tree_shows_it(self, f, shown):
+        rep = check_class_a(f, -0.125, 0.125, 0.0, 512)
+        assert rep.error_bounds["A0_identity"] == (0.0 if shown else torus.lipschitz_estimate(f) / 512)
+        assert ("antisymmetry is not shown by the tree: read at the nodes only" in rep.notes) is not shown
+
     def test_rejects_jump_without_grid_fallback(self):
         f = Sum((cosine(), PiecewisePoly((0.0, 0.5), ((0.0,), (1e-6,)))))
         with pytest.raises(ValueError, match="discontinuous"):
@@ -292,10 +298,32 @@ class TestClassB:
         assert 0.1 < rep.witnesses["concavity"] < 0.1 + 1e-4
         assert check_kappa(f, 4096).status == "fail"
 
-    def test_second_derivative_symmetry_validated(self):
+    def test_blend_passes_with_both_identities_read_off_the_tree(self):
         rep = check_class_b(cosine_extremal_blend(0.5))
         assert rep.passed
-        assert rep.raw_margins["second_derivative_symmetry"] > 0
+        assert rep.error_bounds == {"antisymmetry": 0.0, "evenness": 0.0}
+        assert rep.notes == ()
+
+    @pytest.mark.parametrize("f, margins", [
+        (cosine(), {"antisymmetry", "evenness", "concavity"}),
+        (tent(), {"antisymmetry", "evenness", "smoothness"}),
+    ], ids=["smooth", "kinked"])
+    def test_margins(self, f, margins):
+        assert set(check_class_b(f, 512).raw_margins) == margins
+
+    def test_identities_the_tree_cannot_show_are_bounded_between_nodes(self):
+        # the added odd term vanishes at every node of N = 4096, so both node
+        # reads pass; between the nodes each identity may move by Lip f / N, and
+        # the spread of f(x) + f(x + 1/2) by that at either end
+        n = 4096
+        f = Sum((cosine(), Scale(1e-7, Cosine(n, -math.pi / 2.0))))
+        rep = check_class_b(f, n)
+        step = torus.lipschitz_estimate(f) / n
+        assert rep.raw_margins["antisymmetry"] > 0.0 and rep.raw_margins["evenness"] > 0.0
+        assert rep.error_bounds == {"antisymmetry": 2.0 * step, "evenness": step}
+        assert rep.status == "inconclusive"
+        assert rep.notes == ("antisymmetry is not shown by the tree: read at the nodes only",
+                             "evenness is not shown by the tree: read at the nodes only")
 
     @pytest.mark.parametrize("f", [cosine(), quadratic_extremal()], ids=["cosine", "extremal"])
     def test_second_derivative_derived_and_scanned_once(self, f, monkeypatch):

@@ -461,6 +461,14 @@ class TestCertificate:
         assert [c for _, _, c in cert.zero_arcs] == [nodes, nodes]
         assert cert.worst_margin < 0.0
 
+    def test_a_node_on_the_band_edge_is_in_the_band(self):
+        # every value is a multiple of 1/4, so s, its grid slope 0.5 * 32 and the band
+        # eps = 5 * 16 / 32 = 2.5 are exact, and |R| = 2 |s| is exactly eps at 3, 12, 19 and 28
+        half = np.array([0, .5, 1, 1.25, 1.5, 2, 2.5, 3, 3, 2.5, 2, 1.5, 1.25, 1, .5, 0])
+        cert = _certify(np.concatenate([half, -half]))
+        assert cert.epsilon_r == 2.5
+        assert [(start * 32, nodes) for start, _, nodes in cert.zero_arcs] == [(12, 8), (28, 8)]  # 12..19, 28..3
+
     def test_non_finite_band_rejected(self):
         s = np.where(np.arange(64) % 2 == 0, 1e308, -1e308)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="band epsilon_r = inf"):

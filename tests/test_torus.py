@@ -24,6 +24,7 @@ from circleopt import (
     refine_linear,
     sample,
     spec_from_dict,
+    symmetries,
 )
 from circleopt import torus
 from circleopt.catalog import (
@@ -672,14 +673,17 @@ class TestLipschitzEstimate:
     @settings(max_examples=100, deadline=None)
     @given(spec_trees())
     @example(Sum((constant(0.7), Scale(1e-10, cosine()))))
+    @example(Scale(2.2250738585e-313, tent()))  # subnormal samples
     def test_bounds_the_slope_and_every_grid_slope(self, f):
         bound = lipschitz_estimate(f)
         dense = np.arange(2**16) / 2**16
         assert np.max(np.abs(f.derivative()(dense))) <= bound * (1.0 + 1e-12)
         for n in (64, 4096):
             g = sample(f, n)
-            # a grid slope carries the rounding of its two samples, n times over
-            assert g.lipschitz_estimate() <= bound + 1e-12 * max(bound, n * np.max(np.abs(g.values)))
+            # a grid slope carries the rounding of its two samples, n times over; below
+            # the normal range that rounding is absolute, up to one subnormal step each
+            rounding = 1e-12 * max(bound, n * np.max(np.abs(g.values))) + 2 * n * np.finfo(float).smallest_subnormal
+            assert g.lipschitz_estimate() <= bound + rounding
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0.01, 0.99), min_size=0, max_size=3, unique=True),
@@ -695,12 +699,32 @@ class TestLipschitzEstimate:
         sup = max(poly.polyval(hi, poly.polyder(c)) for c, hi in zip(f.coefficients, ends))
         assert lipschitz_estimate(f) == pytest.approx(sup, rel=1e-12, abs=1e-300)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.01, 0.99), min_size=0, max_size=3, unique=True),
+           st.lists(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3), min_size=4, max_size=4),
+           st.booleans())
+    def test_is_the_slope_sup_on_pieces_of_degree_at_most_two(self, inner, coefs, extended):
+        # p' is linear on each piece [lo, hi], so sup |p'| is max(|p'(lo)|, |p'(hi)|);
+        # an extension reads its half on [0, 1/2] only
+        breakpoints = (0.0,) + tuple(sorted(inner))
+        h = PiecewisePoly(breakpoints, tuple(tuple(c) for c in coefs[:len(breakpoints)]), wrap=False)
+        end = 0.5 if extended else 1.0
+        poly = np.polynomial.polynomial
+        sup = max(abs(poly.polyval(x, poly.polyder(c))) for c, lo, hi in zip(h.coefficients, breakpoints,
+                                                                               breakpoints[1:] + (1.0,))
+                  if lo < end for x in (lo, min(hi, end)))
+        f = AntisymmetricExtension(h, (h(0.0) + h(0.5)) / 2.0) if extended else h
+        assert lipschitz_estimate(f) == pytest.approx(sup, rel=1e-12, abs=1e-12)
+
     def test_reads_each_node_kind(self):
         half = PiecewisePoly((0.0, 0.25), ((0.0, 0.0, -1.0), (0.125, -1.0, 1.0)), wrap=False)
         assert lipschitz_estimate(Cosine(3, 0.4)) == TWO_PI * 3
-        assert lipschitz_estimate(half) == max(2.0 * 0.25, 1.0 + 2.0)  # right ends 1/4 and 1
+        # |p'| = |2x - 1| on the last piece [1/4, 1] peaks at 1; on [1/4, 1/2] it is 1/2, as on [0, 1/4]
+        assert lipschitz_estimate(half) == 1.0
+        assert lipschitz_estimate(quadratic_extremal()) == 0.5
         f = Sum((Scale(-0.5, Cosine(2)), Translate(0.3, AntisymmetricExtension(half, -1.0 / 16.0))))
-        assert lipschitz_estimate(f) == 0.5 * TWO_PI * 2 + 3.0
+        assert lipschitz_estimate(f) == 0.5 * TWO_PI * 2 + 0.5
+        assert type(lipschitz_estimate(half)) is float
 
     def test_a_spec_outside_the_node_kinds_has_no_bound(self):
         with pytest.raises(TypeError, match="no slope bound for a _Recording"):
@@ -712,6 +736,66 @@ class TestLipschitzEstimate:
         rep = convexity_defect(f, "second_derivative", n)
         mesh = np.arange(1024 * n) / (1024 * n)
         assert -float(np.min(_second_or_none(f)(mesh))) <= rep.eta + rep.error_bound
+
+
+def _identities_off_the_nodes(f):
+    """The largest |f(x) + f(x + 1/2) - (f(0) + f(1/2))| and |f(-x) - f(x)| over
+    4099 points, each (sqrt(2) - 1) / 4099 past a node i / 4099."""
+    x = (np.arange(4099) + np.sqrt(2.0) - 1.0) / 4099
+    s = f(x) + f(x + 0.5)
+    return float(np.max(np.abs(s - (f(0.0) + f(0.5))))), float(np.max(np.abs(f(-x) - f(x))))
+
+
+class TestSymmetries:
+    """symmetries(f) claims an identity only where the tree shows it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec_trees())
+    def test_each_claim_holds_off_the_nodes(self, f):
+        anti, even = symmetries(f)
+        scale = max(1.0, float(np.max(np.abs(f(np.arange(4096) / 4096)))))
+        dev_anti, dev_even = _identities_off_the_nodes(f)
+        assert not anti or dev_anti <= 1e-9 * scale
+        assert not even or dev_even <= 1e-9 * scale
+
+    @pytest.mark.parametrize("f, shown", [
+        (cosine(), (True, True)),
+        (quadratic_extremal(), (True, True)),
+        (flattened_cosine(0.02), (True, True)),
+        (cosine_extremal_blend(0.5), (True, True)),
+        (random_antisym_even(np.random.default_rng(5)), (True, True)),
+        (constant(0.5), (True, True)),
+        (Scale(0.0, cosine()), (True, True)),
+        (Cosine(3, 0.4), (True, False)),
+        (Cosine(2), (False, True)),
+        (Translate(1 / 3, cosine()), (True, False)),
+        (AntisymmetricExtension(PiecewisePoly((0.0,), ((0.0, 0.0, 1.0),), wrap=False), 0.125), (True, False)),
+        (tent(), (False, False)),
+        # the corpus's entry A: cos(2 pi x) + 1e-7 (sin(2 pi 4096 x) - sin(2 pi 12288 x) / 3)
+        (Sum((Cosine(1), Scale(1e-7, Cosine(4096, -math.pi / 2.0)), Scale(-1e-7 / 3.0, Cosine(12288, -math.pi / 2.0)))),
+         (False, False)),
+    ], ids=["cosine", "extremal", "flattened", "blend", "antisym-even", "constant", "zero-scaled-cosine",
+            "phase", "even-frequency", "translate", "x2-half", "tent", "entry-a"])
+    def test_reads_each_node_kind(self, f, shown):
+        assert symmetries(f) == shown
+
+    def test_x2_half_is_neither_mirrored_nor_even(self):
+        # h(x) + h(1/2 - x) = x^2 + (1/2 - x)^2 is not constant: f(-x) - f(x) = x - 2 x^2
+        # on [0, 1/2], 1/8 at x = 1/4
+        f = AntisymmetricExtension(PiecewisePoly((0.0,), ((0.0, 0.0, 1.0),), wrap=False), 0.125)
+        assert _identities_off_the_nodes(f)[1] > 0.1
+
+    def test_mirror_is_read_in_rationals(self):
+        # 0.5 - 0.1 rounds, so the ends 0.1 and 0.4 do not mirror exactly and even a
+        # zero half is not shown even; nor is the extremal's half one ulp off its level
+        zero = PiecewisePoly((0.0, 0.1, 0.5 - 0.1), ((0.0,), (0.0,), (0.0,)), wrap=False)
+        assert symmetries(AntisymmetricExtension(zero, 0.0)) == (True, False)
+        quad = quadratic_extremal()
+        assert symmetries(AntisymmetricExtension(quad.half, quad.v + 2.0**-57)) == (True, False)
+
+    def test_a_spec_outside_the_node_kinds_is_a_type_error(self):
+        with pytest.raises(TypeError, match="no symmetries for a _Recording"):
+            symmetries(_Recording(cosine()))
 
 
 class TestProperties:

@@ -87,12 +87,61 @@ MUTANTS = (
         ("tests/test_corpus.py::test_entry_b_search_c_does_not_pass",),
     ),
     Mutant(
-        "piece slope bound without hi ** (k - 1)",
+        "piece slope bound read at the midpoint only",
         "torus.py",
-        "k * abs(c) * hi ** (k - 1)",
-        "k * abs(c)",
+        "* r ** (k - 1)",
+        "* 0.0 ** (k - 1)",
         ("tests/test_torus.py::TestLipschitzEstimate::"
          "test_is_the_slope_at_each_piece_end_for_nonnegative_coefficients",),
+    ),
+    Mutant(
+        "extension's half bounded on [0, 1] instead of [0, 1/2]",
+        "torus.py",
+        "f, end = f.half, 0.5",
+        "f, end = f.half, 1.0",
+        ("tests/test_torus.py::TestLipschitzEstimate::test_reads_each_node_kind",),
+    ),
+    Mutant(
+        "identity bound between nodes set to 0",
+        "criteria.py",
+        "0.0 if shown[k] else lipschitz_estimate(f) / grid_n",
+        "0.0",
+        ("tests/test_corpus.py::TestEntryA::test_class_b_does_not_pass",),
+    ),
+    Mutant(
+        "antisymmetry spread bounded at one end only",
+        "criteria.py",
+        '    bounds["antisymmetry"] *= 2.0',
+        "    pass",
+        ("tests/test_criteria.py::TestClassB::test_identities_the_tree_cannot_show_are_bounded_between_nodes",),
+    ),
+    Mutant(
+        "A0_identity bound set to 0",
+        "criteria.py",
+        '{"A0_identity": bound0["antisymmetry"],',
+        '{"A0_identity": 0.0,',
+        ("tests/test_criteria.py::TestClassA::test_identity_bound_is_zero_only_where_the_tree_shows_it[even-frequency]",),
+    ),
+    Mutant(
+        "cosine evenness that ignores the phase",
+        "torus.py",
+        "return f.freq % 2 == 1, f.phase == 0.0",
+        "return f.freq % 2 == 1, True",
+        ("tests/test_torus.py::TestSymmetries::test_reads_each_node_kind[phase]",),
+    ),
+    Mutant(
+        "extension's mirror check replaced by True",
+        "torus.py",
+        "isinstance(f.half, PiecewisePoly) and _mirrors(f.half, f.v)",
+        "isinstance(f.half, PiecewisePoly) and True",
+        ("tests/test_torus.py::TestSymmetries::test_reads_each_node_kind[x2-half]",),
+    ),
+    Mutant(
+        "certificate band edge excluded",
+        "sturmian.py",
+        "mask = np.abs(r.values) <= epsilon_r",
+        "mask = np.abs(r.values) < epsilon_r",
+        ("tests/test_sturmian.py::TestCertificate::test_a_node_on_the_band_edge_is_in_the_band",),
     ),
     Mutant(
         "f'' reader without its non-finite refusal",
