@@ -109,12 +109,12 @@ def cmd_solve(args) -> tuple[int, dict, dict]:
     sol = solve_calibrated(f, d=args.d, grid_n=args.n, tol=args.tol, max_iter=args.max_iter)
     gap = sol.beta - table.best.average
     # beta(f) <= sup_x f(x) + h(x) - h(dx) for any continuous h; take h = the
-    # interpolant of g.  At the d*N fine nodes that sup is the solver's
-    # image - g <= beta + 2*step, which 10*tol covers; a point between fine
-    # nodes lies within 1/(2dN) of one, so the sup exceeds the node max by at
-    # most (Lip f + (d+1) Lip g) / (2dN), Lip f off f's tree, Lip g the interpolant's.
+    # interpolant of a calibrated g.  At the d*N fine nodes that sup is the
+    # grid's gain, at most beta_hi; a point between fine nodes lies within
+    # 1/(2dN) of one, so the sup exceeds the node max by at most
+    # (Lip f + (d+1) Lip g) / (2dN), Lip f off f's tree, Lip g the solved g's.
     lip_f, lip_g = lipschitz_estimate(f), sol.g.lipschitz_estimate()
-    cross_tol = max(10.0 * sol.tol, 1e-9) + (lip_f + (args.d + 1) * lip_g) / (2 * args.d * args.n)
+    cross_tol = (sol.beta_hi - sol.beta) + (lip_f + (args.d + 1) * lip_g) / (2 * args.d * args.n)
     if not math.isfinite(cross_tol):
         raise ValueError(f"orbit cross-check tolerance = {cross_tol} is not finite: the slopes of f and g overflow")
     beta_ok = gap >= -cross_tol
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve the calibrated sub-action equation")
     add_common(p)
     p.add_argument("--d", type=int, default=2, help="expansion factor (default 2)")
-    p.add_argument("--tol", type=float, default=None, help="step tolerance (default 1e-9 * range)")
+    p.add_argument("--tol", type=float, default=None, help="bracket width tolerance (default 1e-9 * range)")
     p.add_argument("--max-iter", dest="max_iter", type=int, default=100_000)
     p.add_argument("--orbit-period-cap", dest="orbit_period_cap", type=int, default=None,
                    help="period cap for the periodic-orbit cross-check "

@@ -175,7 +175,7 @@ def second_derivative_values(second: FunctionSpec, xs) -> tuple[np.ndarray, np.n
     eps = 1e-9
     pts = np.array([(b + s) % 1.0 for b in second.nonsmooth_points() for s in (-eps, eps)])
     vals = second(xs)
-    beside = np.array([second(x) for x in pts])
+    beside = second(pts)
     read = np.concatenate([vals, beside])
     bad = np.flatnonzero(~np.isfinite(read))
     if bad.size:

@@ -30,7 +30,7 @@ Checked conditions, all for the doubling map:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -268,18 +268,15 @@ def check_class_b(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
 def check_kappa(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
     """Ratio gate (f(0) - f(1/4)) / eta(f) > kappa = 7/96 - sqrt(3)/36.
 
-    Requires class-B membership; a class-B failure propagates (the checker
-    then certifies nothing about the ratio).  A class-B f with eta = 0 is
-    constant and its ratio undefined: ValueError.
+    Requires class-B membership: a class B that does not pass gives the
+    report its margins, so kappa's status is class B's and it certifies
+    nothing about the ratio.  A class-B f with eta = 0 is constant and its
+    ratio undefined: ValueError.
     """
     b_rep = check_class_b(f, grid_n)
     if not b_rep.passed:
-        return CriterionReport(
-            "kappa",
-            {"class_B": -1.0},
-            notes=("class-B membership failed; ratio not certified",) + b_rep.notes,
-            tolerances={"kappa": KAPPA, "grid_n": grid_n},
-        )
+        notes = (f"class-B membership {b_rep.status}; ratio not certified",) + b_rep.notes
+        return replace(b_rep, criterion="kappa", tolerances={"kappa": KAPPA, "grid_n": grid_n}, notes=notes)
     eta = b_rep.tolerances["eta"]
     if eta == 0.0:
         raise ValueError("convexity defect is zero (f is constant); kappa ratio undefined")
@@ -353,6 +350,9 @@ class TranslateRow:
 
     omega: float
     beta: float
+    beta_lo: float
+    beta_hi: float
+    tol: float
     converged: bool
     residual: float
     iterations: int
@@ -407,6 +407,9 @@ class ScanResult:
                 {
                     "omega": r.omega,
                     "beta": r.beta,
+                    "beta_lo": r.beta_lo,
+                    "beta_hi": r.beta_hi,
+                    "tol": r.tol,
                     "converged": r.converged,
                     "residual": r.residual,
                     "iterations": r.iterations,
@@ -462,6 +465,9 @@ def scan_translates(
         rows[j] = TranslateRow(
             omega=omega,
             beta=sol.beta,
+            beta_lo=sol.beta_lo,
+            beta_hi=sol.beta_hi,
+            tol=sol.tol,
             converged=sol.converged,
             residual=sol.residual,
             iterations=sol.iterations,

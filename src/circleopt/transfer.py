@@ -19,6 +19,16 @@ keeps the same fixed points without that failure mode, and correctness
 never rests on convergence claims: the residual is always measured a
 posteriori.
 
+The solver stops on a bracket of the grid operator's gain: L is monotone
+and commutes with constants, so every gain of L lies in [min(Lg - g),
+max(Lg - g)] for any g (Cochet-Terrasson, Cohen, Gaubert, McGettrick &
+Quadrat 1998), a min and a max of a sweep's image.  A solve converges once
+a sweep's bracket, widened by its rounding, is narrower than tol, and
+reports the running bracket with beta its midpoint.  It stops as stalled
+once the bracket since the last extrapolation has rested for
+``_STALL_WINDOW`` sweeps while no node's best preimage could change within
+another window (README.md gives the reasons for both rules).
+
 Once the argmax policy stops changing, the averaged sweep is affine and
 its error decays like its slowest eigenvalues: for cos(2 pi (x - 10/64))
 at N = 4096, a complex pair of modulus cos(pi/8), from sweep 56 to sweep
@@ -27,9 +37,9 @@ at N = 4096, a complex pair of modulus cos(pi/8), from sweep 56 to sweep
 (Cabay & Jackson 1976; Sidi, *Vector Extrapolation Methods*, 2017) of the
 last ``_MPE_DEPTH`` updates.  A correction that is not finite, or comes
 from a singular system, is not applied, and extrapolation stops for the
-rest of the solve once the step at an extrapolation point is not below
-the step at the previous one.  Averaged sweeps converge from any start,
-so a bad extrapolation costs sweeps, never correctness.
+rest of the solve once the step max|Lg - max(Lg) - g| at an extrapolation
+point is not below the one before.  Averaged sweeps converge from any start
+and the bracket holds for any g, so a bad extrapolation costs only sweeps.
 
 A sweep fills buffers allocated once per solve: f + g on the fine grid,
 with g interpolated by ``refine_linear``'s fill, and the image are written
@@ -90,7 +100,8 @@ class SubactionSolution:
     converged: bool
     d: int
     tol: float
-    final_step: float
+    beta_lo: float
+    beta_hi: float
 
     def to_dict(self):
         return {
@@ -101,12 +112,14 @@ class SubactionSolution:
             "d": self.d,
             "n": self.g.n,
             "tol": self.tol,
-            "final_step": self.final_step,
+            "beta_lo": self.beta_lo,
+            "beta_hi": self.beta_hi,
         }
 
 
 _MPE_PERIOD = 15  # sweeps from one extrapolation to the next; the first is sweep 14
 _MPE_DEPTH = 5  # updates an extrapolation reads: its own sweep's and the 4 before
+_STALL_WINDOW = 30  # sweeps a bracket rests, with its policy locked, to stop a solve as stalled
 
 
 def _mpe_weights(gram: list[list[float]]) -> list[float] | None:
@@ -145,9 +158,10 @@ def _mpe_weights(gram: list[list[float]]) -> list[float] | None:
     return list(itertools.accumulate(cj / total for cj in c))
 
 
-def _extrapolate(g: np.ndarray, u: np.ndarray, acc: np.ndarray, tmp: np.ndarray) -> None:
+def _extrapolate(g: np.ndarray, u: np.ndarray, acc: np.ndarray, tmp: np.ndarray) -> float:
     """Move g, the iterate the updates ``u`` (rows oldest first) led to, to
-    their minimal polynomial extrapolate g - sum_j Gamma_j u_j.
+    their minimal polynomial extrapolate g - sum_j Gamma_j u_j, and return
+    the largest |correction| applied (0.0 if none).
 
     The correction is built in ``acc``, with ``tmp`` as scratch, and
     applied only if it is finite and its system not singular; overflow
@@ -162,12 +176,15 @@ def _extrapolate(g: np.ndarray, u: np.ndarray, acc: np.ndarray, tmp: np.ndarray)
                 gram[i][j] = gram[j][i] = float(np.multiply(u[i], u[j], out=tmp).sum())
         weights = _mpe_weights(gram)
         if weights is None:
-            return
+            return 0.0
         np.multiply(u[0], weights[0], out=acc)
         for uj, w in zip(u[1:], weights[1:]):
             np.add(acc, np.multiply(uj, w, out=tmp), out=acc)
-        if math.isfinite(float(np.abs(acc, out=tmp).max())):
+        size = float(np.abs(acc, out=tmp).max())
+        if math.isfinite(size):
             np.subtract(g, acc, out=g)
+            return size
+    return 0.0
 
 
 def solve_calibrated(
@@ -184,12 +201,20 @@ def solve_calibrated(
     N-grid and on the d*N preimage grid.  Starting point is g = 0 unless
     ``g0`` is given.  Each sweep moves g halfway to its image, and sweeps
     14, 29, ... then move it to the extrapolate of the last 5 updates,
-    kept in one (5, N) buffer (see the module docstring); iteration
-    stops when the sup-norm distance between the two falls below tol
-    (default 1e-9 * range(f)); non-convergence is reported, never silently
-    accepted.  A given tol must be finite and positive, max_iter at least
-    1, and d at least 2 dividing grid_n with grid_n >= 2d (ValueError
-    otherwise, before the d*N samples or any sweep).
+    kept in one (5, N) buffer.  Iteration stops, converged, once a sweep's
+    bracket of the grid's gain is narrower than tol (default 1e-9 *
+    range(f), at least 32 eps max|f|), or unconverged after max_iter
+    sweeps or a stall (see the module docstring); [beta_lo, beta_hi] is
+    the running bracket and beta its midpoint.  A given tol must be finite
+    and positive, max_iter at least 1, and d at least 2 dividing grid_n
+    with grid_n >= 2d (ValueError otherwise, before the d*N samples or any
+    sweep).
+
+    Each end of a sweep's bracket is widened by 8 eps (F + G), F = max|f|
+    and G >= max|g| (max|g0| plus half of each step and each correction so
+    far), which bounds its rounding, in units of eps/2: F + 4G in the fill,
+    2F + 2G in image - beta, 2F + 3G in - g, and F + 2G each in beta + diff
+    and the widening; the max over preimages and the min and max are exact.
 
     A sweep allocates nothing: it fills buffers allocated once per solve
     with ``refine_linear``'s fill plus f, then takes the max over
@@ -208,9 +233,9 @@ def solve_calibrated(
     f_coarse = sample(f, n)
     _check_branches(d, n)
     f_fine = sample(f, d * n)
-    if tol is None:
-        rng = f_coarse.value_range()
-        tol = 1e-9 * rng if rng > 0.0 else 1e-12
+    widening, f_max = 8.0 * math.ulp(1.0), float(np.abs(f_fine.values).max())  # 8 eps, max|f|
+    if tol is None:  # twice the least width of two widened ends, 16 eps max|f|
+        tol = max(1e-9 * f_coarse.value_range(), 4.0 * widening * f_max) or 1e-12
 
     # the fine samples by residue: ff[k][i] = f at fine node i*d + k
     ff = f_fine.values.reshape(n, d).T.copy()
@@ -230,20 +255,22 @@ def solve_calibrated(
     # every sweep works in these buffers; the loop allocates no array.
     # fg holds f + g on the d*n grid by residue, like ff: entry t*m + s of
     # row r is fine node (t*n) + s*d + r, preimage t of node s*d + r.  The
-    # image overwrites the fill's products, and two rows of fg, free once
-    # the image is taken, hold g's displacement and its modulus.
+    # image overwrites the fill's products, and a row of fg, free once the
+    # image is taken, holds g's displacement.
     m = n // d
     fg = np.empty((d, n))
     products = np.empty((len(_weight_plan(d)[0]), n + 1))
     image = products[0, :n]
     preimages = [(fg[r].reshape(d, m), image[r::d]) for r in range(d)]
-    diff, absdiff = fg[-1], fg[0]
+    diff, spare = fg[-1], np.empty(m)
     # the last _MPE_DEPTH updates before each extrapolation, oldest first
     updates = np.empty((_MPE_DEPTH, n))
     extrapolating = True
     before = math.inf  # the step at the previous extrapolation point
-    beta = 0.0
-    step = np.inf
+    lo, hi = -math.inf, math.inf
+    g_max = float(np.abs(g).max())  # bounds max|g|: grows by each update's and correction's max
+    # the running bracket since the last extrapolation, and the sweeps since it moved
+    since_lo, since_hi, still = -math.inf, math.inf, 0
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
@@ -254,26 +281,47 @@ def solve_calibrated(
             for t in range(2, d):
                 np.maximum(out, pre[t], out=out)
         beta = float(image.max())
+        if still + 1 >= _STALL_WINDOW:
+            # the least gap from a node's best preimage value to its second
+            # best: best - value over fg, then the least max over two preimages
+            gap = math.inf
+            for pre, out in preimages:
+                np.subtract(out, pre, out=pre)
+                for s, t in itertools.combinations(range(d), 2):
+                    gap = min(gap, float(np.maximum(pre[s], pre[t], out=spare).min()))
         np.subtract(image, beta, out=image)
         np.subtract(image, g, out=diff)
-        step = float(np.abs(diff, out=absdiff).max())
+        d_min, d_max = float(diff.min()), float(diff.max())
+        step = d_max if d_max > -d_min else -d_min
+        err = widening * (f_max + g_max)
+        lower, upper = beta + d_min - err, beta + d_max + err
+        still += 1
+        if lower > since_lo:
+            since_lo, lo, still = lower, max(lo, lower), 0
+        if upper < since_hi:
+            since_hi, hi, still = upper, min(hi, upper), 0
         slot = iterations % _MPE_PERIOD - (_MPE_PERIOD - _MPE_DEPTH)
         update = updates[slot] if slot >= 0 else diff
         np.multiply(diff, 0.5, out=update)
         np.add(g, update, out=g)
-        if step < tol:
+        g_max += 0.5 * step
+        if upper - lower < tol:
             converged = True
+            break
+        if still >= _STALL_WINDOW and hi - lo >= tol and _STALL_WINDOW * (upper - lower) < 2.0 * gap:
             break
         if extrapolating and slot == _MPE_DEPTH - 1:
             if step >= before:
                 extrapolating = False
             else:
                 before = step
-                # diff and absdiff are free until the next sweep's image
-                _extrapolate(g, updates, diff, absdiff)
+                # fg is free until the next sweep's fill
+                g_max += _extrapolate(g, updates, fg[0], fg[1])
+                since_lo, since_hi = -math.inf, math.inf
 
     g = g - np.max(g)
     g_fn = GridFunction(g)
+    beta = (lo + hi) / 2.0
     residual = calibration_residual(f_coarse, g_fn, beta, d)
     return SubactionSolution(
         g=g_fn,
@@ -284,7 +332,8 @@ def solve_calibrated(
         converged=converged,
         d=d,
         tol=float(tol),
-        final_step=step,
+        beta_lo=lo,
+        beta_hi=hi,
     )
 
 

@@ -118,7 +118,7 @@ class TestSolve:
     )
     def test_orbit_check_allows_grid_error(self, spec, d, n, cap, tmp_path):
         # trig0 converges with beta - best = -7.5e-7 at N=2187, a first-order
-        # grid error that a tolerance of 10*tol alone rejected
+        # grid error that the bracket alone rejects
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         out = tmp_path / "out"
@@ -141,7 +141,7 @@ class TestSolve:
         g = solve_calibrated(spec_from_dict(TRIG0), d=d, grid_n=n).g
         lip_f = sum(abs(t["factor"]) * 2.0 * math.pi * t["inner"]["freq"] for t in TRIG0["terms"])
         slack = (lip_f + (d + 1) * g.lipschitz_estimate()) / (2 * d * n)
-        assert doc["orbit_check"]["tolerance"] == pytest.approx(max(10.0 * doc["tol"], 1e-9) + slack, rel=1e-12)
+        assert doc["orbit_check"]["tolerance"] == pytest.approx(doc["beta_hi"] - doc["beta"] + slack, rel=1e-12)
 
     @pytest.mark.parametrize(
         "argv",
@@ -420,7 +420,8 @@ class TestScan:
         csv = (rd / "scan.csv").read_text().splitlines()
         assert csv[0] == "omega,beta,rotation_p,rotation_q,certificate_pass,worst_margin"
         assert len(csv) == 5
-        assert csv[1].startswith("0,1,0,1,true")
+        omega, beta, *rest = csv[1].split(",")
+        assert omega == "0" and abs(float(beta) - 1.0) < 1e-9 and rest[:3] == ["0", "1", "true"]
         doc = json.loads((rd / "scan.json").read_text())
         assert doc["all_pass"] is True
         # row 3 starts from row 1's reflected sub-action, exact for an even f

@@ -350,9 +350,9 @@ class TestClassB:
         assert rep.passed
         assert derivations.count(f) == 1
         # the 2N grid, which holds the N-grid eta scan and the concavity scan
-        # inside (-1/4, 1/4), and one point either side of each non-smooth point
-        one_sided = [1] * 2 * len(second.nonsmooth_points())
-        assert sorted(sizes) == sorted([2 * 1024] + one_sided)
+        # inside (-1/4, 1/4), and in one call a point either side of each
+        # non-smooth point
+        assert sorted(sizes) == sorted([2 * 1024, 2 * len(second.nonsmooth_points())])
 
     def test_nan_at_an_odd_2n_grid_node_is_refused(self, monkeypatch):
         # the N-grid eta report reads only the even 2N-grid nodes; a NaN at
@@ -460,10 +460,14 @@ class TestKappa:
         with pytest.raises(ValueError, match="convexity defect is zero"):
             check_kappa(f)
 
-    def test_class_b_failure_propagates(self):
-        rep = check_kappa(Translate(1 / 3, cosine()))
-        assert rep.status == "fail"
-        assert any("class-B" in n for n in rep.notes)
+    @pytest.mark.parametrize("f", [Translate(1 / 3, cosine()), _bumped_extremal()], ids=["translate", "bump"])
+    def test_class_b_failure_propagates(self, f):
+        # kappa carries class B's margins, so it fails as class B does
+        b_rep, rep = check_class_b(f, 4096), check_kappa(f, 4096)
+        assert rep.status == b_rep.status == "fail"
+        assert (rep.raw_margins, rep.error_bounds, rep.witnesses) == (
+            b_rep.raw_margins, b_rep.error_bounds, b_rep.witnesses)
+        assert rep.notes[0] == "class-B membership fail; ratio not certified"
 
 
 class TestSearchC:
@@ -556,8 +560,9 @@ class TestScanTranslates:
                         "fail": (None, 0.0)}[certificate_status]
         cert = SturmianCertificate(zero_arcs=(), antipodal_pair=pair, positivity_arc=None,
                                    worst_margin=margin, epsilon_r=0.1, w_max=0.25, grid_n=64)
-        return criteria.TranslateRow(omega=0.0, beta=0.0, converged=converged, residual=0.0,
-                                     iterations=1, rotation_p=0, rotation_q=1, best_value=0.0,
+        return criteria.TranslateRow(omega=0.0, beta=0.0, beta_lo=0.0, beta_hi=0.0, tol=1e-9,
+                                     converged=converged, residual=0.0, iterations=1, rotation_p=0,
+                                     rotation_q=1, best_value=0.0,
                                      beta_gap=0.0, certificate=cert)
 
     @pytest.mark.parametrize(

@@ -25,8 +25,8 @@ from circleopt import (
     solve_calibrated,
     uniform_defect,
 )
-from circleopt import transfer
-from circleopt.catalog import constant, cosine, quadratic_extremal, random_trig
+from circleopt import criteria, transfer
+from circleopt.catalog import constant, cosine, quadratic_extremal, random_antisym_even, random_trig
 
 FOUR_PI_SQ = 4.0 * math.pi**2
 
@@ -251,13 +251,23 @@ class TestOrbitTableArrays:
 
 
 class TestSolveCalibrated:
-    def test_constant_solves_in_one_step(self):
-        sol = solve_calibrated(constant(1.3), d=2, grid_n=64)
+    @pytest.mark.parametrize("c", [1.3, 1000.0, -1e12])
+    def test_constant_solves_in_one_step(self, c):
+        # tol is at least 32 eps |c|, twice what the two widened ends need
+        sol = solve_calibrated(constant(c), d=2, grid_n=64)
         assert sol.converged
         assert sol.iterations == 1
-        assert sol.beta == pytest.approx(1.3)
-        assert sol.residual == pytest.approx(0.0, abs=1e-15)
+        assert sol.tol == 32.0 * np.finfo(float).eps * abs(c)
+        assert sol.beta == pytest.approx(c) and sol.beta_lo <= c <= sol.beta_hi
+        assert sol.residual == pytest.approx(0.0, abs=1e-15 * abs(c))
         np.testing.assert_allclose(sol.g.values, 0.0)
+
+    def test_offset_far_above_the_range_converges(self):
+        # 1e7 + cos: the widening, 8 eps 1e7 an end, exceeds 1e-9 * range(f)
+        f = Sum((constant(1e7), cosine()))
+        sol = solve_calibrated(f, d=2, grid_n=512)
+        assert sol.converged and sol.tol == 32.0 * np.finfo(float).eps * (1e7 + 1.0)
+        assert sol.beta_lo <= 1e7 + 1.0 <= sol.beta_hi
 
     def test_solution_carries_the_coarse_samples(self):
         f = Translate(0.3, quadratic_extremal())
@@ -306,7 +316,17 @@ class TestSolveCalibrated:
         sol = solve_calibrated(cosine(), d=2, grid_n=256, max_iter=2)
         assert not sol.converged
         assert sol.iterations == 2
-        assert sol.final_step > sol.tol
+        assert sol.beta_hi - sol.beta_lo >= sol.tol
+
+    @pytest.mark.parametrize("d, n", [(2, 4096), (3, 3**7)])
+    @pytest.mark.parametrize("name", ["cosine", "quadratic_extremal", "random_trig"])
+    def test_converged_residual_is_below_tol(self, name, d, n):
+        # the last sweep's bracket, narrower than tol, holds both the reported
+        # beta and every Lg - g of the final g
+        sol = solve_calibrated(_OBSERVABLES[name], d=d, grid_n=n)
+        assert sol.converged
+        assert sol.residual < sol.tol
+        assert sol.beta_lo <= sol.beta <= sol.beta_hi and sol.beta_hi - sol.beta_lo < sol.tol
 
     def test_relaxed_iteration_converges_where_plain_cycles(self):
         sol = solve_calibrated(Translate(1 / 3, cosine()), d=2, grid_n=512)
@@ -354,16 +374,17 @@ class TestSolveCalibrated:
 
 
 def _reference_extrapolate(g, u):
-    """g - sum_j Gamma_j u_j: the minimal polynomial extrapolate of the
-    iterates that led to g by the updates u (oldest first); g itself when
-    the normal equations are singular or the correction is not finite."""
+    """(g - sum_j Gamma_j u_j, max|correction|): the minimal polynomial
+    extrapolate of the iterates that led to g by the updates u (oldest
+    first); (g, 0.0) when the normal equations are singular or the
+    correction is not finite."""
     k = len(u) - 1
     with np.errstate(over="ignore", invalid="ignore"):
         gram = np.array([[np.sum(a * b) for b in u] for a in u])
         a, b = gram[:k, :k].copy(), -gram[:k, k]
         for col in range(k):  # no pivoting: a Gram matrix is positive semi-definite
             if not a[col, col] > 0.0:
-                return g
+                return g, 0.0
             for r in range(col + 1, k):
                 m = a[r, col] / a[col, col]
                 a[r, col + 1 :] -= m * a[col, col + 1 :]
@@ -376,35 +397,57 @@ def _reference_extrapolate(g, u):
             c[i] /= a[i, i]
         total = np.cumsum(c)[-1]
         if total == 0.0:
-            return g
+            return g, 0.0
         correction = functools.reduce(operator.add, np.cumsum(c / total)[:, None] * u)
-        return g - correction if np.isfinite(correction).all() else g
+        if not np.isfinite(correction).all():
+            return g, 0.0
+        return g - correction, float(np.max(np.abs(correction)))
 
 
 def _reference_solve(f, d, n, max_iter=100_000, g0=None, extrapolate=True):
     """Allocating broadcast form of the sweep, the bitwise reference for the solver.
 
-    After sweeps 14, 29, ... g moves to the extrapolate of the last 5
-    updates, until the step at one of them is not below the step at the
-    one before."""
+    Each sweep brackets the gain by beta + min and max of image - beta - g,
+    widened by 8 eps (max|f| + a bound on max|g|: max|g0| plus half of each
+    step and each correction so far).  The solve
+    stops converged once a sweep's bracket is narrower than tol, or stalled
+    once the running bracket since the last extrapolation has not moved for
+    30 sweeps while the running bracket is at least tol wide and 30 times
+    the sweep's bracket width is below twice the least gap from a node's
+    best preimage value to its second best.  After sweeps 14, 29, ... g
+    moves to the extrapolate of the last 5 updates, until the step at one
+    of them is not below the step at the one before."""
     f_coarse = sample(f, n)
     ff = sample(f, d * n).values
-    rng = f_coarse.value_range()
-    tol = 1e-9 * rng if rng > 0.0 else 1e-12
+    f_max = float(np.max(np.abs(ff)))
+    tol = max(1e-9 * f_coarse.value_range(), 32.0 * np.finfo(float).eps * f_max) or 1e-12
     w = np.arange(d) / d
     g = g0.values - np.max(g0.values) if g0 is not None else np.zeros(n)
-    beta, step, converged = 0.0, np.inf, False
+    lo, hi, converged = -math.inf, math.inf, False
+    g_max = float(np.max(np.abs(g)))
+    since_lo, since_hi, still = -math.inf, math.inf, 0
     updates, before = [], math.inf
     for iterations in range(1, max_iter + 1):
         refined = (g[:, None] * (1.0 - w) + np.roll(g, -1)[:, None] * w).ravel()
-        image = (ff + refined).reshape(d, n).max(axis=0)
+        values = (ff + refined).reshape(d, n)
+        image = values.max(axis=0)
         beta = float(np.max(image))
-        raw = image - beta
-        step = float(np.max(np.abs(raw - g)))
-        update = 0.5 * (raw - g)
+        gap = float(np.min(np.partition(image - values, 1, axis=0)[1]))
+        diff = (image - beta) - g
+        d_min, d_max = float(np.min(diff)), float(np.max(diff))
+        step = max(d_max, -d_min)
+        err = 8.0 * np.finfo(float).eps * (f_max + g_max)
+        lower, upper = beta + d_min - err, beta + d_max + err
+        still = 0 if lower > since_lo or upper < since_hi else still + 1
+        since_lo, since_hi = max(since_lo, lower), min(since_hi, upper)
+        lo, hi = max(lo, lower), min(hi, upper)
+        update = 0.5 * diff
         g = g + update
-        if step < tol:
+        g_max += 0.5 * step
+        if upper - lower < tol:
             converged = True
+            break
+        if still >= 30 and hi - lo >= tol and 30 * (upper - lower) < 2.0 * gap:
             break
         updates = (updates + [update])[-5:]
         if extrapolate and iterations % 15 == 14:
@@ -412,17 +455,20 @@ def _reference_solve(f, d, n, max_iter=100_000, g0=None, extrapolate=True):
                 extrapolate = False
             else:
                 before = step
-                g = _reference_extrapolate(g, np.array(updates))
+                g, size = _reference_extrapolate(g, np.array(updates))
+                g_max += size
+                since_lo, since_hi = -math.inf, math.inf
     g = g - np.max(g)
+    beta = (lo + hi) / 2.0
     residual = calibration_residual(f_coarse, GridFunction(g), beta, d)
-    return g, beta, residual, iterations, converged, step
+    return g, beta, residual, iterations, converged, lo, hi
 
 
 def _assert_same_solution(sol, ref):
-    g, beta, residual, iterations, converged, step = ref
+    g, beta, residual, iterations, converged, lo, hi = ref
     assert sol.g.values.tobytes() == g.tobytes()
-    assert np.array([sol.beta, sol.residual, sol.final_step]).tobytes() == np.array(
-        [beta, residual, step]
+    assert np.array([sol.beta, sol.residual, sol.beta_lo, sol.beta_hi]).tobytes() == np.array(
+        [beta, residual, lo, hi]
     ).tobytes()
     assert (sol.iterations, sol.converged) == (iterations, converged)
 
@@ -491,18 +537,19 @@ class TestSweepMatchesBroadcastReference:
         assert g0.values.tobytes() == before
         _assert_same_solution(sol, _reference_solve(f, d, n, g0=GridFunction(start + 0.0)))
 
-    def test_signed_zero_start_moves_only_a_one_sweep_zero_beta(self):
-        # the one case the normalisation shows in: a single sweep whose beta
-        # is a zero, -0.0 from the raw start and +0.0 from g0 + 0.0
-        f = Sum((Scale(0.0, cosine()), _SIGNED_ZEROS))
-        start = np.array([-0.0, 0.0, -0.0, -0.0, -0.0, 0.0, -0.5, -0.0,
-                          -0.0, -0.0, 0.0, -0.5, -0.0, -0.0, 0.0, 0.0])
+    def test_signed_zero_start_moves_only_zeros_halved_from_subnormals(self):
+        # where the normalisation shows: a displacement of -5e-324
+        # halves to -0.0, so a -0.0 node of the raw start stays -0.0
+        f = Scale(1e-323, cosine())
+        start = np.array([-0.0, -0.0, -0.0, -0.0, -0.0, 0.0, -0.0, -0.0,
+                          -0.0, 0.0, -0.0, 0.0, -0.0, -0.0, -0.0, 0.0])
         sol = solve_calibrated(f, d=2, grid_n=16, g0=GridFunction(start), max_iter=1)
         normalised = _reference_solve(f, 2, 16, max_iter=1, g0=GridFunction(start + 0.0))
         _assert_same_solution(sol, normalised)
-        assert _bits(sol.beta) == _bits(0.0)
+        assert not np.any(_bits(sol.g.values) == _bits(-0.0))
         raw = _reference_solve(f, 2, 16, max_iter=1, g0=GridFunction(start))
-        assert _bits(raw[1]) == _bits(-0.0) and raw[0].tobytes() == normalised[0].tobytes()
+        assert np.sum(_bits(raw[0]) == _bits(-0.0)) == 4
+        assert np.array(raw[1:]).tobytes() == np.array(normalised[1:]).tobytes()
 
     @pytest.mark.parametrize("d, n", [(2, 4096), (3, 3**7)])
     def test_criterion_9_start_is_bitwise_the_reference(self, d, n):
@@ -511,6 +558,16 @@ class TestSweepMatchesBroadcastReference:
         assert sol.converged
         _assert_same_solution(sol, _reference_solve(cosine(), d, n, g0=g0))
 
+    def test_stalled_solve_is_bitwise_the_reference(self):
+        # random_trig(default_rng(17))'s sixth draw: two recurrent classes
+        # whose gains differ by 3.6e-7, far above tol, at N = 4096
+        rng = np.random.default_rng(17)
+        for _ in range(6):
+            f = random_trig(rng)
+        sol = solve_calibrated(f, d=2, grid_n=4096)
+        assert not sol.converged and sol.iterations < 300
+        _assert_same_solution(sol, _reference_solve(f, 2, 4096))
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]), max_iter=st.integers(1, 400))
     def test_random_trig_bitwise_the_reference(self, seed, d, max_iter):
@@ -518,6 +575,38 @@ class TestSweepMatchesBroadcastReference:
         n = 96 * d
         sol = solve_calibrated(f, d=d, grid_n=n, max_iter=max_iter)
         _assert_same_solution(sol, _reference_solve(f, d, n, max_iter=max_iter))
+
+
+def _gcd_one_trig(rng):
+    """The next random_trig draw whose frequencies have gcd 1, as the benchmark draws them."""
+    while True:
+        f = random_trig(rng)
+        if math.gcd(*(t.inner.freq for t in f.terms)) == 1:
+            return f
+
+
+class TestStallStop:
+    def test_resting_bracket_with_a_policy_in_motion_converges(self):
+        # the scan's trig draw at seed 270, translate 10/16, from its partner's
+        # reflection: the bracket rests 1.55e-4 wide from sweep 137 while g
+        # drifts until a best preimage changes at sweep 4936; a bare 30-sweep
+        # window stopped it at sweep 167
+        rng = np.random.default_rng(270)
+        random_antisym_even(rng), random_antisym_even(rng)
+        f = _gcd_one_trig(rng)
+        partner = solve_calibrated(Translate(6 / 16, f), d=2, grid_n=4096)
+        sol = solve_calibrated(Translate(10 / 16, f), d=2, grid_n=4096, g0=criteria._reflect(partner.g))
+        assert sol.converged and sol.iterations > 4000
+
+    def test_stall_window_restarts_at_each_extrapolation(self):
+        # the solve workload's 10th trig draw at seed 10, d = 2, converges at
+        # sweep 431; counted over the bracket of all sweeps, the window
+        # stopped it at sweep 149
+        rng = np.random.default_rng(10)
+        for _ in range(10):
+            f = _gcd_one_trig(rng)
+        sol = solve_calibrated(f, d=2, grid_n=65536)
+        assert sol.converged and sol.iterations > 400
 
 
 # its slowest error mode is a complex pair of modulus cos(pi/8)
@@ -586,6 +675,7 @@ class TestExtrapolation:
         def kick(g, u, acc, tmp):
             kicks.append(None)
             g += 100.0 * np.cos(2 * np.pi * np.arange(g.size) / g.size)
+            return 100.0
 
         monkeypatch.setattr(transfer, "_extrapolate", kick)
         sol = solve_calibrated(_ROTATING, d=2, grid_n=512, max_iter=2000)
@@ -596,17 +686,20 @@ class TestExtrapolation:
 class TestSweepAllocatesNothing:
     @pytest.mark.parametrize("d, n", [(2, 4096), (3, 3**7)])
     def test_peak_memory_does_not_grow_with_sweeps(self, d, n):
-        # tol far below reach, so every solve runs all max_iter sweeps
+        # tol far below reach: a solve runs all max_iter sweeps for d = 2 and
+        # stalls at float resolution after 94 for d = 3
         def peak(max_iter):
             tracemalloc.start()
             try:
-                solve_calibrated(cosine(), d=d, grid_n=n, tol=1e-300, max_iter=max_iter)
-                return tracemalloc.get_traced_memory()[1]
+                sol = solve_calibrated(cosine(), d=d, grid_n=n, tol=1e-300, max_iter=max_iter)
+                return sol.iterations, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         peak(1)  # warm caches, so both measured calls allocate alike
-        assert peak(200) <= peak(1) + 4096
+        (one, low), (many, high) = peak(1), peak(200)
+        assert one == 1 and many > 90
+        assert high <= low + 4096
 
     @pytest.mark.parametrize("d, n", [(2, 4096), (3, 3**7)])
     def test_sweeps_allocate_no_array(self, d, n, monkeypatch):
@@ -627,9 +720,10 @@ class TestSweepAllocatesNothing:
         monkeypatch.setattr(transfer, "_refine_into", traced_fill)
         tracemalloc.start()
         try:
-            solve_calibrated(cosine(), d=d, grid_n=n, tol=1e-300, max_iter=60)
+            sol = solve_calibrated(cosine(), d=d, grid_n=n, tol=1e-300, max_iter=60)
         finally:
             tracemalloc.stop()
+        assert sol.iterations == len(calls) == 60
         start, peak = held
         assert peak - start < 8192  # one array of n floats is 8n bytes
 

@@ -229,7 +229,7 @@ MUTANTS = (
         "np.add(g, 0.0, out=g)",
         "pass",
         ("tests/test_transfer.py::TestSweepMatchesBroadcastReference::"
-         "test_signed_zero_start_moves_only_a_one_sweep_zero_beta",),
+         "test_signed_zero_start_moves_only_zeros_halved_from_subnormals",),
     ),
     Mutant(
         "extrapolation without its safeguard",
@@ -241,9 +241,51 @@ MUTANTS = (
     Mutant(
         "extrapolation applies a non-finite correction",
         "transfer.py",
-        "if math.isfinite(float(np.abs(acc, out=tmp).max())):",
+        "if math.isfinite(size):",
         "if True:",
         ("tests/test_transfer.py::TestExtrapolation::test_non_finite_correction_is_not_applied",),
+    ),
+    Mutant(
+        "bracket ends not widened by the sweep's rounding",
+        "transfer.py",
+        "widening, f_max = 8.0 * math.ulp(1.0),",
+        "widening, f_max = 0.0,",
+        ("tests/test_exact_gain.py::test_bracket_at_float_resolution_holds_the_exact_gain",),
+    ),
+    Mutant(
+        "stall stop disabled",
+        "transfer.py",
+        "if still >= _STALL_WINDOW and",
+        "if False and",
+        ("tests/test_corpus.py::test_entry_d_stalled_solve_stops_before_max_iter",),
+    ),
+    Mutant(
+        "stall stop without its policy-lock test",
+        "transfer.py",
+        " and _STALL_WINDOW * (upper - lower) < 2.0 * gap:",
+        ":",
+        ("tests/test_transfer.py::TestStallStop::test_resting_bracket_with_a_policy_in_motion_converges",),
+    ),
+    Mutant(
+        "stall bracket kept across an extrapolation",
+        "transfer.py",
+        "                since_lo, since_hi = -math.inf, math.inf\n",
+        "",
+        ("tests/test_transfer.py::TestStallStop::test_stall_window_restarts_at_each_extrapolation",),
+    ),
+    Mutant(
+        "beta reported as the bracket's upper end",
+        "transfer.py",
+        "beta = (lo + hi) / 2.0",
+        "beta = hi",
+        ("tests/test_exact_gain.py::test_bracket_holds_the_exact_gain[translate-32]",),
+    ),
+    Mutant(
+        "convergence read off the running bracket",
+        "transfer.py",
+        "if upper - lower < tol:",
+        "if hi - lo < tol:",
+        ("tests/test_transfer.py::TestSolveCalibrated::test_converged_residual_is_below_tol[cosine-2-4096]",),
     ),
     Mutant(
         "translate samples rolled the wrong way",

@@ -15,7 +15,10 @@ verdicts must be equal: the exit code, the run directory's file names,
 and in its JSON files every status, converged flag, ``orbit_check.ok``,
 ``all_pass``, each scan row's certificate status and rotation, and each
 validate suite's violations.  The largest |delta beta| over the solves
-and scan rows and each tree's largest residual are printed as well.
+and scan rows and each tree's largest residual are printed as well, and,
+in units of each solve's tol, the change's widest bracket
+[beta_lo, beta_hi] and how far the parent's beta lies outside it; a tree
+whose artifacts have no bracket fields has no brackets to report.
 
 The inputs are written by the circleopt this process imports; the command
 line puts PARENT_SRC first on ``sys.path`` for that.
@@ -146,13 +149,23 @@ def compare(parent_src, change_src, seed: int, names=None, size: str = "FULL") -
     return len(runs), diffs
 
 
-def verdicts(code, files: dict[str, bytes]) -> tuple[dict, dict, list[float]]:
-    """One job's verdicts, betas and residuals, read from its exit code and
-    run-directory files; verdicts and betas are keyed by where they sit.
-    A non-finite number, written as a string, is read back as a float."""
+def verdicts(code, files: dict[str, bytes]) -> tuple[dict, dict, list[float], dict]:
+    """One job's verdicts, betas, residuals and brackets, read from its exit
+    code and run-directory files; verdicts, betas and brackets (beta_lo,
+    beta_hi, tol) are keyed by where they sit, and a solve without bracket
+    fields has no bracket.  A non-finite number, written as a string, is
+    read back as a float."""
     found: dict = {"code": code, "files": sorted(files)}
     betas: dict[str, float] = {}
     residuals: list[float] = []
+    brackets: dict[str, tuple[float, float, float]] = {}
+
+    def read(key, doc):
+        betas[key] = float(doc["beta"])
+        residuals.append(float(doc["residual"]))
+        if "beta_lo" in doc:
+            brackets[key] = (float(doc["beta_lo"]), float(doc["beta_hi"]), float(doc["tol"]))
+
     for name, data in files.items():
         kind = Path(name).name
         if kind not in ("solution.json", "scan.json", "criterion.json", "validate.json"):
@@ -161,8 +174,7 @@ def verdicts(code, files: dict[str, bytes]) -> tuple[dict, dict, list[float]]:
         if kind == "solution.json":
             found[f"{name} converged"] = doc["converged"]
             found[f"{name} orbit_check.ok"] = doc["orbit_check"]["ok"]
-            betas[name] = float(doc["beta"])
-            residuals.append(float(doc["residual"]))
+            read(name, doc)
         elif kind == "scan.json":
             found[f"{name} all_pass"] = doc["all_pass"]
             for i, row in enumerate(doc["rows"]):
@@ -170,23 +182,25 @@ def verdicts(code, files: dict[str, bytes]) -> tuple[dict, dict, list[float]]:
                 found[f"{key} converged"] = row["converged"]
                 found[f"{key} certificate"] = row["certificate"]["status"]
                 found[f"{key} rotation"] = row["rotation"]
-                betas[key] = float(row["beta"])
-                residuals.append(float(row["residual"]))
+                read(key, row)
         elif kind == "criterion.json":
             found[f"{name} status"] = doc["status"]
         else:
             for suite in doc:
                 found[f"{name} {suite['name']} violations"] = suite["violations"]
-    return found, betas, residuals
+    return found, betas, residuals, brackets
 
 
 def compare_verdicts(parent_src, change_src, seed: int, names=None, size: str = "FULL"):
     """Run the workloads' jobs under both trees: (number of jobs, verdict
-    differences, largest |delta beta|, each tree's largest residual)."""
+    differences, largest |delta beta|, each tree's largest residual, and,
+    in units of tol, the change's widest bracket and the parent's beta
+    furthest outside the change's bracket, both None without brackets)."""
     runs = run_both(parent_src, change_src, seed, names, size)
     diffs, max_dbeta, max_residual = [], 0.0, [0.0, 0.0]
+    widest = outside = None
     for label, *sides in runs:
-        (va, ba, ra), (vb, bb, rb) = (verdicts(r["code"], files) for r, files in sides)
+        (va, ba, ra, _), (vb, bb, rb, brackets) = (verdicts(r["code"], files) for r, files in sides)
         for key in sorted(va.keys() | vb.keys()):
             if va.get(key) != vb.get(key):
                 diffs.append(f"{label}: {key} {va.get(key)!r} != {vb.get(key)!r}")
@@ -194,7 +208,11 @@ def compare_verdicts(parent_src, change_src, seed: int, names=None, size: str = 
             max_dbeta = max(max_dbeta, abs(ba[key] - bb[key]))
         for k, res in enumerate((ra, rb)):
             max_residual[k] = max([max_residual[k], *res])
-    return len(runs), diffs, max_dbeta, tuple(max_residual)
+        for key, (lo, hi, tol) in brackets.items():
+            widest = max(widest or 0.0, (hi - lo) / tol)
+            if key in ba:
+                outside = max(outside or 0.0, (lo - ba[key]) / tol, (ba[key] - hi) / tol)
+    return len(runs), diffs, max_dbeta, tuple(max_residual), widest, outside
 
 
 def main(argv=None) -> int:
@@ -212,7 +230,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.parent_src.resolve()))
     if args.verdicts:
-        count, diffs, max_dbeta, (res_parent, res_change) = compare_verdicts(
+        count, diffs, max_dbeta, (res_parent, res_change), widest, outside = compare_verdicts(
             args.parent_src, args.change_src, args.seed, args.workload)
     else:
         count, diffs = compare(args.parent_src, args.change_src, args.seed, args.workload)
@@ -223,6 +241,11 @@ def main(argv=None) -> int:
     if args.verdicts:
         print(f"largest |delta beta| {max_dbeta:.3g}; largest residual {res_parent:.3g} (parent), "
               f"{res_change:.3g} (change)")
+        if widest is None:
+            print("no bracket fields in the change's artifacts")
+        else:
+            print(f"widest bracket {widest:.3g} tol; parent beta outside the change's bracket by "
+                  f"at most {outside:.3g} tol (0: inside)")
         print(f"{count} jobs: " + (f"{len(diffs)} verdict differences" if diffs else "same verdicts"))
     else:
         print(f"{count} jobs: " + (f"{len(diffs)} differences" if diffs else "identical"))
