@@ -28,7 +28,7 @@ def constant(c: float) -> PiecewisePoly:
 
 
 def tent() -> PiecewisePoly:
-    """|x - 1/2| on [0,1): a kink at 1/2 (and at 0), convexity defect +inf."""
+    """|x - 1/2| on [0,1): eta = +inf, as the slope falls at 0; the kink at 1/2 is convex."""
     return PiecewisePoly((0.0, 0.5), ((0.5, -1.0), (-0.5, 1.0)))
 
 

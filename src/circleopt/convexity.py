@@ -9,20 +9,20 @@ function, at node-aligned delta), and the convexity defect of f is
 
     eta(f) = sup_{delta > 0} delta^-2 * (uniform defect at delta),
 
-the least a >= 0 such that f(x) + (a/2) x^2 is convex on the line.  Two
-numeric routes are provided: an exact-at-grid second-derivative route for
-twice-differentiable specs, and a finite-difference route over the grid
-delta = k/N that is honest about being a lower bound.
+the least a >= 0 such that f(x) + (a/2) x^2 is convex on the line: +inf
+where f jumps or f' jumps down.  Two numeric routes are provided: an
+exact-at-grid second-derivative route for twice-differentiable specs, and a
+finite-difference lower bound over delta = k/N, with a spec's +inf read off its tree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .torus import FunctionSpec, GridFunction, _check_grid_size, lipschitz_estimate, sample
+from .torus import FunctionSpec, GridFunction, _check_grid_size, jumps, lipschitz_estimate, sample
 
 
 def _second_difference(vv: np.ndarray, k: int) -> np.ndarray:
@@ -37,13 +37,13 @@ def _second_difference(vv: np.ndarray, k: int) -> np.ndarray:
 
 
 def _candidate_shifts(n: int, m: int) -> list[int]:
-    """The shifts k in [m, N/2] with no divisor in [m, k), and 2m, ascending.
+    """The shifts k in [m, N/2] with no divisor in [m, k), ascending.
 
     Write D_k = 2v - v(.+k) - v(.-k).  Then D_jk[x] is the sum over |i| < j
     of (j - |i|) D_k[x + ik], whose weights sum to j^2, so the score
     (N/jk)^2 max D_jk is at most (N/k)^2 max D_k in exact arithmetic: the
-    maximum over [m, N/2] is carried by these shifts.  2m is the kink
-    test's second scale.  A sieve strikes the multiples of each kept k.
+    maximum over [m, N/2] is carried by these shifts (k = m only, at
+    m = 1).  A sieve strikes the multiples of each kept k.
     """
     half = n // 2
     keep = np.zeros(half + 1, dtype=bool)
@@ -51,7 +51,6 @@ def _candidate_shifts(n: int, m: int) -> list[int]:
     for j in range(m, half // 2 + 1):
         if keep[j]:
             keep[2 * j::j] = False
-    keep[2 * m] = True
     return np.flatnonzero(keep).tolist()
 
 
@@ -120,19 +119,15 @@ class ConvexityReport:
 
 
 def _finite_difference_report(g: GridFunction, min_delta_nodes: int = 1) -> ConvexityReport:
-    """The finite-difference route's report: the max over delta = k/N
+    """The finite-difference route's lower bound: the max over delta = k/N
     (k >= min_delta_nodes) and grid x of delta^-2 * defect, with its
-    witnesses, or +inf where the kink test fires.  Only the shifts of
-    ``_candidate_shifts`` are read; no other k can score higher.  A second
-    difference or score that is not finite (samples near 1e304 overflow
-    delta^-2 * defect) is a ValueError, so +inf means a kink only."""
+    witnesses.  Only the shifts of ``_candidate_shifts`` are read; no other
+    k can score higher.  A second difference or score that is not finite
+    (samples near 1e304 overflow delta^-2 * defect) is a ValueError."""
     n = g.n
     m = max(1, min_delta_nodes)
-    if 2 * m > n // 2:
-        raise ValueError(
-            f"min_delta_nodes={min_delta_nodes} leaves no room for the kink test at "
-            f"N={n}: need 2 * max(1, min_delta_nodes) <= N/2"
-        )
+    if m > n // 2:
+        raise ValueError(f"min_delta_nodes={min_delta_nodes} leaves no shift to read at N={n}: need it <= N/2")
     ks = _candidate_shifts(n, m)
     vv = np.concatenate([g.values, g.values])
     maxima = np.array([_second_difference(vv, k).max() for k in ks])
@@ -140,28 +135,16 @@ def _finite_difference_report(g: GridFunction, min_delta_nodes: int = 1) -> Conv
     # the last bit for some k, which would move eta and its witness
     inv_delta_sq = np.array([(n / k) ** 2 for k in ks])
     score = np.where(maxima > 0.0, maxima * inv_delta_sq, 0.0)
-    finite = np.isfinite(maxima) & np.isfinite(score)  # an overflow would read as a kink's +inf
+    finite = np.isfinite(maxima) & np.isfinite(score)
     if not finite.all():
         raise ValueError(f"finite-difference score overflows at delta = {ks[int(np.argmin(finite))]}/{n}; "
                          "the convexity defect is undefined")
-    best = 0.0
-    best_x = 0.0
-    best_delta = m / n
-    i = int(np.argmax(score))  # first maximum: the smallest such delta
-    if score[i] > 0.0:
-        best = float(score[i])
-        best_x = float(_second_difference(vv, ks[i]).argmax()) / n
-        best_delta = ks[i] / n
-    # A kink makes delta^-2 * defect blow up like 1/delta as delta -> 0:
-    # flag +inf when halving delta from 2m/N to m/N, the finest scale the
-    # caller admits, grows the score by ~2x (ks starts at m).
-    s2m = score[ks.index(2 * m)]
-    infinite = bool(n >= 8 and s2m > 0.0 and score[0] > 1.6 * s2m)
+    i = int(np.argmax(score))  # first maximum: the smallest such delta, ks[0] = m where every score is 0
     return ConvexityReport(
-        eta=math.inf if infinite else best,
+        eta=float(score[i]),
         method="finite_difference",
-        witness_x=best_x,
-        witness_delta=best_delta,
+        witness_x=float(_second_difference(vv, ks[i]).argmax()) / n if score[i] > 0.0 else 0.0,
+        witness_delta=ks[i] / n,
         error_bound=2.0 * g.lipschitz_estimate() / n,
         grid_n=n,
     )
@@ -211,16 +194,15 @@ def convexity_defect(
     Modes: ``second_derivative`` (requires two exact symbolic derivatives;
     returns max(0, -min f'') over the grid plus one-sided values at
     non-smooth points), ``finite_difference`` (grid route, lower bound),
-    ``auto`` (second-derivative when available).  The finite-difference
-    route flags eta = +inf when the estimates grow without bound as delta
-    shrinks, which is what a Lipschitz kink produces.
+    ``auto`` (second-derivative when available).  For a spec the
+    finite-difference route reads eta = +inf off the tree, where f jumps or
+    a jump of f' falls; a convex kink and a grid function keep the bound.
 
     ``min_delta_nodes`` restricts the finite-difference delta grid to
     delta >= min_delta_nodes / N.  Solved sub-actions carry an
     interpolation sawtooth below ~4 grid spacings; measuring them with
-    min_delta_nodes=4 probes the function rather than the artifact.  The
-    kink test compares delta = m/N with 2m/N (m = max(1, min_delta_nodes)),
-    so 2m > N/2 raises a ValueError.
+    min_delta_nodes=4 probes the function rather than the artifact.
+    max(1, min_delta_nodes) > N/2 leaves no shift and raises a ValueError.
     """
     if mode not in ("auto", "second_derivative", "finite_difference"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -239,4 +221,12 @@ def convexity_defect(
         raise ValueError("second_derivative mode needs a symbolic spec with two derivatives")
 
     g = f if isinstance(f, GridFunction) else sample(f, grid_n)
-    return _finite_difference_report(g, min_delta_nodes)
+    rep = _finite_difference_report(g, min_delta_nodes)
+    if isinstance(f, FunctionSpec):
+        try:
+            falls = any(d < 0.0 for d in jumps(f.derivative()).values())
+        except ValueError:  # f jumps, or f' jumps at an antisymmetric junction and falls on one side
+            falls = True
+        if falls:
+            return replace(rep, eta=math.inf)
+    return rep

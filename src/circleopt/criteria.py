@@ -10,8 +10,8 @@ only says the hypothesis was not verified.
 
 The checkers take specs: slope conditions are evaluated on f.derivative(),
 so a spec without one (a piecewise polynomial with a jump) is a ValueError;
-the window checkers take eta from f'' as well, so a kink is one too, and
-so is an f'' (or a half-profile's h'') that is not finite.
+the window checkers take eta from f'' as well (their margins need it, not a
+lower bound), so a kink, convex or not, is one too, and so is a non-finite f'' or h''.
 
 Checked conditions, all for the doubling map:
 

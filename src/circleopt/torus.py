@@ -158,22 +158,11 @@ class PiecewisePoly(FunctionSpec):
         return max(1.0, max(abs(c) for piece in self.coefficients for c in piece))
 
     def derivative(self):
-        m = len(self.breakpoints)
-        tol = _JOIN_TOL * self._scale()
-        for j in range(1, m):
-            b = self.breakpoints[j]
-            if abs(self.piece_value(j - 1, b) - self.piece_value(j, b)) > tol:
-                raise ValueError(f"derivative of discontinuous piecewise polynomial (jump at x={b})")
-        if self.wrap:
-            if abs(self.piece_value(m - 1, 1.0) - self.piece_value(0, 0.0)) > tol:
-                raise ValueError("derivative of discontinuous piecewise polynomial (jump at x=0)")
-        dcoefs = []
-        for piece in self.coefficients:
-            if len(piece) == 1:
-                dcoefs.append((0.0,))
-            else:
-                dcoefs.append(tuple(j * c for j, c in enumerate(piece) if j >= 1))
-        return PiecewisePoly(self.breakpoints, tuple(dcoefs), wrap=self.wrap)
+        for b, d in jumps(self).items():
+            if d:  # the wrap's 0.0 prints as 0
+                raise ValueError(f"derivative of discontinuous piecewise polynomial (jump at x={b or 0})")
+        dcoefs = tuple(tuple(j * c for j, c in enumerate(p) if j >= 1) or (0.0,) for p in self.coefficients)
+        return PiecewisePoly(self.breakpoints, dcoefs, wrap=self.wrap)
 
     def nonsmooth_points(self):
         return self.breakpoints
@@ -683,6 +672,29 @@ def lipschitz_estimate(f: FunctionSpec) -> float:
             bound = max(bound, sum(k * abs(a[k]) * r ** (k - 1) for k in range(1, len(a))) if lo < hi else 0.0)
         return bound
     raise TypeError(f"no slope bound for a {type(f).__name__}")
+
+
+def jumps(f: FunctionSpec) -> dict[float, float]:
+    """f(x+) - f(x-) at each non-smooth point x of a spec, read off its tree.  A piecewise polynomial
+    reads 0.0 where its pieces join within the join tolerance; an extension's junctions join by construction."""
+    if isinstance(f, Cosine):
+        return {}
+    if isinstance(f, PiecewisePoly):  # (x, right piece, left piece, where it is read): interior, then the wrap
+        bps, tol = f.breakpoints, _JOIN_TOL * f._scale()
+        sides = [(b, j, j - 1, b) for j, b in enumerate(bps[1:], 1)] + [(0.0, 0, len(bps) - 1, 1.0)] * f.wrap
+        steps = {b: f.piece_value(j, b) - f.piece_value(i, a) for b, j, i, a in sides}
+        return {b: d if abs(d) > tol else 0.0 for b, d in steps.items()}
+    if isinstance(f, Sum):  # added at equal points, as nonsmooth_points merges them
+        steps = [step for t in f.terms for step in jumps(t).items()]
+        return {b: sum(d for c, d in steps if c == b) for b, _ in steps}
+    if isinstance(f, Scale):
+        return {b: f.factor * d for b, d in jumps(f.inner).items()}
+    if isinstance(f, Translate):
+        return {(b + f.omega) % 1.0: d for b, d in jumps(f.inner).items()}
+    if isinstance(f, AntisymmetricExtension):
+        inside = {b: d for b, d in jumps(f.half).items() if 0.0 < b < 0.5}
+        return {0.0: 0.0, 0.5: 0.0, **inside, **{b + 0.5: -d for b, d in inside.items()}}
+    raise TypeError(f"no jumps for a {type(f).__name__}")
 
 
 def _mirrors(h: PiecewisePoly, v: float) -> bool:

@@ -111,10 +111,8 @@ def suite_cone_laws(seed: int, cases: int) -> SuiteResult:
         r_sum = convexity_defect(sum_grid, "finite_difference")
         r_max = convexity_defect(max_grid, "finite_difference")
         tol_eta = rf.error_bound + rg.error_bound + 1e-9
-        if math.isfinite(r_sum.eta):
-            t.check(rf.eta + rg.eta - r_sum.eta + tol_eta, "eta subadditivity")
-        if math.isfinite(r_max.eta):
-            t.check(max(rf.eta, rg.eta) - r_max.eta + tol_eta, "eta max law")
+        t.check(rf.eta + rg.eta - r_sum.eta + tol_eta, "eta subadditivity")
+        t.check(max(rf.eta, rg.eta) - r_max.eta + tol_eta, "eta max law")
         r_hom = convexity_defect(Sum((Scale(a, f), constant(b))), "second_derivative", grid_n)
         t.check(tol_eta * max(1.0, a) - abs(r_hom.eta - a * rf.eta), "eta homogeneity")
     return t.result("cone-laws")

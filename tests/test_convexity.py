@@ -8,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circleopt import (
+    AntisymmetricExtension,
     Cosine,
     FunctionSpec,
     GridFunction,
+    PiecewisePoly,
     Scale,
     Sum,
     Translate,
@@ -39,6 +41,7 @@ from circleopt.convexity import (
     second_derivative_values,
 )
 from circleopt.criteria import check_class_b
+from circleopt.torus import jumps
 
 FOUR_PI_SQ = 4.0 * math.pi**2
 
@@ -288,28 +291,63 @@ class TestConvexityDefect:
         with pytest.raises(ValueError, match=f"grid size must be at least 4, got {grid_n}"):
             convexity_defect(cosine(), "second_derivative", grid_n)
 
-    def test_min_delta_nodes_moves_the_kink_test(self):
-        # a 1-node sawtooth: +inf at min_delta_nodes=1, where its score
-        # nearly doubles from k=2 to k=1; from k=4 on only its odd-k second
-        # differences 4e-5 * (N/k)^2 remain (1.7 at k=5)
+    def test_min_delta_nodes_skips_a_sawtooth(self):
+        # a 1-node sawtooth: a grid function reads its lower bound, which
+        # at min_delta_nodes=1 is the sawtooth's (4e-5 + ~4 pi^2 / N^2) N^2;
+        # from k=4 on only its odd-k second differences 4e-5 * (N/k)^2
+        # remain (1.7 at k=5)
         g = sample(cosine(), 1024)
         saw = GridFunction(g.values + 1e-5 * (-1.0) ** np.arange(1024))
-        assert math.isinf(convexity_defect(saw, "finite_difference").eta)
+        assert convexity_defect(saw, "finite_difference").eta == pytest.approx(4e-5 * 1024**2 + FOUR_PI_SQ,
+                                                                             rel=1e-3)
         for m in (4, 8):
             eta = convexity_defect(saw, "finite_difference", min_delta_nodes=m).eta
             assert eta == pytest.approx(FOUR_PI_SQ, rel=0.05)
         # a real kink still reads +inf when the finest scales are skipped
         assert math.isinf(convexity_defect(tent(), "finite_difference", 1024, 4).eta)
 
-    @pytest.mark.parametrize("m", [20, 40])
-    def test_min_delta_nodes_without_room_for_the_kink_test(self, m):
-        # 2m > N/2: delta = 2m/N is not on the grid, so a kink would read
-        # finite (m = 20) or the scan would be empty (m = 40)
-        with pytest.raises(ValueError, match=f"min_delta_nodes={m} .* N=64"):
-            convexity_defect(tent(), "finite_difference", 64, m)
-
     def test_largest_min_delta_nodes_still_flags_a_kink(self):
         assert math.isinf(convexity_defect(tent(), "finite_difference", 64, 16).eta)
+
+    @pytest.mark.parametrize("m", [20, 32])
+    def test_min_delta_nodes_up_to_half_the_grid_is_read(self, m):
+        assert math.isinf(convexity_defect(tent(), "finite_difference", 64, m).eta)
+        rep = convexity_defect(cosine(), "finite_difference", 64, m)
+        assert rep.witness_delta == m / 64 and math.isfinite(rep.eta)
+
+    @pytest.mark.parametrize("m", [33, 40])
+    def test_min_delta_nodes_past_half_the_grid_is_refused(self, m):
+        with pytest.raises(ValueError, match=rf"^min_delta_nodes={m} leaves no shift to read at N=64"):
+            convexity_defect(tent(), "finite_difference", 64, m)
+
+
+_STEP = PiecewisePoly((0.0, 0.5), ((0.0,), (1.0,)))
+
+
+@pytest.mark.parametrize("mode", ["finite_difference", "auto"])
+@pytest.mark.parametrize(
+    "f, falls_at, eta",
+    [
+        (tent(), [0.0], math.inf),
+        (Scale(-1.0, tent()), [0.5], math.inf),
+        (Translate(0.3, tent()), [0.3], math.inf),
+        # f' = +1 on (0, 1/2) and -1 on (1/2, 1): it falls at 1/2, a junction
+        (AntisymmetricExtension(PiecewisePoly((0.0,), ((0.0, 1.0),), wrap=False), 0.25), None, math.inf),
+        (Sum((cosine(), Scale(1e-6, _STEP))), None, math.inf),
+        # a convex kink only: f' rises from -1 to +1 at 0
+        (PiecewisePoly((0.0,), ((-0.25, 1.0, -1.0),)), [], 2.0),
+    ],
+    ids=["tent", "negated-tent", "translated-tent", "extension-of-x", "jump", "convex-kink"],
+)
+def test_eta_is_infinite_exactly_where_the_tree_falls(f, falls_at, eta, mode):
+    # falls_at: where a jump of f' falls; None where f.derivative() refuses f
+    if falls_at is None:
+        with pytest.raises(ValueError):
+            f.derivative()
+    else:
+        assert [x for x, d in jumps(f.derivative()).items() if d < 0.0] == falls_at
+    rep = convexity_defect(f, mode, 4096)
+    assert (rep.eta, rep.method) == (eta, "finite_difference")
 
 
 class TestDeltaTable:
@@ -394,7 +432,7 @@ def _loop_best(g, scores, argmax, ks, min_delta_nodes):
 
 
 def _brute_candidates(n, m):
-    return {k for k in range(m, n // 2 + 1) if not any(k % j == 0 for j in range(m, k))} | {2 * m}
+    return {k for k in range(m, n // 2 + 1) if not any(k % j == 0 for j in range(m, k))}
 
 
 # integer values make exact ties; -0.0 and 0.0 tie with each other
@@ -452,21 +490,21 @@ class TestSecondDifferenceKernel:
 
     def test_candidate_shifts_are_the_brute_force_set(self):
         for n in range(4, 200):
-            for m in range(1, n // 4 + 1):
+            for m in range(1, n // 2 + 1):
                 ks = _candidate_shifts(n, m)
                 assert ks == sorted(_brute_candidates(n, m)), (n, m)
                 assert all(type(k) is int for k in ks)
 
     def test_candidate_shifts_at_the_route_settings(self):
-        assert _candidate_shifts(4096, 1) == [1, 2]
+        assert _candidate_shifts(4096, 1) == [1]
         ks = _candidate_shifts(4096, 4)
-        assert len(ks) == 311 and ks[:6] == [4, 5, 6, 7, 8, 9]
+        assert len(ks) == 310 and ks[:6] == [4, 5, 6, 7, 9, 11]
 
     @pytest.mark.parametrize("min_delta_nodes", [1, 4])
     def test_route_memory_is_a_few_arrays(self, min_delta_nodes):
         # v||v, the difference and its temporaries, and the Lipschitz
         # estimate's differences: a few N-arrays, whatever the scan reads
-        # (2 shifts at min_delta_nodes=1, 311 at 4)
+        # (1 shift at min_delta_nodes=1, 310 at 4)
         g = sample(cosine(), 4096)
         _finite_difference_report(g, min_delta_nodes)
         tracemalloc.start()
@@ -499,8 +537,7 @@ class TestSecondDifferenceKernel:
         m = max(1, min_delta_nodes)
         ks = _candidate_shifts(g.n, m)
         best, best_x, best_delta = _loop_best(g, scores, argmax, ks, m)
-        infinite = bool(g.n >= 8 and scores[2 * m] > 0.0 and scores[m] > 1.6 * scores[2 * m])
-        assert np.float64(rep.eta).tobytes() == np.float64(math.inf if infinite else best).tobytes()
+        assert np.float64(rep.eta).tobytes() == np.float64(best).tobytes()
         assert (rep.witness_x, rep.witness_delta) == (best_x, best_delta)
         # every other shift ties with the candidates at most, up to rounding
         best_all, _, _ = _loop_best(g, scores, argmax, range(m, g.n // 2 + 1), m)

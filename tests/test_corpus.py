@@ -36,10 +36,6 @@ from circleopt.criteria import KAPPA
 TWO_PI = 2.0 * math.pi
 
 
-def _open(reason):
-    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
-
-
 def _sin(k):
     """sin(2 pi k x) as a cosine node."""
     return Cosine(k, -math.pi / 2.0)
@@ -154,7 +150,6 @@ def test_entry_b_search_c_does_not_pass():
     assert search_c(SPEC_B, 10_000).status != "pass"
 
 
-@_open("the finite-difference kink test reads eta = +inf for Cosine(1000) at N = 4096")
 def test_entry_c_finite_difference_eta_of_a_high_cosine_is_finite():
     rep = convexity_defect(Cosine(1000, 0.0), "finite_difference", 4096)
     assert math.isfinite(rep.eta) and rep.eta <= (TWO_PI * 1000) ** 2

@@ -547,5 +547,7 @@ class TestPreimageBranchBound:
         assert np.array(fast).tobytes() == np.array(ref).tobytes()
 
     def test_branch_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="capped at 20"):
             preimage_branch_bound(cosine(), GridFunction(np.zeros(64)), 0.1, 21)
+        # n = 20 is read: 2^19 branches, and g's grid fine enough for delta = 2^-20
+        assert math.isfinite(preimage_branch_bound(cosine(), GridFunction(np.zeros(2**20)), 0.1, 20))

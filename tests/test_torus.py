@@ -37,7 +37,7 @@ from circleopt.catalog import (
     random_trig,
     tent,
 )
-from circleopt.torus import _mod1, _refine_into, _weight_plan
+from circleopt.torus import _mod1, _refine_into, _weight_plan, jumps
 
 TWO_PI = 2.0 * math.pi
 
@@ -796,6 +796,44 @@ class TestSymmetries:
     def test_a_spec_outside_the_node_kinds_is_a_type_error(self):
         with pytest.raises(TypeError, match="no symmetries for a _Recording"):
             symmetries(_Recording(cosine()))
+
+
+_TENT_SLOPE = tent().derivative()  # -1 on [0, 1/2), +1 on [1/2, 1)
+
+
+class TestJumps:
+    @settings(max_examples=200, deadline=None)
+    @given(spec_trees())
+    def test_jumps_of_f_prime_match_one_sided_samples(self, f):
+        # f' 1e-7 either side of a point is within Lip(f') * 1e-7 of its one-sided
+        # limits, whose step is the sum of the jumps within 1e-7 of the point
+        first = f.derivative()
+        found = jumps(first)
+        slack = 2e-7 * lipschitz_estimate(first) + 1e-9
+        for x, d in found.items():
+            near = sum(e for y, e in found.items() if min(abs(y - x), 1.0 - abs(y - x)) < 1e-7)
+            assert abs(first(x + 1e-7) - first(x - 1e-7) - near) <= slack, (x, d)
+        falls = any(d < 0.0 for d in found.values())
+        assert math.isinf(convexity_defect(f, "finite_difference", 64).eta) == falls
+
+    @pytest.mark.parametrize("f, expected", [
+        (cosine(), {}),
+        (tent(), {0.5: 0.0, 0.0: 0.0}),
+        (_TENT_SLOPE, {0.5: 2.0, 0.0: -2.0}),
+        (Scale(-1.5, _TENT_SLOPE), {0.5: -3.0, 0.0: 3.0}),
+        (Translate(0.25, _TENT_SLOPE), {0.75: 2.0, 0.25: -2.0}),
+        (Sum((_TENT_SLOPE, Translate(0.5, _TENT_SLOPE))), {0.5: 0.0, 0.0: 0.0}),
+        (_LEAVES[-1].derivative(), {0.0: 0.0, 0.5: 0.0, 0.25: -8.0, 0.75: 8.0}),
+        (PiecewisePoly((0.0, 0.5), ((0.0,), (1.0,)), wrap=False), {0.5: 1.0}),
+        (PiecewisePoly((0.0, 0.5), ((0.0,), (1e-10,))), {0.5: 0.0, 0.0: 0.0}),
+    ], ids=["cosine", "tent", "tent-slope", "scale", "translate", "sum", "extension", "no-wrap",
+            "within-join-tolerance"])
+    def test_reads_each_node_kind(self, f, expected):
+        assert jumps(f) == expected
+
+    def test_a_spec_outside_the_node_kinds_is_a_type_error(self):
+        with pytest.raises(TypeError, match="no jumps for a _Recording"):
+            jumps(_Recording(cosine()))
 
 
 class TestProperties:

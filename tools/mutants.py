@@ -157,18 +157,46 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "min_delta_nodes without its kink-test room refusal",
+        "min_delta_nodes without its no-shift refusal",
         "convexity.py",
-        "if 2 * m > n // 2:",
+        "if m > n // 2:",
         "if False:",
-        ("tests/test_convexity.py::TestConvexityDefect::test_min_delta_nodes_without_room_for_the_kink_test[20]",),
+        ("tests/test_convexity.py::TestConvexityDefect::test_min_delta_nodes_past_half_the_grid_is_refused[40]",),
     ),
     Mutant(
-        "kink test reads the second shift's score",
+        "min_delta_nodes = N/2 refused",
         "convexity.py",
-        "score[0] > 1.6 * s2m",
-        "score[1] > 1.6 * s2m",
-        ("tests/test_convexity.py::TestConvexityDefect::test_kink_flags_infinite",),
+        "if m > n // 2:",
+        "if m >= n // 2:",
+        ("tests/test_convexity.py::TestConvexityDefect::test_min_delta_nodes_up_to_half_the_grid_is_read[32]",),
+    ),
+    Mutant(
+        "a fall of f' read as a rise",
+        "convexity.py",
+        "any(d < 0.0 for d in jumps(f.derivative()).values())",
+        "any(d > 0.0 for d in jumps(f.derivative()).values())",
+        ("tests/test_convexity.py::test_eta_is_infinite_exactly_where_the_tree_falls[convex-kink-finite_difference]",),
+    ),
+    Mutant(
+        "a refused derivative read as finite",
+        "convexity.py",
+        "            falls = True",
+        "            falls = False",
+        ("tests/test_convexity.py::test_eta_is_infinite_exactly_where_the_tree_falls[jump-auto]",),
+    ),
+    Mutant(
+        "a step within the join tolerance read as a jump",
+        "torus.py",
+        "d if abs(d) > tol else 0.0",
+        "d",
+        ("tests/test_torus.py::TestJumps::test_reads_each_node_kind[within-join-tolerance]",),
+    ),
+    Mutant(
+        "an extension's mirrored jumps keep their sign",
+        "torus.py",
+        "b + 0.5: -d for b, d",
+        "b + 0.5: d for b, d",
+        ("tests/test_torus.py::TestJumps::test_reads_each_node_kind[extension]",),
     ),
     Mutant(
         "finite-difference route without its overflow refusal",
@@ -356,6 +384,13 @@ MUTANTS = (
         "    if bad.size:",
         "    if False:",
         ("tests/test_refusals.py::test_best_sturmian_refuses_an_integral_that_is_not_finite",),
+    ),
+    Mutant(
+        "branch cap refuses n = 20",
+        "sturmian.py",
+        "if n > 20:",
+        "if n >= 20:",
+        ("tests/test_sturmian.py::TestPreimageBranchBound::test_branch_cap",),
     ),
     Mutant(
         "rotation number p = q accepted",
