@@ -16,6 +16,7 @@ from .torus import (
     Scale,
     Sum,
     Translate,
+    enclose,
     lipschitz_estimate,
     refine_linear,
     sample,

@@ -41,7 +41,7 @@ from .convexity import (
     second_derivative_values,
 )
 from .sturmian import SturmianCertificate, best_sturmian, sturmian_certificate
-from .torus import FunctionSpec, GridFunction, Translate, lipschitz_estimate, sample, symmetries
+from .torus import FunctionSpec, GridFunction, Translate, enclose, lipschitz_estimate, sample, symmetries
 from .transfer import SubactionSolution, solve_calibrated
 
 KAPPA = 7.0 / 96.0 - math.sqrt(3.0) / 36.0
@@ -268,10 +268,13 @@ def check_class_b(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
 def check_kappa(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
     """Ratio gate (f(0) - f(1/4)) / eta(f) > kappa = 7/96 - sqrt(3)/36.
 
-    Requires class-B membership: a class B that does not pass gives the
-    report its margins, so kappa's status is class B's and it certifies
-    nothing about the ratio.  A class-B f with eta = 0 is constant and its
-    ratio undefined: ValueError.
+    The raw margin is drop / eta - kappa at class B's node eta and its bound
+    drop / eta - drop / eta_upper, eta_upper = -min ``enclose`` of f'' over
+    the N cells, so a pass means drop / eta_upper > kappa.  Requires
+    class-B membership: a class B that does not pass gives the report its
+    margins, so kappa's status is class B's and it certifies nothing about
+    the ratio.  A class-B f with eta = 0 is constant and its ratio
+    undefined: ValueError.
     """
     b_rep = check_class_b(f, grid_n)
     if not b_rep.passed:
@@ -280,15 +283,16 @@ def check_kappa(f: FunctionSpec, grid_n: int = 4096) -> CriterionReport:
     eta = b_rep.tolerances["eta"]
     if eta == 0.0:
         raise ValueError("convexity defect is zero (f is constant); kappa ratio undefined")
+    cells = np.arange(grid_n + 1) / grid_n
+    eta_hi = max(0.0, -float(np.min(enclose(f.derivative().derivative(), cells[:-1], cells[1:])[0])))
     drop = f(0.0) - f(0.25)
     ratio = drop / eta
-    # a fixed relative bound of 1e-6 on the ratio; eta's own error_bound does not enter it
     return CriterionReport(
         "kappa",
         {"ratio_above_kappa": ratio - KAPPA},
-        {"ratio_above_kappa": abs(ratio) * 1e-6},
+        {"ratio_above_kappa": ratio - drop / eta_hi},
         witnesses={"drop": drop},
-        tolerances={"kappa": KAPPA, "eta": eta, "ratio": ratio, "grid_n": grid_n},
+        tolerances={"kappa": KAPPA, "eta": eta, "eta_upper": eta_hi, "ratio": ratio, "grid_n": grid_n},
     )
 
 

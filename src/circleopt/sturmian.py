@@ -169,7 +169,7 @@ def best_sturmian(f, max_q: int = 32) -> tuple[SturmianMeasure, float]:
     rotations, points, blocks = _orbit_table(max_q)
     vals = np.asarray(f(points), dtype=float)
     bounds = np.cumsum([0] + [q * count for q, count in blocks])
-    integrals = np.concatenate([vals[lo:hi].reshape(count, q).mean(axis=1)
+    integrals = np.concatenate([np.add.reduce(vals[lo:hi].reshape(count, q), axis=1) / q
                                 for lo, hi, (q, count) in zip(bounds, bounds[1:], blocks)])
     bad = np.flatnonzero(~np.isfinite(integrals))
     if bad.size:
@@ -309,17 +309,11 @@ def preimage_branch_bound(f, g, x: float, n: int) -> float:
     if n > 20:
         raise ValueError(f"n = {n} would enumerate 2^{n-1} branches; capped at 20")
     m = 2 ** (n - 1)
-    ys = ((x + 0.5) + np.arange(m)) / m  # all preimages under T^(n-1)
-    # forward orbit T^j y for j = 0..n-2; term k uses point T^(n-k) y
+    pts = _mod1(((x + 0.5) + np.arange(m)) / m)  # all preimages y under T^(n-1)
+    # term k reads T^(n-k) y = 2^(n-k) y mod 1, one array at a time: doubling and the
+    # fractional part are exact, so these are the forward orbit's points bit for bit
     totals = np.zeros(m)
-    pts = _mod1(ys)
-    powers = [pts]
-    for _ in range(n - 2):
-        pts = _mod1(2.0 * pts)
-        powers.append(pts)
     for k in range(2, n + 1):
-        delta = 2.0**-k
-        at = powers[n - k]
-        totals += pointwise_defect(f, at, delta)
+        totals += pointwise_defect(f, _mod1(2.0 ** (n - k) * pts), 2.0**-k)
     tail = uniform_defect(g, 2.0**-n)
     return float(np.max(totals) + tail)

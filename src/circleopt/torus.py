@@ -697,6 +697,89 @@ def jumps(f: FunctionSpec) -> dict[float, float]:
     raise TypeError(f"no jumps for a {type(f).__name__}")
 
 
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
+
+
+def _pad(lo, hi):
+    """Cells reduced onto [0, 1] or [0, 1/2], widened by 4 ulps of 1 (more where |x| > 1): the
+    reduction, and each x mod 1 or x - omega on the way to a point read, rounds by less than that."""
+    return lo - 4.0 * _EPS * (1.0 + np.abs(lo)), hi + 4.0 * _EPS * (1.0 + np.abs(hi))
+
+
+def _outward(low, high):
+    """A once-rounded interval widened past its rounding: |x| eps is at least the spacing of floats
+    at x, and the smallest normal float covers an underflow."""
+    return low - (np.abs(low) * _EPS + _TINY), high + (np.abs(high) * _EPS + _TINY)
+
+
+def _poly_range(c, a, z):
+    """p = sum_i c_i x**i on each [a, z] about its midpoint m: a_0 +- sum_k |a_k| r**k for
+    p(m + u) = sum_k a_k u**k, widened by 4 (deg + 2) eps * sum_i |c_i| (|m| + r)**i, which bounds
+    the rounding of m, r, every a_k and the sum."""
+    poly = np.polynomial.polynomial
+    m = (a + z) / 2.0
+    r = np.maximum(z - m, m - a)
+    rad = sum(np.abs(poly.polyval(m, poly.polyder(c, k))) / math.factorial(k) * r**k for k in range(1, len(c)))
+    rad = rad + 4.0 * (len(c) + 2) * _EPS * poly.polyval(np.abs(m) + r, np.abs(c))
+    mid = poly.polyval(m, c)
+    return mid - rad, mid + rad
+
+
+def enclose(f: FunctionSpec, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """(low, high) with low <= f <= high on each cell [lo, hi] of two 1-d arrays, read off the tree
+    and rounded outward; a cell holds both sides of each non-smooth point in it.  A cosine reads the
+    exact range of cos on its phase interval; a piecewise polynomial reads each piece that meets a
+    cell by ``_poly_range``; an extension folds its cells onto [0, 1/2] and reflects the odd halves."""
+    lo, hi = np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
+    if isinstance(f, Cosine):  # phases in turns, widened past the rounding of k x + phase here and at x mod 1
+        w, p = f.freq, f.phase / TWO_PI
+        size = w * (1.0 + max(float(np.max(np.abs(lo), initial=0.0)), float(np.max(np.abs(hi), initial=0.0))))
+        slack = 8.0 * _EPS * (size + abs(p) + 1.0)
+        a, b = w * lo + p - slack, w * hi + p + slack
+        top, bottom = np.ceil(a) <= b, np.ceil(a - 0.5) + 0.5 <= b  # a whole turn, an odd half turn
+        ca, cb = np.cos(TWO_PI * a), np.cos(TWO_PI * b)  # within a few ulps of 1, numpy's cos error
+        return (np.where(bottom, -1.0, np.maximum(np.minimum(ca, cb) - 4.0 * _EPS, -1.0)),
+                np.where(top, 1.0, np.minimum(np.maximum(ca, cb) + 4.0 * _EPS, 1.0)))
+    if isinstance(f, PiecewisePoly):  # onto [0, 1]: cell [lo, min(hi, 1)] and the wrap's [0, hi - 1]
+        turns = np.floor(lo)
+        lo, hi = _pad(lo - turns, hi - turns)
+        lo = np.maximum(lo, 0.0)  # the cell's points lie in its first turn or later
+        low, high = np.full(lo.shape, np.inf), np.full(lo.shape, -np.inf)
+        for b, e, c in zip(f.breakpoints, f.breakpoints[1:] + (1.0,), f.coefficients):
+            for a, z in ((np.maximum(lo, b), np.minimum(hi, e)), (np.full_like(lo, b), np.minimum(hi - 1.0, e))):
+                meet = a <= z
+                if meet.any():
+                    pl, ph = _poly_range(c, a[meet], z[meet])
+                    low[meet], high[meet] = np.minimum(low[meet], pl), np.maximum(high[meet], ph)
+        return low, high
+    if isinstance(f, Sum):
+        low, high = enclose(f.terms[0], lo, hi)
+        for t in f.terms[1:]:
+            tl, th = enclose(t, lo, hi)
+            low, high = _outward(low + tl, high + th)
+        return low, high
+    if isinstance(f, Scale):
+        low, high = enclose(f.inner, lo, hi)
+        if f.factor < 0.0:
+            low, high = high, low
+        return _outward(f.factor * low, f.factor * high)
+    if isinstance(f, Translate):
+        return enclose(f.inner, lo - f.omega, hi - f.omega)
+    if isinstance(f, AntisymmetricExtension):  # half-period k of a cell: h there if k is even, 2v - h if odd
+        k = np.floor(2.0 * lo)
+        lo, hi = _pad((2.0 * lo - k) / 2.0, (2.0 * hi - k) / 2.0)
+        lo = np.maximum(lo, 0.0)  # the cell's points lie in half-period k or later
+        wide, on = hi - lo >= 0.5, hi > 0.5  # the cell holds a whole half-period, or reaches the next
+        low, high = enclose(f.half, np.concatenate([np.where(wide, 0.0, lo), np.where(on, 0.0, lo)]),
+                            np.concatenate([np.minimum(hi, 0.5), np.where(wide, 0.5, np.minimum(hi - 0.5 * on, 0.5))]))
+        odd = np.concatenate([k % 2 == 1, (k + on) % 2 == 1])
+        flip_low, flip_high = _outward(2.0 * f.v - high, 2.0 * f.v - low)
+        low, high = np.where(odd, flip_low, low), np.where(odd, flip_high, high)
+        n = len(lo)
+        return np.minimum(low[:n], low[n:]), np.maximum(high[:n], high[n:])
+    raise TypeError(f"no enclosure for a {type(f).__name__}")
+
+
 def _mirrors(h: PiecewisePoly, v: float) -> bool:
     """h(x) + h(1/2 - x) = 2v on [0, 1/2] in rationals: its ends mirror, each pair sums to 2v at deg + 1 points."""
     half, polyval = Fraction(1, 2), np.polynomial.polynomial.polyval

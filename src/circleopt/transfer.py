@@ -443,7 +443,8 @@ def beta_lower_bound(f, d: int = 2, max_period: int | None = None) -> PeriodicOr
                 points[:, j] = points[:, j - 1] * d % m
             periods.append(np.full(reps.size, p, dtype=np.int64))
             numerators.append(reps)
-            avg = np.asarray(f(points / m), dtype=float).mean(axis=1)
+            avg = np.add.reduce(np.asarray(f(points / m), dtype=float), axis=1)
+            avg /= p  # in place, as .mean(axis=1) divides: the same bits and no second array
             bad = np.flatnonzero(~np.isfinite(avg))
             if bad.size:
                 raise ValueError(f"orbit {reps[bad[0]]}/{m} of period {p} has a non-finite average {avg[bad[0]]}")

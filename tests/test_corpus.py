@@ -28,6 +28,7 @@ from circleopt import (
     convexity_defect,
     search_c,
     solve_calibrated,
+    symmetries,
 )
 from circleopt.catalog import random_trig
 from circleopt.cli import main
@@ -88,6 +89,35 @@ def _drop_b() -> float:
     return 0.25**2 / 2.0
 
 
+# Entry E: cos(2 pi x) + eps [(4N+1) cos 2 pi (N+1) x - 2 (3N+1) cos 2 pi (3N+1) x + (2N+1) cos 2 pi (5N+1) x].
+# At a node of the N- or 2N-grid the three cosines are equal (up to one sign for all three), and the
+# coefficients a_k and a_k f_k^2 both sum to 0, so the added term and its f'' vanish there.  Every
+# frequency is odd with phase 0: the tree shows f even and antisymmetric.
+N_E = 4096
+EPS_E = 1e-10 / (2 * (3 * N_E + 1))
+_TERMS_E = ((1.0, 1), (EPS_E * (4 * N_E + 1), N_E + 1), (-EPS_E * 2 * (3 * N_E + 1), 3 * N_E + 1),
+            (EPS_E * (2 * N_E + 1), 5 * N_E + 1))
+SPEC_E = Sum(tuple(Cosine(k) if a == 1.0 else Scale(a, Cosine(k)) for a, k in _TERMS_E))
+
+
+def _second_e(x):
+    """f'' of entry E in closed form."""
+    return sum(-a * (TWO_PI * k) ** 2 * np.cos(TWO_PI * k * x) for a, k in _TERMS_E)
+
+
+@functools.lru_cache(maxsize=None)
+def _true_second_e() -> tuple[float, float]:
+    """-min f'' of entry E, and max f'' strictly inside (-1/4, 1/4), on the 2^22 mesh, 1024 times the grid."""
+    m, block = 2**22, 2**20
+    least, inside = math.inf, -math.inf
+    for lo in range(0, m, block):
+        x = np.arange(lo, lo + block) / m
+        v = _second_e(x)
+        least = min(least, float(v.min()))
+        inside = max(inside, float(v[np.abs(np.where(x >= 0.5, x - 1.0, x)) < 0.25].max(initial=-math.inf)))
+    return -least, inside
+
+
 def _spec_d():
     """Entry D: the sixth draw of ``random_trig(default_rng(17))``, frequencies 3, 3, 3."""
     rng = np.random.default_rng(17)
@@ -118,6 +148,24 @@ class TestTruths:
         assert _true_eta_b() == pytest.approx(1.6, abs=1e-9)
         assert _drop_b() - KAPPA * _true_eta_b() == pytest.approx(-0.0084, abs=1e-4)
 
+    def test_entry_e_vanishes_at_the_nodes_and_its_tree_shows_both_identities(self):
+        # the added term and its f'' at the 2N-grid nodes, whose even half is the N grid
+        x = np.arange(2 * N_E) / (2 * N_E)
+        base = np.cos(TWO_PI * x), -(TWO_PI**2) * np.cos(TWO_PI * x)
+        assert np.max(np.abs(SPEC_E(x) - base[0])) < 1e-15
+        assert np.max(np.abs(SPEC_E.derivative().derivative()(x) - base[1])) < 1e-10
+        assert symmetries(SPEC_E) == (True, True)
+
+    def test_entry_e_true_eta_and_ratio_fall_below_kappa(self):
+        eta, _ = _true_second_e()
+        assert eta == pytest.approx(40.56, abs=0.01)  # against 4 pi^2 = 39.48 at the nodes
+        drop = SPEC_E(0.0) - SPEC_E(0.25)
+        assert drop / eta - KAPPA == pytest.approx(-1.49e-4, abs=0.02e-4)
+
+    def test_entry_e_is_convex_inside_the_window(self):
+        # class B's concavity on (-1/4, 1/4) fails between the nodes
+        assert _true_second_e()[1] == pytest.approx(1.15, abs=0.02)
+
     def test_entry_d_is_the_sixth_seed_17_draw(self):
         assert [t.inner.freq for t in _spec_d().terms] == [3, 3, 3]
 
@@ -144,6 +192,19 @@ class TestEntryA:
 
     def test_theorem_sturm_does_not_pass(self):
         assert check_theorem_sturm(SPEC_A, *WINDOW_A, N_A).status != "pass"
+
+
+class TestEntryE:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 13: class B reads concavity at the 2N-grid nodes "
+                                           "only, where the added f'' vanishes; max f'' inside the window is +1.15")
+    def test_class_b_does_not_pass(self):
+        assert check_class_b(SPEC_E, N_E).status != "pass"
+
+    def test_kappa_does_not_pass(self):
+        # the node eta is 4 pi^2; the cell enclosure of f'' holds the true 40.56
+        rep = check_kappa(SPEC_E, N_E)
+        assert rep.tolerances["eta"] <= _true_second_e()[0] <= rep.tolerances["eta_upper"]
+        assert rep.status == "inconclusive"
 
 
 def test_entry_b_search_c_does_not_pass():

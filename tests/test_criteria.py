@@ -445,11 +445,22 @@ class TestKappa:
         assert check_kappa(flattened_cosine(s_star - 1e-3)).passed
 
     def test_ratio_within_its_bound_is_inconclusive(self):
-        # just below the crossing at s ~ 0.0026585804 the ratio clears kappa
-        # by less than its relative bound of 1e-6 (raw 9.7e-9, bound 2.5e-8)
-        rep = check_kappa(flattened_cosine(0.00265853), 4096)
+        # with s5 = -0.003 the cos 5 term's f'' rises where the others fall, so the sum of
+        # per-term ranges reads eta 2.2e-3 (5.5e-5 relative) above the node value; just below
+        # the crossing at s3 ~ 0.0116745 the ratio clears kappa by less (raw 8.7e-7, bound 1.37e-6)
+        f = Sum((Cosine(1), Scale(0.01167, Cosine(3)), Scale(-0.003, Cosine(5))))
+        rep = check_kappa(f, 4096)
         assert 0.0 < rep.raw_margins["ratio_above_kappa"] <= rep.error_bounds["ratio_above_kappa"]
+        assert rep.tolerances["eta"] < rep.tolerances["eta_upper"]
         assert rep.status == "inconclusive"
+
+    def test_extrema_on_a_node_leave_only_rounding(self):
+        # every term of a flattened cosine peaks at x = 0, a node, so eta's enclosure is the
+        # node value up to rounding: a raw margin of 9.7e-9 passes
+        rep = check_kappa(flattened_cosine(0.00265853), 4096)
+        assert rep.error_bounds["ratio_above_kappa"] < 1e-15
+        assert rep.raw_margins["ratio_above_kappa"] == pytest.approx(9.7e-9, rel=0.01)
+        assert rep.passed
 
     @pytest.mark.parametrize(
         "f", [constant(0.5), Scale(0.0, cosine())], ids=["constant", "zero-scaled-cosine"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import groupby
 
@@ -163,6 +164,17 @@ class TestBestSturmian:
             assert neg_best == pytest.approx(-family_min, abs=1e-12)
             _, shifted_best = best_sturmian(Translate(0.5, f), 16)
             assert neg_best == pytest.approx(shifted_best - 2 * v, abs=1e-12)
+
+
+def test_per_period_sum_over_q_is_numpys_mean_bitwise():
+    # best_sturmian and beta_lower_bound divide np.add.reduce by q, which is what .mean does
+    rotations, points, blocks = sturmian._orbit_table(32)
+    bounds = np.cumsum([0] + [q * count for q, count in blocks])
+    for f in (cosine(), random_trig(np.random.default_rng(11))):
+        vals = f(points)
+        for lo, hi, (q, count) in zip(bounds, bounds[1:], blocks):
+            block = vals[lo:hi].reshape(count, q)
+            assert (np.add.reduce(block, axis=1) / q).tobytes() == block.mean(axis=1).tobytes()
 
 
 def _loop_best_sturmian(f, max_q):
@@ -545,6 +557,17 @@ class TestPreimageBranchBound:
         monkeypatch.setattr(sturmian, "_mod1", lambda x: x % 1.0)
         ref = [preimage_branch_bound(cosine(), g, x, n) for x, n in args]
         assert np.array(fast).tobytes() == np.array(ref).tobytes()
+
+    def test_memory_holds_one_orbit_array_at_a_time(self):
+        # 2^15 branches of 256 KB at n = 16: keeping all 15 forward-orbit arrays peaked at 6.0 MB
+        g = GridFunction(np.zeros(2**16))
+        tracemalloc.start()
+        try:
+            preimage_branch_bound(cosine(), g, 0.1, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0e6
 
     def test_branch_cap(self):
         with pytest.raises(ValueError, match="capped at 20"):

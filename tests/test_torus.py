@@ -20,6 +20,7 @@ from circleopt import (
     Sum,
     Translate,
     convexity_defect,
+    enclose,
     lipschitz_estimate,
     refine_linear,
     sample,
@@ -834,6 +835,62 @@ class TestJumps:
     def test_a_spec_outside_the_node_kinds_is_a_type_error(self):
         with pytest.raises(TypeError, match="no jumps for a _Recording"):
             jumps(_Recording(cosine()))
+
+
+class TestEnclose:
+    """enclose(f, lo, hi) holds f on each cell, read off the tree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec_trees(), st.lists(st.tuples(st.floats(-1.5, 2.5), st.floats(0.0, 0.3)), min_size=1, max_size=6))
+    def test_holds_f_on_a_finer_mesh_of_each_cell(self, f, cells):
+        # random cells, and the cells of a 16-point grid and their halves shifted onto the
+        # nodes, so that each non-smooth point at a multiple of 1/32 sits on an end or inside
+        grid = np.arange(17) / 16
+        lo = np.concatenate([[c for c, _ in cells], grid[:-1], grid[:-1] - 1 / 32])
+        hi = np.concatenate([[c + w for c, w in cells], grid[1:], grid[:-1] + 1 / 32])
+        low, high = enclose(f, lo, hi)
+        for a, b, l, h in zip(lo, hi, low, high):
+            v = f(np.linspace(a, b, 1025))
+            assert l <= v.min() and v.max() <= h, (a, b)
+
+    def test_a_far_cosine_cell_holds_the_phase_rounding(self):
+        # 7 x + 987.6 / (2 pi) nears 0 on this cell, while each term rounds at the size of 157
+        f, lo = Cosine(7, 987.6), -22.46
+        low, high = enclose(f, [lo], [lo + 1e-3])
+        v = f(np.linspace(lo, lo + 1e-3, 1025))
+        assert low[0] <= v.min() and v.max() <= high[0]
+
+    def test_a_cosine_cell_over_an_extremum_reads_it_exactly(self):
+        # the phase 6 pi x + 0.4 of Cosine(3, 0.4) is 0 at x0 and pi at x0 + 1/6
+        x0 = -0.4 / (3 * TWO_PI)
+        mids = np.array([x0, x0 + 1 / 6])
+        low, high = enclose(Cosine(3, 0.4), mids - 0.01, mids + 0.01)
+        assert high[0] == 1.0 and low[1] == -1.0
+        assert enclose(cosine(), [-0.01], [0.01])[1][0] == 1.0
+
+    def test_an_extension_junction_holds_both_sides(self):
+        # h(x) = 2e-12 x, v = 0: f is two-valued at 0 in floats, as the join tolerance allows
+        f = AntisymmetricExtension(PiecewisePoly((0.0,), ((0.0, 2e-12),), wrap=False), 0.0)
+        assert (f(-1e-20), f(0.0)) == (-1e-12, 0.0)
+        low, high = enclose(f, [-1e-3, -1e-3], [1e-3, 0.0])
+        assert np.all(low <= -1e-12) and np.all(high >= 0.0)
+
+    @pytest.mark.parametrize("f, cell, expected", [
+        (Scale(-2.0, cosine()), (0.2, 0.3), (-2.0 * math.cos(TWO_PI * 0.2), -2.0 * math.cos(TWO_PI * 0.3))),
+        (Translate(0.25, cosine()), (0.2, 0.3), (math.cos(TWO_PI * 0.05), 1.0)),
+        (Sum((constant(1.0), cosine())), (0.4, 0.6), (0.0, 1.0 + math.cos(TWO_PI * 0.4))),
+        (tent(), (0.4, 0.7), (0.0, 0.2)),
+        (PiecewisePoly((0.0, 0.5), ((0.0,), (1.0,)), wrap=True), (0.9, 1.1), (0.0, 1.0)),
+        (_LEAVES[-1], (0.45, 0.55), (-0.2, 0.2)),  # h = 2 - 4x before 1/2, -h(x - 1/2) after it
+    ], ids=["scale", "translate", "sum", "piece-split", "wrap", "extension"])
+    def test_reads_each_node_kind(self, f, cell, expected):
+        # matches the exact range up to outward rounding and the piece's midpoint form
+        low, high = enclose(f, [cell[0]], [cell[1]])
+        assert low[0] <= expected[0] <= low[0] + 1e-12 and high[0] - 1e-12 <= expected[1] <= high[0]
+
+    def test_a_spec_outside_the_node_kinds_is_a_type_error(self):
+        with pytest.raises(TypeError, match="no enclosure for a _Recording"):
+            enclose(_Recording(cosine()), [0.0], [0.1])
 
 
 class TestProperties:

@@ -66,10 +66,10 @@ MUTANTS = (
         ("tests/test_criteria.py::TestClassA::test_window_gap_reads_max_f_from_above",),
     ),
     Mutant(
-        "kappa ratio bound set to 0",
+        "kappa ratio bound read at the node eta",
         "criteria.py",
-        '{"ratio_above_kappa": abs(ratio) * 1e-6}',
-        '{"ratio_above_kappa": 0.0}',
+        '{"ratio_above_kappa": ratio - drop / eta_hi}',
+        '{"ratio_above_kappa": ratio - drop / eta}',
         ("tests/test_criteria.py::TestKappa::test_ratio_within_its_bound_is_inconclusive",),
     ),
     Mutant(
@@ -374,8 +374,8 @@ MUTANTS = (
     Mutant(
         "Sturmian integrals averaged across orbits",
         "sturmian.py",
-        ".reshape(count, q).mean(axis=1)",
-        ".reshape(q, count).T.mean(axis=1)",
+        ".reshape(count, q), axis=1) / q",
+        ".reshape(q, count).T, axis=1) / q",
         ("tests/test_sturmian.py::TestOrbitTable::test_matches_per_orbit_loop[8]",),
     ),
     Mutant(
@@ -398,6 +398,27 @@ MUTANTS = (
         "p >= q",
         "p > q",
         ("tests/test_sturmian.py::TestSturmianMeasure::test_rejects_p_equal_to_q",),
+    ),
+    Mutant(
+        "cosine enclosure ignoring an interior extremum",
+        "torus.py",
+        "np.where(top, 1.0, np.minimum(np.maximum(ca, cb) + 4.0 * _EPS, 1.0))",
+        "np.minimum(np.maximum(ca, cb) + 4.0 * _EPS, 1.0)",
+        ("tests/test_torus.py::TestEnclose::test_a_cosine_cell_over_an_extremum_reads_it_exactly",),
+    ),
+    Mutant(
+        "cosine enclosure without its phase slack",
+        "torus.py",
+        "slack = 8.0 * _EPS * (size + abs(p) + 1.0)",
+        "slack = 0.0",
+        ("tests/test_torus.py::TestEnclose::test_a_far_cosine_cell_holds_the_phase_rounding",),
+    ),
+    Mutant(
+        "extension enclosure reading the next half-period with the cell's parity",
+        "torus.py",
+        "(k + on) % 2 == 1",
+        "k % 2 == 1",
+        ("tests/test_torus.py::TestEnclose::test_reads_each_node_kind",),
     ),
     Mutant(
         "negation built as a scale by +1",
